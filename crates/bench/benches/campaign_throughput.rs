@@ -14,16 +14,6 @@
 //! attaching a recorder (a strict superset of the default no-op
 //! observer's cost) must stay within 2% of the unobserved wall-clock.
 //!
-//! The same-binary from-scratch mode understates what forking bought: it
-//! still benefits from the earlier event-loop work (inline header
-//! storage, `Arc`-shared reports, dead-timer purging). The full comparison
-//! is against the executor as it existed *before* any of that, which a
-//! single binary cannot contain — `scripts/bench_campaign.sh` measures
-//! that executor from the pinned pre-change commit and passes its
-//! wall-clock in via `SNAKE_PRE_PR_WALL_SECS`/`SNAKE_PRE_PR_COMMIT`; when
-//! set, the JSON gains a `pre_pr` block and the headline `speedup` is
-//! computed against it (falling back to the same-binary ratio otherwise).
-//!
 //! A fifth, warm-store rep runs the memoized campaign twice against one
 //! persistent memo store — cold, then warm — asserting the store is
 //! invisible to outcomes and that the warm rerun serves at least half its
@@ -116,8 +106,8 @@ fn config_sharded(
 }
 
 /// Resolves the `snake` binary the sharded reps spawn as worker
-/// processes: `SNAKE_BIN` when set (CI and `scripts/bench_campaign.sh`
-/// export it after building), otherwise the binary sitting next to this
+/// processes: `SNAKE_BIN` when set (CI exports it after building),
+/// otherwise the binary sitting next to this
 /// bench under `target/release`. `None` — with a loud warning from the
 /// caller — when neither exists: `cargo bench` alone does not build
 /// workspace bins, and spawning cargo from inside a bench would deadlock
@@ -475,17 +465,6 @@ fn main() {
     let same_binary_speedup = scratch_secs / memo_secs;
     let speedup_memo = forked_secs / memo_secs;
     let observer_overhead = observed_secs / memo_secs;
-    let pre_pr = std::env::var("SNAKE_PRE_PR_WALL_SECS")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(|secs| {
-            let commit = std::env::var("SNAKE_PRE_PR_COMMIT").unwrap_or_default();
-            (commit, secs)
-        });
-    let speedup = match &pre_pr {
-        Some((_, secs)) => secs / memo_secs,
-        None => same_binary_speedup,
-    };
 
     let mode_block = |result: &CampaignResult, secs: f64| {
         obj([
@@ -518,7 +497,7 @@ fn main() {
             Value::F64(n / scratch_secs),
         ),
         ("speedup_memo", Value::F64(speedup_memo)),
-        ("speedup", Value::F64(speedup)),
+        ("speedup", Value::F64(same_binary_speedup)),
         ("observer_overhead", Value::F64(observer_overhead)),
         ("warm_store_hit_rate", Value::F64(warm_report.hit_rate())),
         (
@@ -582,7 +561,7 @@ fn main() {
         ("observer_overhead", Value::F64(observer_overhead)),
         ("speedup_memo", Value::F64(speedup_memo)),
         ("speedup_same_binary", Value::F64(same_binary_speedup)),
-        ("speedup", Value::F64(speedup)),
+        ("speedup", Value::F64(same_binary_speedup)),
         (
             "multiflow",
             obj([
@@ -624,16 +603,6 @@ fn main() {
             block.push(("scaling_s4_over_s1".to_owned(), Value::F64(scaling)));
         }
         pairs.push(("sharded".to_owned(), Value::Obj(block)));
-    }
-    if let (Some((commit, secs)), Value::Obj(pairs)) = (&pre_pr, &mut report) {
-        pairs.push((
-            "pre_pr".to_owned(),
-            obj([
-                ("commit", Value::Str(commit.clone())),
-                ("wall_clock_secs", Value::F64(*secs)),
-                ("speedup", Value::F64(secs / memo_secs)),
-            ]),
-        ));
     }
     let json = report.to_string_compact();
     std::fs::write(path, format!("{json}\n")).expect("write BENCH_campaign.json");
@@ -719,14 +688,8 @@ fn main() {
             println!("  shard scaling: {scaling:.2}x at S=4 over S=1 ({cores} core(s))");
         }
     }
-    if let Some((commit, secs)) = &pre_pr {
-        println!(
-            "  pre-change from-scratch ({}): {secs:.2}s",
-            &commit[..commit.len().min(12)]
-        );
-    }
     println!(
-        "  speedup: {speedup:.2}x  (memoization over forking alone: {speedup_memo:.2}x, \
-         same binary: {same_binary_speedup:.2}x)  → {path}"
+        "  speedup: {same_binary_speedup:.2}x over from scratch  (memoization over \
+         forking alone: {speedup_memo:.2}x)  → {path}"
     );
 }

@@ -1455,7 +1455,13 @@ impl Campaign {
         // to the in-process thread pool. Determinism is unaffected either
         // way: generation, admission, journal and memo store never leave
         // this process.
-        let mut pool = if config.shards > 0 {
+        //
+        // Spawning workers costs a process launch and a handshake each, so
+        // a spawned pool waits for the first batch that actually has
+        // something to dispatch — a resume over a complete journal never
+        // pays it. A `--shard-listen` pool launches now: external workers
+        // are waiting on its address.
+        let launch_pool = || {
             let _span = observe::span(config.observer.as_ref(), "phase.shard_launch", 0);
             match ShardPool::launch(&config, memoize, seg_dir.clone()) {
                 Ok(pool) => {
@@ -1475,9 +1481,13 @@ impl Campaign {
                     None
                 }
             }
-        } else {
-            None
         };
+        let mut launch_pending = config.shards > 0;
+        let mut pool = None;
+        if launch_pending && config.shard_listen.is_some() {
+            launch_pending = false;
+            pool = launch_pool();
+        }
 
         for _round in 0..config.feedback_rounds {
             // The cap is re-checked at the top of every round: feedback
@@ -1567,7 +1577,6 @@ impl Campaign {
                     None => to_run.push((i, s)),
                 }
             }
-            let batch_span = observe::span(config.observer.as_ref(), "phase.batch", 0);
             let (indices, batch): (Vec<usize>, Vec<Strategy>) = to_run.into_iter().unzip();
             // Segment prefetch: outcomes a crashed run's workers already
             // evaluated replay through the batch machinery (admission,
@@ -1581,6 +1590,11 @@ impl Campaign {
                     _ => None,
                 })
                 .collect();
+            if launch_pending && pre.iter().any(Option::is_none) {
+                launch_pending = false;
+                pool = launch_pool();
+            }
+            let batch_span = observe::span(config.observer.as_ref(), "phase.batch", 0);
             let ran = match pool.as_mut().filter(|p| p.live() > 0) {
                 Some(pool) => run_batch_sharded(&shared, &ledger, batch, pre, pool, &on_outcome),
                 None => run_batch(
@@ -1637,8 +1651,10 @@ impl Campaign {
                 .flush_store();
         }
 
-        if let Some(mut pool) = pool.take() {
-            pool.finish(config.observer.as_ref());
+        match pool.take() {
+            Some(mut pool) => pool.finish(config.observer.as_ref()),
+            None if launch_pending => ShardPool::report_unlaunched(&config),
+            None => {}
         }
 
         if let Some(source) = journal_error
@@ -2592,8 +2608,13 @@ fn run_batch_sharded(
     // *working*. A shard that holds outstanding work for a whole
     // `shard_timeout` without delivering anything — a frame lost on the
     // wire, an evaluation thread wedged behind a live heartbeat thread —
-    // is killed and its work re-dispatched.
-    let progress_window = shared.config.shard_timeout;
+    // is killed and its work re-dispatched. A worker that has gone
+    // silent altogether belongs to its reader's read deadline, which
+    // expires `shard_timeout` after its last byte; waiting one heartbeat
+    // longer here keeps the two from tying when the silent shard was also
+    // the last to deliver anything, so that case is always attributed to
+    // the read deadline.
+    let progress_window = shared.config.shard_timeout + shared.config.heartbeat;
     let mut progress: Vec<Instant> = vec![Instant::now(); pool.len()];
     while got < n {
         if pool.live() == 0 {

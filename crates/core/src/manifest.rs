@@ -51,7 +51,10 @@ pub fn build_run_manifest(
 /// nondeterministic: busy/idle time, the dispatched/re-dispatched range
 /// split, heartbeat and reconnect counts, and segment activity all depend
 /// on process scheduling, so manifest-comparing consumers strip it
-/// alongside `timing`.
+/// alongside `timing`. `workers` counts the shards that completed the
+/// handshake — or, when the run had nothing to dispatch and so never
+/// launched its pool (a resume over a complete journal), the configured
+/// count beside all-zero tallies.
 fn shards_section(snapshot: &RecorderSnapshot) -> Value {
     let histogram = |name: &str| {
         snapshot

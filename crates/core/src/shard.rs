@@ -1805,6 +1805,24 @@ impl ShardPool {
         }
     }
 
+    /// Reports for a sharded campaign whose pool never had to launch
+    /// (every strategy was already journaled or prefetched): the
+    /// configured worker count with nothing dispatched, so the manifest
+    /// keeps its `shards` section and readers find the same keys as after
+    /// a run that did launch.
+    pub(crate) fn report_unlaunched(config: &CampaignConfig) {
+        let observer = config.observer.as_ref();
+        observer.counter_add("shard.workers", config.shards as u64);
+        for tally in [
+            "shard.ranges_dispatched",
+            "shard.ranges_redispatched",
+            "shard.heartbeat.missed",
+            "shard.reconnects",
+        ] {
+            observer.counter_add(tally, 0);
+        }
+    }
+
     fn teardown(&mut self) {
         for link in self.links.iter_mut().chain(self.retired.iter_mut()) {
             if let Some(mut writer) = link.writer.take() {

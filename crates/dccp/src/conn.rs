@@ -64,7 +64,7 @@ pub struct DccpSeg {
 }
 
 /// Effects a [`DccpConnection`] asks its host to perform.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DccpConnEvent {
     /// Transmit this packet to the peer.
     Transmit(DccpSeg),

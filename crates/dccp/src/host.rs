@@ -115,6 +115,9 @@ pub struct DccpHost {
     plans: Vec<ConnectPlan>,
     next_ephemeral: u16,
     total_goodput: u64,
+    /// Reused buffer for the events one callback produces, so handling a
+    /// packet does not allocate. Always empty between callbacks.
+    events: Vec<DccpConnEvent>,
 }
 
 impl DccpHost {
@@ -128,6 +131,7 @@ impl DccpHost {
             plans: Vec::new(),
             next_ephemeral: 40_000,
             total_goodput: 0,
+            events: Vec::new(),
         }
     }
 
@@ -151,20 +155,16 @@ impl DccpHost {
         let port = self.next_ephemeral;
         self.next_ephemeral = self.next_ephemeral.wrapping_add(1).max(40_000);
         let iss: u64 = ctx.rng().gen::<u64>() & ((1 << 48) - 1);
-        let mut conn = DccpConnection::client(self.profile.clone(), iss);
-        let mut events = Vec::new();
-        conn.open(&mut events);
+        let conn = DccpConnection::client(self.profile.clone(), iss);
         let idx = self.install(conn, port, remote, None);
-        self.pump(ctx, idx, events);
+        self.drive(ctx, idx, |conn, _now, events| conn.open(events));
     }
 
     /// Gracefully closes every connection (iperf finishing / being
     /// stopped; DCCP has no abortive close short of a raw Reset).
     pub fn close_all(&mut self, ctx: &mut Ctx<'_>) {
         for idx in 0..self.conns.len() {
-            let mut events = Vec::new();
-            self.conns[idx].conn.app_close(ctx.now(), &mut events);
-            self.pump(ctx, idx, events);
+            self.drive(ctx, idx, DccpConnection::app_close);
         }
     }
 
@@ -221,9 +221,20 @@ impl DccpHost {
         idx
     }
 
-    fn pump(&mut self, ctx: &mut Ctx<'_>, idx: usize, events: Vec<DccpConnEvent>) {
-        let mut queue = std::collections::VecDeque::from(events);
-        while let Some(ev) = queue.pop_front() {
+    /// Runs one engine entry point on connection `idx` and applies the
+    /// events it produces, including any those events in turn generate,
+    /// until quiescence.
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        idx: usize,
+        step: impl FnOnce(&mut DccpConnection, SimTime, &mut Vec<DccpConnEvent>),
+    ) {
+        let mut events = std::mem::take(&mut self.events);
+        step(&mut self.conns[idx].conn, ctx.now(), &mut events);
+        let mut next = 0;
+        while let Some(&ev) = events.get(next) {
+            next += 1;
             match ev {
                 DccpConnEvent::Transmit(seg) => {
                     let slot = &self.conns[idx];
@@ -253,9 +264,7 @@ impl DccpHost {
                 DccpConnEvent::Connected => {}
                 DccpConnEvent::Accepted => {
                     if let Some(DccpServerApp::BulkSender { bytes }) = self.conns[idx].app {
-                        let mut more = Vec::new();
-                        self.conns[idx].conn.app_send(bytes, ctx.now(), &mut more);
-                        queue.extend(more);
+                        self.conns[idx].conn.app_send(bytes, ctx.now(), &mut events);
                     }
                 }
                 DccpConnEvent::DeliverData(n) => {
@@ -264,6 +273,8 @@ impl DccpHost {
                 DccpConnEvent::Reset(_) | DccpConnEvent::Finished => {}
             }
         }
+        events.clear();
+        self.events = events;
     }
 }
 
@@ -273,14 +284,8 @@ fn build_packet(src: Addr, dst: Addr, seg: &DccpSeg) -> Packet {
         .seq(seg.seq)
         .ack(seg.ack)
         .ack_reserved(seg.loss_echo)
-        .build();
-    Packet::new(
-        src,
-        dst,
-        Protocol::Dccp,
-        header.into_bytes(),
-        seg.payload_len,
-    )
+        .encode();
+    Packet::new(src, dst, Protocol::Dccp, header, seg.payload_len)
 }
 
 /// Decodes a wire packet, or `None` for malformed ones (short header,
@@ -325,9 +330,9 @@ impl Agent for DccpHost {
         };
         let key = (packet.dst.port, packet.src);
         if let Some(&idx) = self.by_pair.get(&key) {
-            let mut events = Vec::new();
-            self.conns[idx].conn.on_packet(seg, ctx.now(), &mut events);
-            self.pump(ctx, idx, events);
+            self.drive(ctx, idx, |conn, now, events| {
+                conn.on_packet(seg, now, events)
+            });
             return;
         }
         if let Some(&app) = self.listeners.get(&packet.dst.port) {
@@ -335,9 +340,9 @@ impl Agent for DccpHost {
                 let iss: u64 = ctx.rng().gen::<u64>() & ((1 << 48) - 1);
                 let conn = DccpConnection::server(self.profile.clone(), iss);
                 let idx = self.install(conn, packet.dst.port, packet.src, Some(app));
-                let mut events = Vec::new();
-                self.conns[idx].conn.on_packet(seg, ctx.now(), &mut events);
-                self.pump(ctx, idx, events);
+                self.drive(ctx, idx, |conn, now, events| {
+                    conn.on_packet(seg, now, events)
+                });
                 return;
             }
         }
@@ -364,19 +369,15 @@ impl Agent for DccpHost {
                 }
             }
             KIND_RTO if idx < self.conns.len() && self.conns[idx].rto_gen == gen => {
-                let mut events = Vec::new();
-                self.conns[idx].conn.on_rto(ctx.now(), &mut events);
-                self.pump(ctx, idx, events);
+                self.drive(ctx, idx, DccpConnection::on_rto);
             }
             KIND_RTX if idx < self.conns.len() && self.conns[idx].rtx_gen == gen => {
-                let mut events = Vec::new();
-                self.conns[idx].conn.on_rtx(ctx.now(), &mut events);
-                self.pump(ctx, idx, events);
+                self.drive(ctx, idx, DccpConnection::on_rtx);
             }
             KIND_TIME_WAIT if idx < self.conns.len() => {
-                let mut events = Vec::new();
-                self.conns[idx].conn.on_time_wait_expiry(&mut events);
-                self.pump(ctx, idx, events);
+                self.drive(ctx, idx, |conn, _now, events| {
+                    conn.on_time_wait_expiry(events)
+                });
             }
             _ => {}
         }
@@ -435,6 +436,40 @@ mod tests {
         for node in [d.server1, d.server2] {
             let census = sim.agent::<DccpHost>(node).unwrap().census();
             assert_eq!(census.leaked(), 0, "{}: {census:?}", sim.node_name(node));
+        }
+    }
+
+    #[test]
+    fn parse_packet_keeps_every_header_check() {
+        use snake_packet::dccp::DccpPacketType;
+        let packet = |header: Vec<u8>| {
+            let node = snake_netsim::NodeId::from_index(0);
+            Packet::new(
+                Addr::new(node, 40_000),
+                Addr::new(node, 5001),
+                Protocol::Dccp,
+                header,
+                7,
+            )
+        };
+        let good = DccpBuilder::new(40_000, 5001, DccpPacketType::DataAck)
+            .seq(11)
+            .ack(22)
+            .build();
+        let seg = parse_packet(&packet(good.bytes().to_vec())).expect("well-formed header");
+        assert_eq!((seg.seq, seg.ack, seg.payload_len), (11, 22, 7));
+
+        assert!(
+            parse_packet(&packet(good.bytes()[..23].to_vec())).is_none(),
+            "23-byte header"
+        );
+        for (field, value) in [("type", 10), ("type", 15), ("checksum", 1)] {
+            let mut mutated = good.clone();
+            mutated.set(field, value).unwrap();
+            assert!(
+                parse_packet(&packet(mutated.into_bytes())).is_none(),
+                "{field} = {value}"
+            );
         }
     }
 

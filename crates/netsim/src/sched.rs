@@ -29,7 +29,6 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::fxhash::FxHashMap;
-use crate::sim::NodeId;
 use crate::time::SimTime;
 
 /// Index of a packet parked in the simulator's
@@ -39,22 +38,27 @@ use crate::time::SimTime;
 pub(crate) type PacketRef = u32;
 
 /// What happens when a scheduled event's time arrives.
+///
+/// Node, channel and link indices are stored as `u32` (the simulator
+/// asserts its tables stay below that where they grow): it keeps a
+/// [`Scheduled`] at 40 bytes instead of 48, which measured ≈9 % per event —
+/// every push, cascade, sift and pop moves one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventKind {
     /// Hand a packet to the agent on `node` (or forward it on).
-    Deliver { node: NodeId, packet: PacketRef },
+    Deliver { node: u32, packet: PacketRef },
     /// Fire an agent timer.
-    TimerFire { node: NodeId, handle: u64, tag: u64 },
+    TimerFire { node: u32, handle: u64, tag: u64 },
     /// A channel's in-flight transmission completes.
-    ChanDequeue { chan: usize },
+    ChanDequeue { chan: u32 },
     /// A delayed tap emission reaches its channel.
-    ChanEnqueue { chan: usize, packet: PacketRef },
+    ChanEnqueue { chan: u32, packet: PacketRef },
     /// Wheel-mode delivery marker: dispatch the head of channel `chan`'s
     /// in-order delivery FIFO, then drain consecutive entries inline while
     /// they remain globally next (see `Simulator::dispatch`).
-    ChanDeliver { chan: usize },
+    ChanDeliver { chan: u32 },
     /// Fire a tap timer.
-    TapTimerFire { link: usize, tag: u64 },
+    TapTimerFire { link: u32, tag: u64 },
     /// Run a scheduled control action.
     Control { key: u64 },
 }
@@ -208,32 +212,34 @@ impl Wheel {
         }
     }
 
-    /// Advances the wheel to the earliest occupied slot, cascading its
-    /// contents until the near heap is non-empty. Caller guarantees the
-    /// near heap is empty and the wheel is not.
+    /// Drains the earliest occupied slot of the lowest occupied level: a
+    /// level-0 slot is promoted into the near lane, a higher slot cascades
+    /// toward it. Caller guarantees the near heap is empty and the wheel
+    /// is not.
     fn advance(&mut self) {
         debug_assert!(self.near.is_empty() && self.far_len > 0);
-        loop {
-            let level = (0..LEVELS)
-                .find(|&l| self.occupancy[l] != 0)
-                .expect("far_len > 0 but every level empty");
-            let slot = self.occupancy[level].trailing_zeros() as usize;
-            let idx = level * SLOTS + slot;
-            let entries = std::mem::take(&mut self.slots[idx]);
-            self.occupancy[level] &= !(1u64 << slot);
-            self.far_len -= entries.len();
-            if level == 0 {
-                // A level-0 slot holds exactly one tick; jump to it and
-                // promote everything into the near lane.
-                self.elapsed_tick = (self.elapsed_tick & !63) | slot as u64;
-                for ev in entries {
-                    if let EventKind::TimerFire { handle, .. } = ev.kind {
-                        self.timer_locs.insert(handle, TimerLoc::Near);
-                    }
-                    self.near.push(ev);
+        let level = (0..LEVELS)
+            .find(|&l| self.occupancy[l] != 0)
+            .expect("far_len > 0 but every level empty");
+        let slot = self.occupancy[level].trailing_zeros() as usize;
+        let idx = level * SLOTS + slot;
+        // Drain the slot through a local so `push` can borrow `self`, then
+        // hand the (emptied) vector back: the slot keeps its allocation
+        // instead of regrowing from zero on its next use.
+        let mut entries = std::mem::take(&mut self.slots[idx]);
+        self.occupancy[level] &= !(1u64 << slot);
+        self.far_len -= entries.len();
+        if level == 0 {
+            // A level-0 slot holds exactly one tick; jump to it and
+            // promote everything into the near lane.
+            self.elapsed_tick = (self.elapsed_tick & !63) | slot as u64;
+            for ev in entries.drain(..) {
+                if let EventKind::TimerFire { handle, .. } = ev.kind {
+                    self.timer_locs.insert(handle, TimerLoc::Near);
                 }
-                return;
+                self.near.push(ev);
             }
+        } else {
             // Jump to the start of the slot's tick range (everything
             // between was unoccupied) and re-bucket its contents: each
             // entry now lands at a strictly lower level, or in the near
@@ -241,20 +247,19 @@ impl Wheel {
             let width = 6 * level as u32;
             let high = !0u64 << (width + 6);
             self.elapsed_tick = (self.elapsed_tick & high) | ((slot as u64) << width);
-            for ev in entries {
+            for ev in entries.drain(..) {
                 self.push(ev);
             }
-            // Entries landing exactly on the new elapsed tick went to the
-            // near lane; the rest cascaded to lower levels — keep going
-            // until the near lane has the next event.
-            if !self.near.is_empty() {
-                return;
-            }
         }
+        // Nothing can have landed in the drained slot meanwhile (see
+        // above), so putting the vector back loses no event.
+        assert!(self.slots[idx].is_empty(), "cascade re-entered its slot");
+        self.slots[idx] = entries;
     }
 
     fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if self.near.is_empty() && self.far_len > 0 {
+        // Cascade until the near lane holds the next event.
+        while self.near.is_empty() && self.far_len > 0 {
             self.advance();
         }
         let near = self.near.peek().map(|ev| (ev.at, ev.seq));
@@ -265,20 +270,29 @@ impl Wheel {
         }
     }
 
-    fn pop(&mut self) -> Option<Popped> {
-        if self.near.is_empty() && self.far_len > 0 {
+    /// Pops the next entry if its key is at or before `deadline` — the run
+    /// loop's peek, deadline test and pop in one pass over the lanes.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<Popped> {
+        while self.near.is_empty() && self.far_len > 0 {
+            if let Some(ev) = self.take_lone_due(deadline) {
+                return Some(Popped::Event(ev));
+            }
             self.advance();
         }
-        let ghost_first = match (self.ghosts.peek(), self.near.peek()) {
-            (Some(Reverse(g)), Some(n)) => *g < (n.at, n.seq),
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if ghost_first {
-            let Reverse((at, _)) = self.ghosts.pop().expect("peeked");
-            return Some(Popped::Ghost(at));
+        let near = self.near.peek().map(|ev| (ev.at, ev.seq));
+        if let Some(&Reverse(ghost)) = self.ghosts.peek() {
+            if near.is_none_or(|n| ghost < n) {
+                if ghost.0 > deadline {
+                    return None;
+                }
+                self.ghosts.pop();
+                return Some(Popped::Ghost(ghost.0));
+            }
         }
-        let ev = self.near.pop()?;
+        if near?.0 > deadline {
+            return None;
+        }
+        let ev = self.near.pop().expect("peeked");
         if let EventKind::TimerFire { handle, .. } = ev.kind {
             self.timer_locs.remove(&handle);
             if self.dead_near.remove(&handle).is_some() {
@@ -286,6 +300,38 @@ impl Wheel {
             }
         }
         Some(Popped::Event(ev))
+    }
+
+    /// The sparse-traffic fast path of [`pop_due`](Self::pop_due): with the
+    /// near lane empty, the earliest pending event is the lowest occupied
+    /// level-0 slot's. When that slot holds a single entry that is due and
+    /// precedes every ghost, serve it straight from the slot instead of
+    /// promoting it into the near heap only to pop it again. Leaves the
+    /// wheel exactly as `advance` followed by the pop would.
+    fn take_lone_due(&mut self, deadline: SimTime) -> Option<Scheduled> {
+        if self.occupancy[0] == 0 {
+            return None;
+        }
+        let slot = self.occupancy[0].trailing_zeros() as usize;
+        let &[ev] = self.slots[slot].as_slice() else {
+            return None;
+        };
+        if ev.at > deadline
+            || self
+                .ghosts
+                .peek()
+                .is_some_and(|&Reverse(ghost)| ghost < (ev.at, ev.seq))
+        {
+            return None;
+        }
+        self.slots[slot].clear();
+        self.occupancy[0] &= !(1u64 << slot);
+        self.far_len -= 1;
+        self.elapsed_tick = (self.elapsed_tick & !63) | slot as u64;
+        if let EventKind::TimerFire { handle, .. } = ev.kind {
+            self.timer_locs.remove(&handle);
+        }
+        Some(ev)
     }
 
     fn cancel_timer(&mut self, handle: u64) {
@@ -447,11 +493,15 @@ impl Queue {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Popped> {
+    /// Pops the next entry if its key is at or before `deadline`.
+    pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<Popped> {
         match self {
-            Queue::Wheel(w) => w.pop(),
+            Queue::Wheel(w) => w.pop_due(deadline),
             #[cfg(any(test, feature = "heap-sched"))]
             Queue::Heap(h) => {
+                if h.heap.peek()?.at > deadline {
+                    return None;
+                }
                 let ev = h.heap.pop()?;
                 if let EventKind::TimerFire { handle, .. } = ev.kind {
                     // A cancelled timer's event is dead: consume the
@@ -463,6 +513,11 @@ impl Queue {
                 Some(Popped::Event(ev))
             }
         }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn pop(&mut self) -> Option<Popped> {
+        self.pop_due(SimTime::MAX)
     }
 
     /// Cancels a pending timer. The wheel removes the entry natively (or
@@ -555,7 +610,7 @@ mod tests {
             at: SimTime::from_nanos(at),
             seq,
             kind: EventKind::TimerFire {
-                node: NodeId::from_index(0),
+                node: 0,
                 handle,
                 tag: handle,
             },
@@ -766,6 +821,42 @@ mod tests {
             }
             assert_eq!(wheel_log, heap_log, "seed {seed}: pop streams diverged");
         }
+    }
+
+    #[test]
+    fn drained_slots_keep_their_allocation() {
+        let Queue::Wheel(mut wheel) = Queue::new_wheel() else {
+            unreachable!("new_wheel builds a wheel");
+        };
+        // Two events in one level-0 slot, four in one level-1 slot.
+        let near_tick = 5u64 << TICK_SHIFT;
+        let far_tick = (3 * 64u64) << TICK_SHIFT;
+        for seq in 0..2 {
+            wheel.push(control(near_tick + seq, seq));
+        }
+        for seq in 2..6 {
+            wheel.push(control(far_tick + seq, seq));
+        }
+        let (level0, level1) = (5, SLOTS + 3);
+        let before = (
+            wheel.slots[level0].capacity(),
+            wheel.slots[level1].capacity(),
+        );
+        assert!(before.0 >= 2 && before.1 >= 4);
+        let mut popped = 0;
+        while wheel.pop_due(SimTime::MAX).is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, 6);
+        assert!(wheel.slots[level0].is_empty() && wheel.slots[level1].is_empty());
+        assert_eq!(
+            (
+                wheel.slots[level0].capacity(),
+                wheel.slots[level1].capacity()
+            ),
+            before,
+            "promotion and cascade must hand each slot its vector back"
+        );
     }
 
     #[test]

@@ -315,12 +315,14 @@ impl Simulator {
         }
         let now = self.now;
         if let Some(done) = self.chans[chan].chan.enqueue(packet, now) {
-            self.push(done, EventKind::ChanDequeue { chan });
+            self.push(done, EventKind::ChanDequeue { chan: chan as u32 });
         }
     }
 
     /// Adds a node with no agent yet.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
+        // Events store node indices as `u32` (see `EventKind`).
+        assert!(self.nodes.len() < u32::MAX as usize, "too many nodes");
         let id = NodeId(self.nodes.len());
         self.nodes.push(NodeSlot {
             name: name.into(),
@@ -337,6 +339,8 @@ impl Simulator {
 
     /// Connects two nodes with a duplex link.
     pub fn add_link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> LinkId {
+        // Events store channel and link indices as `u32` (see `EventKind`).
+        assert!(self.chans.len() < u32::MAX as usize - 1, "too many links");
         let link = self.links.len();
         let c_ab = self.chans.len();
         self.chans.push(ChanSlot {
@@ -580,19 +584,25 @@ impl Simulator {
             if self.halted {
                 break;
             }
-            let Some((at, _seq)) = self.queue.peek_key() else {
+            if self
+                .event_budget
+                .is_some_and(|budget| self.events_processed >= budget)
+            {
+                // A spent budget truncates the run only if something was
+                // still due by the deadline.
+                if self
+                    .queue
+                    .peek_key()
+                    .is_some_and(|(at, _seq)| at <= deadline)
+                {
+                    self.budget_exhausted = true;
+                }
+                break;
+            }
+            let Some(popped) = self.queue.pop_due(deadline) else {
                 break;
             };
-            if at > deadline {
-                break;
-            }
-            if let Some(budget) = self.event_budget {
-                if self.events_processed >= budget {
-                    self.budget_exhausted = true;
-                    break;
-                }
-            }
-            match self.queue.pop().expect("peeked") {
+            match popped {
                 // A cancelled timer's key: advance the clock and move on.
                 // Ghosts are not dispatched and not counted, exactly like
                 // the reference heap consuming a tombstoned event.
@@ -624,13 +634,14 @@ impl Simulator {
         match kind {
             EventKind::Deliver { node, packet } => {
                 let packet = self.arena.take(packet);
-                self.deliver(node, packet);
+                self.deliver(NodeId(node as usize), packet);
             }
             EventKind::TimerFire { node, tag, .. } => {
                 // Cancelled timers were consumed as ghosts in the run loop.
-                self.with_agent(node, |agent, ctx| agent.on_timer(ctx, tag));
+                self.with_agent(NodeId(node as usize), |agent, ctx| agent.on_timer(ctx, tag));
             }
             EventKind::ChanDequeue { chan } => {
+                let chan = chan as usize;
                 let now = self.now;
                 let slot = &mut self.chans[chan];
                 // Reorder jitter is drawn per delivered packet from the
@@ -640,19 +651,20 @@ impl Simulator {
                 let to = slot.to;
                 let (packet, next) = slot.chan.dequeue(now);
                 if let Some(t) = next {
-                    self.push(t, EventKind::ChanDequeue { chan });
+                    // The same channel's next completion: the same event.
+                    self.push(t, kind);
                 }
                 self.push_delivery(chan, to, now + delay, packet);
             }
             EventKind::ChanEnqueue { chan, packet } => {
                 let packet = self.arena.take(packet);
-                self.enqueue_on_chan(chan, packet);
+                self.enqueue_on_chan(chan as usize, packet);
             }
             EventKind::ChanDeliver { chan } => {
-                self.dispatch_chan_deliver(chan);
+                self.dispatch_chan_deliver(chan as usize);
             }
             EventKind::TapTimerFire { link, tag } => {
-                self.with_tap(link, |tap, ctx| tap.on_timer(ctx, tag));
+                self.with_tap(link as usize, |tap, ctx| tap.on_timer(ctx, tag));
             }
             EventKind::Control { key } => {
                 if let Some((node, f)) = self.controls.remove(&key) {
@@ -686,7 +698,13 @@ impl Simulator {
     fn push_delivery(&mut self, chan: usize, to: NodeId, at: SimTime, packet: Packet) {
         let packet = self.arena.insert(packet);
         if !(self.queue.batches_deliveries() && self.chans[chan].chan.delivers_in_order()) {
-            self.push(at, EventKind::Deliver { node: to, packet });
+            self.push(
+                at,
+                EventKind::Deliver {
+                    node: to.0 as u32,
+                    packet,
+                },
+            );
             return;
         }
         let seq = self.seq;
@@ -705,7 +723,7 @@ impl Simulator {
             self.queue.push(Scheduled {
                 at,
                 seq,
-                kind: EventKind::ChanDeliver { chan },
+                kind: EventKind::ChanDeliver { chan: chan as u32 },
             });
         }
         self.note_depth();
@@ -747,7 +765,7 @@ impl Simulator {
                 self.queue.push(Scheduled {
                     at: key.0,
                     seq: key.1,
-                    kind: EventKind::ChanDeliver { chan },
+                    kind: EventKind::ChanDeliver { chan: chan as u32 },
                 });
                 return;
             }
@@ -822,7 +840,7 @@ impl Simulator {
                     self.push(
                         handle.at.max(self.now),
                         EventKind::TimerFire {
-                            node,
+                            node: node.0 as u32,
                             handle: handle.id,
                             tag,
                         },
@@ -851,12 +869,24 @@ impl Simulator {
                         self.enqueue_on_chan(chan, packet);
                     } else {
                         let packet = self.arena.insert(packet);
-                        self.push(self.now + delay, EventKind::ChanEnqueue { chan, packet });
+                        self.push(
+                            self.now + delay,
+                            EventKind::ChanEnqueue {
+                                chan: chan as u32,
+                                packet,
+                            },
+                        );
                     }
                 }
                 Command::TapTimer { at, tag } => {
                     let link = tap_link.expect("TapTimer outside a tap callback");
-                    self.push(at.max(self.now), EventKind::TapTimerFire { link, tag });
+                    self.push(
+                        at.max(self.now),
+                        EventKind::TapTimerFire {
+                            link: link as u32,
+                            tag,
+                        },
+                    );
                 }
                 Command::Halt => {
                     self.halted = true;
@@ -881,7 +911,13 @@ impl Simulator {
         if packet.dst.node == from {
             // Loopback: deliver immediately.
             let packet = self.arena.insert(packet);
-            self.push(self.now, EventKind::Deliver { node: from, packet });
+            self.push(
+                self.now,
+                EventKind::Deliver {
+                    node: from.0 as u32,
+                    packet,
+                },
+            );
             return;
         }
         let Some(chan) = self.next_hop[from.0][packet.dst.node.0] else {

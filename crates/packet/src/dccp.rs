@@ -9,8 +9,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::spec::{read_bits, write_bits};
-use crate::{FieldRef, FormatSpec, Header, PacketError};
+use crate::spec::{read_field, write_field};
+use crate::{FormatSpec, Header, PacketError};
 
 /// The DCCP generic header (plus acknowledgment subheader) in the SNAKE
 /// header description language: 13 fields, 24 bytes.
@@ -33,11 +33,49 @@ header dccp {
 }
 ";
 
+/// Length of the DCCP header the simulation speaks (generic header with
+/// `X = 1` plus the acknowledgment subheader), in bytes.
+pub const DCCP_HEADER_LEN: usize = 24;
+
+/// Compile-time positions of the fields [`DccpView`] and [`DccpBuilder`]
+/// touch for every packet — same rationale as the TCP table; [`dccp_spec`]
+/// checks each against the parsed description when it resolves the spec.
+mod layout {
+    use crate::FieldRef;
+
+    pub(super) const SRC_PORT: FieldRef = FieldRef::new(0, 0, 16);
+    pub(super) const DST_PORT: FieldRef = FieldRef::new(1, 16, 16);
+    pub(super) const DATA_OFFSET: FieldRef = FieldRef::new(2, 32, 8);
+    pub(super) const CHECKSUM: FieldRef = FieldRef::new(5, 48, 16);
+    pub(super) const TYPE: FieldRef = FieldRef::new(7, 67, 4);
+    pub(super) const X: FieldRef = FieldRef::new(8, 71, 1);
+    pub(super) const SEQ: FieldRef = FieldRef::new(10, 80, 48);
+    pub(super) const ACK_RESERVED: FieldRef = FieldRef::new(11, 128, 16);
+    pub(super) const ACK: FieldRef = FieldRef::new(12, 144, 48);
+
+    pub(super) const NAMED: [(&str, FieldRef); 9] = [
+        ("src_port", SRC_PORT),
+        ("dst_port", DST_PORT),
+        ("data_offset", DATA_OFFSET),
+        ("checksum", CHECKSUM),
+        ("type", TYPE),
+        ("x", X),
+        ("seq", SEQ),
+        ("ack_reserved", ACK_RESERVED),
+        ("ack", ACK),
+    ];
+}
+
 /// Returns the shared DCCP [`FormatSpec`] (24-byte header, 13 fields).
 pub fn dccp_spec() -> Arc<FormatSpec> {
     static SPEC: OnceLock<Arc<FormatSpec>> = OnceLock::new();
     Arc::clone(SPEC.get_or_init(|| {
-        Arc::new(crate::parse_spec(DCCP_HEADER_DESCRIPTION).expect("built-in DCCP spec is valid"))
+        let spec = crate::parse_spec(DCCP_HEADER_DESCRIPTION).expect("built-in DCCP spec is valid");
+        assert_eq!(spec.byte_len(), DCCP_HEADER_LEN);
+        for (name, field) in layout::NAMED {
+            assert_eq!(spec.field(name), Ok(field), "dccp layout of `{name}`");
+        }
+        Arc::new(spec)
     }))
 }
 
@@ -138,7 +176,7 @@ impl std::fmt::Display for DccpPacketType {
 /// Read-only typed view over a DCCP header buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct DccpView<'a> {
-    buf: &'a [u8],
+    buf: &'a [u8; DCCP_HEADER_LEN],
 }
 
 impl<'a> DccpView<'a> {
@@ -148,94 +186,60 @@ impl<'a> DccpView<'a> {
     ///
     /// Returns [`PacketError::BufferTooShort`] if `buf` is shorter than 24
     /// bytes.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Result<Self, PacketError> {
-        let needed = dccp_spec().byte_len();
-        if buf.len() < needed {
-            return Err(PacketError::BufferTooShort {
-                needed,
+        match buf.first_chunk() {
+            Some(buf) => Ok(DccpView { buf }),
+            None => Err(PacketError::BufferTooShort {
+                needed: DCCP_HEADER_LEN,
                 got: buf.len(),
-            });
+            }),
         }
-        Ok(DccpView { buf })
-    }
-
-    /// Reads a field straight from the buffer — `new` validated the
-    /// length once (same rationale as `TcpView::get`).
-    fn get(&self, field: FieldRef) -> u64 {
-        read_bits(self.buf, field.bit_offset, field.bits)
     }
 
     /// Source port.
+    #[inline]
     pub fn src_port(&self) -> u16 {
-        self.get(dccp_refs().src_port) as u16
+        read_field(self.buf, layout::SRC_PORT) as u16
     }
 
     /// Destination port.
+    #[inline]
     pub fn dst_port(&self) -> u16 {
-        self.get(dccp_refs().dst_port) as u16
+        read_field(self.buf, layout::DST_PORT) as u16
     }
 
     /// 48-bit sequence number.
+    #[inline]
     pub fn seq(&self) -> u64 {
-        self.get(dccp_refs().seq)
+        read_field(self.buf, layout::SEQ)
     }
 
     /// 48-bit acknowledgment number.
+    #[inline]
     pub fn ack(&self) -> u64 {
-        self.get(dccp_refs().ack)
+        read_field(self.buf, layout::ACK)
     }
 
     /// Checksum field (`0` on every packet the simulation builds).
+    #[inline]
     pub fn checksum(&self) -> u16 {
-        self.get(dccp_refs().checksum) as u16
+        read_field(self.buf, layout::CHECKSUM) as u16
     }
 
     /// The reserved bits alongside the acknowledgment number, which the
     /// simulated CCID repurposes as a loss-echo counter.
+    #[inline]
     pub fn ack_reserved(&self) -> u16 {
-        self.get(dccp_refs().ack_reserved) as u16
+        read_field(self.buf, layout::ACK_RESERVED) as u16
     }
 
     /// Packet type, or `None` for a reserved type code (such packets are
     /// ignored by receivers per RFC 4340 §5.1).
+    #[inline]
     pub fn packet_type(&self) -> Option<DccpPacketType> {
-        DccpPacketType::from_code(self.get(dccp_refs().ptype) as u8)
+        DccpPacketType::from_code(read_field(self.buf, layout::TYPE) as u8)
     }
-}
-
-/// Pre-resolved [`FieldRef`]s for the DCCP fields read per delivered
-/// packet — same rationale as the TCP table: by-name resolution is a
-/// string-keyed hash lookup, too slow for the per-packet path.
-#[derive(Debug, Clone, Copy)]
-struct DccpRefs {
-    src_port: FieldRef,
-    dst_port: FieldRef,
-    data_offset: FieldRef,
-    x: FieldRef,
-    seq: FieldRef,
-    ack: FieldRef,
-    ptype: FieldRef,
-    checksum: FieldRef,
-    ack_reserved: FieldRef,
-}
-
-fn dccp_refs() -> &'static DccpRefs {
-    static REFS: OnceLock<DccpRefs> = OnceLock::new();
-    REFS.get_or_init(|| {
-        let spec = dccp_spec();
-        let f = |name| spec.field(name).expect("dccp spec field");
-        DccpRefs {
-            src_port: f("src_port"),
-            dst_port: f("dst_port"),
-            data_offset: f("data_offset"),
-            x: f("x"),
-            seq: f("seq"),
-            ack: f("ack"),
-            ptype: f("type"),
-            checksum: f("checksum"),
-            ack_reserved: f("ack_reserved"),
-        }
-    })
 }
 
 /// Builder for DCCP headers.
@@ -281,25 +285,33 @@ impl DccpBuilder {
         self
     }
 
-    /// Builds the header bytes (same direct-write hot path as
-    /// `TcpBuilder::build`).
+    /// Encodes the header into a stack array (same allocation-free hot
+    /// path as `TcpBuilder::encode`).
+    #[inline]
+    pub fn encode(self) -> [u8; DCCP_HEADER_LEN] {
+        let mut bytes = [0u8; DCCP_HEADER_LEN];
+        write_field(&mut bytes, layout::SRC_PORT, self.src_port as u64);
+        write_field(&mut bytes, layout::DST_PORT, self.dst_port as u64);
+        write_field(
+            &mut bytes,
+            layout::DATA_OFFSET,
+            (DCCP_HEADER_LEN / 4) as u64,
+        );
+        write_field(&mut bytes, layout::TYPE, self.packet_type.code() as u64);
+        write_field(&mut bytes, layout::X, 1);
+        write_field(&mut bytes, layout::SEQ, self.seq);
+        write_field(&mut bytes, layout::ACK, self.ack);
+        write_field(&mut bytes, layout::ACK_RESERVED, self.ack_reserved as u64);
+        bytes
+    }
+
+    /// Builds the header as an owned, spec-bound [`Header`] for by-name
+    /// access (tests and the mutation path; the engine uses
+    /// [`encode`](Self::encode)).
     pub fn build(self) -> Header {
-        let spec = dccp_spec();
-        let mut bytes = vec![0u8; spec.byte_len()];
-        let r = dccp_refs();
-        for (field, value) in [
-            (r.src_port, self.src_port as u64),
-            (r.dst_port, self.dst_port as u64),
-            (r.data_offset, (spec.byte_len() / 4) as u64),
-            (r.ptype, self.packet_type.code() as u64),
-            (r.x, 1),
-            (r.seq, self.seq),
-            (r.ack, self.ack),
-            (r.ack_reserved, self.ack_reserved as u64),
-        ] {
-            write_bits(&mut bytes, field.bit_offset, field.bits, value);
-        }
-        spec.parse(bytes).expect("built to spec length")
+        dccp_spec()
+            .parse(self.encode().to_vec())
+            .expect("built to spec length")
     }
 }
 

@@ -56,9 +56,22 @@ pub struct FieldRef {
     pub(crate) index: usize,
     pub(crate) bit_offset: u32,
     pub(crate) bits: u32,
+    /// Whether the field starts on a byte boundary and is 8, 16, 32 or 48
+    /// bits wide. Decided once here so every read and write of the field
+    /// can take the fixed-width big-endian path without re-deriving it.
+    pub(crate) aligned: bool,
 }
 
 impl FieldRef {
+    pub(crate) const fn new(index: usize, bit_offset: u32, bits: u32) -> FieldRef {
+        FieldRef {
+            index,
+            bit_offset,
+            bits,
+            aligned: bit_offset.is_multiple_of(8) && matches!(bits, 8 | 16 | 32 | 48),
+        }
+    }
+
     /// Position of the field in the spec's declaration order.
     pub fn index(&self) -> usize {
         self.index

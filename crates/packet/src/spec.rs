@@ -57,11 +57,7 @@ impl FormatSpec {
                     reason: format!("duplicate field name `{}`", f.name()),
                 });
             }
-            refs.push(FieldRef {
-                index,
-                bit_offset: offset,
-                bits: f.bits(),
-            });
+            refs.push(FieldRef::new(index, offset, f.bits()));
             offset += f.bits();
         }
         Ok(FormatSpec {
@@ -125,7 +121,7 @@ impl FormatSpec {
     /// complete header.
     pub fn get(&self, buf: &[u8], field: FieldRef) -> Result<u64, PacketError> {
         self.check_len(buf.len())?;
-        Ok(read_bits(buf, field.bit_offset, field.bits))
+        Ok(read_field(buf, field))
     }
 
     /// Writes a field's value into a raw header buffer.
@@ -144,7 +140,7 @@ impl FormatSpec {
                 bits: field.bits,
             });
         }
-        write_bits(buf, field.bit_offset, field.bits, value);
+        write_field(buf, field, value);
         Ok(())
     }
 
@@ -258,11 +254,59 @@ impl PartialEq for Header {
 
 impl Eq for Header {}
 
+/// Reads a field: one fixed-width big-endian load when the field is
+/// byte-aligned and 8/16/32/48 bits wide (decided when the [`FieldRef`] was
+/// created), the generic [`read_bits`] window otherwise.
+///
+/// The field I/O functions are force-inlined: the typed TCP/DCCP views call
+/// them with compile-time `FieldRef`s, and only once inlined does the
+/// dispatch fold down to the one load or store the field needs.
+#[inline(always)]
+pub(crate) fn read_field(buf: &[u8], field: FieldRef) -> u64 {
+    if !field.aligned {
+        return read_bits(buf, field.bit_offset, field.bits);
+    }
+    let at = (field.bit_offset / 8) as usize;
+    match field.bits {
+        8 => buf[at] as u64,
+        16 => be16(buf, at),
+        32 => be32(buf, at),
+        _ => be16(buf, at) << 32 | be32(buf, at + 2),
+    }
+}
+
+/// Writes a field; the store-side twin of [`read_field`]. `value` is
+/// truncated to the field width, like [`write_bits`].
+#[inline(always)]
+pub(crate) fn write_field(buf: &mut [u8], field: FieldRef, value: u64) {
+    if !field.aligned {
+        return write_bits(buf, field.bit_offset, field.bits, value);
+    }
+    let at = (field.bit_offset / 8) as usize;
+    match field.bits {
+        8 => buf[at] = value as u8,
+        16 => buf[at..at + 2].copy_from_slice(&(value as u16).to_be_bytes()),
+        32 => buf[at..at + 4].copy_from_slice(&(value as u32).to_be_bytes()),
+        _ => buf[at..at + 6].copy_from_slice(&value.to_be_bytes()[2..]),
+    }
+}
+
+#[inline(always)]
+fn be16(buf: &[u8], at: usize) -> u64 {
+    u16::from_be_bytes([buf[at], buf[at + 1]]) as u64
+}
+
+#[inline(always)]
+fn be32(buf: &[u8], at: usize) -> u64 {
+    u32::from_be_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]) as u64
+}
+
 /// Reads `bits` bits starting `bit_offset` bits into `buf`, MSB first.
 ///
 /// Hot path: field reads happen for every header field of every packet an
 /// endpoint or the proxy handles, so this loads the byte window containing
 /// the field as one big-endian word instead of looping per bit.
+#[inline(always)]
 pub(crate) fn read_bits(buf: &[u8], bit_offset: u32, bits: u32) -> u64 {
     debug_assert!((1..=64).contains(&bits));
     let first = (bit_offset / 8) as usize;
@@ -286,6 +330,7 @@ pub(crate) fn read_bits(buf: &[u8], bit_offset: u32, bits: u32) -> u64 {
 
 /// Writes `bits` bits of `value` starting `bit_offset` bits into `buf`,
 /// MSB first. Same word-window strategy as [`read_bits`].
+#[inline(always)]
 pub(crate) fn write_bits(buf: &mut [u8], bit_offset: u32, bits: u32, value: u64) {
     debug_assert!((1..=64).contains(&bits));
     let first = (bit_offset / 8) as usize;
@@ -437,6 +482,64 @@ mod tests {
         let mut h = spec.new_header();
         h.set("x", u64::MAX).unwrap();
         assert_eq!(h.get("x").unwrap(), u64::MAX);
+    }
+
+    /// Per-bit reference for the field I/O: bit `i` of the buffer is bit
+    /// `7 - i % 8` of byte `i / 8`, fields are MSB first.
+    fn oracle_read(buf: &[u8], bit_offset: u32, bits: u32) -> u64 {
+        (bit_offset..bit_offset + bits).fold(0, |acc, i| {
+            acc << 1 | (buf[(i / 8) as usize] >> (7 - i % 8) & 1) as u64
+        })
+    }
+
+    fn oracle_write(buf: &mut [u8], bit_offset: u32, bits: u32, value: u64) {
+        for (k, i) in (bit_offset..bit_offset + bits).enumerate() {
+            let bit = (value >> (bits as usize - 1 - k) & 1) as u8;
+            let byte = &mut buf[(i / 8) as usize];
+            *byte = *byte & !(1 << (7 - i % 8)) | bit << (7 - i % 8);
+        }
+    }
+
+    /// Every field position inside a 32-byte buffer, through both the
+    /// `FieldRef` path (fixed-width loads where the ref is `aligned`) and
+    /// the generic window: reads agree with the per-bit oracle, writes
+    /// produce the oracle's bytes — so neighbouring bits are untouched.
+    #[test]
+    fn field_io_matches_per_bit_oracle_everywhere() {
+        const LEN: u32 = 32;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut aligned_seen = 0;
+        for bits in 1..=64u32 {
+            for bit_offset in 0..=LEN * 8 - bits {
+                let field = FieldRef::new(0, bit_offset, bits);
+                aligned_seen += field.aligned as u32;
+                let mut background = [0u8; LEN as usize];
+                for chunk in background.chunks_mut(8) {
+                    chunk.copy_from_slice(&next().to_be_bytes());
+                }
+                let expect = oracle_read(&background, bit_offset, bits);
+                assert_eq!(read_field(&background, field), expect, "{field:?}");
+                assert_eq!(read_bits(&background, bit_offset, bits), expect);
+
+                let value = next() & mask(bits);
+                let mut want = background;
+                oracle_write(&mut want, bit_offset, bits, value);
+                let mut via_ref = background;
+                write_field(&mut via_ref, field, value);
+                assert_eq!(via_ref, want, "write_field {field:?}");
+                let mut via_window = background;
+                write_bits(&mut via_window, bit_offset, bits, value);
+                assert_eq!(via_window, want, "write_bits {field:?}");
+            }
+        }
+        // 8-, 16-, 32- and 48-bit fields at every byte offset that fits.
+        assert_eq!(aligned_seen, 32 + 31 + 29 + 27);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::spec::{read_bits, write_bits};
-use crate::{FieldRef, FormatSpec, Header, PacketError};
+use crate::spec::{read_bits, read_field, write_bits, write_field};
+use crate::{FormatSpec, Header, PacketError};
 
 /// The TCP header in the SNAKE header description language.
 ///
@@ -35,73 +35,59 @@ header tcp {
 }
 ";
 
+/// Length of the TCP header the simulation speaks (no options), in bytes.
+pub const TCP_HEADER_LEN: usize = 20;
+
+/// Compile-time positions of the fields [`TcpView`] and [`TcpBuilder`]
+/// touch for every segment, so the per-segment path consults neither the
+/// shared spec nor its refcount. [`tcp_spec`] checks each against the parsed
+/// description when it resolves the spec.
+mod layout {
+    use crate::FieldRef;
+
+    pub(super) const SRC_PORT: FieldRef = FieldRef::new(0, 0, 16);
+    pub(super) const DST_PORT: FieldRef = FieldRef::new(1, 16, 16);
+    pub(super) const SEQ: FieldRef = FieldRef::new(2, 32, 32);
+    pub(super) const ACK: FieldRef = FieldRef::new(3, 64, 32);
+    pub(super) const DATA_OFFSET: FieldRef = FieldRef::new(4, 96, 4);
+    /// The six flag bits URG..FIN, read and written as one window.
+    pub(super) const FLAGS_BIT_OFFSET: u32 = 106;
+    pub(super) const WINDOW: FieldRef = FieldRef::new(12, 112, 16);
+    pub(super) const CHECKSUM: FieldRef = FieldRef::new(13, 128, 16);
+    pub(super) const URGENT_PTR: FieldRef = FieldRef::new(14, 144, 16);
+
+    pub(super) const NAMED: [(&str, FieldRef); 8] = [
+        ("src_port", SRC_PORT),
+        ("dst_port", DST_PORT),
+        ("seq", SEQ),
+        ("ack", ACK),
+        ("data_offset", DATA_OFFSET),
+        ("window", WINDOW),
+        ("checksum", CHECKSUM),
+        ("urgent_ptr", URGENT_PTR),
+    ];
+    pub(super) const FLAG_NAMES: [&str; 6] = ["urg", "ack_flag", "psh", "rst", "syn", "fin"];
+}
+
 /// Returns the shared TCP [`FormatSpec`] (20-byte header, 15 fields).
 pub fn tcp_spec() -> Arc<FormatSpec> {
     static SPEC: OnceLock<Arc<FormatSpec>> = OnceLock::new();
     Arc::clone(SPEC.get_or_init(|| {
-        Arc::new(crate::parse_spec(TCP_HEADER_DESCRIPTION).expect("built-in TCP spec is valid"))
-    }))
-}
-
-/// Pre-resolved [`FieldRef`]s for every TCP header field the engine reads
-/// per packet. Resolving by name costs a string-keyed hash lookup; the TCP
-/// engine and proxy parse headers for every delivered packet, so the refs
-/// are resolved once and reused.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TcpRefs {
-    pub src_port: FieldRef,
-    pub dst_port: FieldRef,
-    pub seq: FieldRef,
-    pub ack: FieldRef,
-    pub data_offset: FieldRef,
-    pub urg: FieldRef,
-    pub ack_flag: FieldRef,
-    pub psh: FieldRef,
-    pub rst: FieldRef,
-    pub syn: FieldRef,
-    pub fin: FieldRef,
-    pub window: FieldRef,
-    pub checksum: FieldRef,
-    pub urgent_ptr: FieldRef,
-}
-
-pub(crate) fn tcp_refs() -> &'static TcpRefs {
-    static REFS: OnceLock<TcpRefs> = OnceLock::new();
-    REFS.get_or_init(|| {
-        let spec = tcp_spec();
-        let f = |name| spec.field(name).expect("tcp spec field");
-        let refs = TcpRefs {
-            src_port: f("src_port"),
-            dst_port: f("dst_port"),
-            seq: f("seq"),
-            ack: f("ack"),
-            data_offset: f("data_offset"),
-            urg: f("urg"),
-            ack_flag: f("ack_flag"),
-            psh: f("psh"),
-            rst: f("rst"),
-            syn: f("syn"),
-            fin: f("fin"),
-            window: f("window"),
-            checksum: f("checksum"),
-            urgent_ptr: f("urgent_ptr"),
-        };
-        // The per-packet accessors below read and write the six flag bits
-        // as one contiguous window; the spec declares them back to back.
-        let flags = [
-            &refs.urg,
-            &refs.ack_flag,
-            &refs.psh,
-            &refs.rst,
-            &refs.syn,
-            &refs.fin,
-        ];
-        for (i, flag) in flags.into_iter().enumerate() {
-            debug_assert_eq!(flag.bit_offset(), refs.urg.bit_offset() + i as u32);
-            debug_assert_eq!(flag.bits(), 1);
+        let spec = crate::parse_spec(TCP_HEADER_DESCRIPTION).expect("built-in TCP spec is valid");
+        assert_eq!(spec.byte_len(), TCP_HEADER_LEN);
+        for (name, field) in layout::NAMED {
+            assert_eq!(spec.field(name), Ok(field), "tcp layout of `{name}`");
         }
-        refs
-    })
+        for (i, name) in layout::FLAG_NAMES.into_iter().enumerate() {
+            let flag = spec.field(name).expect("tcp spec flag");
+            assert_eq!(
+                (flag.bit_offset, flag.bits),
+                (layout::FLAGS_BIT_OFFSET + i as u32, 1),
+                "tcp layout of `{name}`"
+            );
+        }
+        Arc::new(spec)
+    }))
 }
 
 /// TCP control flags as a compact value type.
@@ -326,7 +312,7 @@ impl std::fmt::Display for TcpPacketType {
 /// Read-only typed view over a TCP header buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpView<'a> {
-    buf: &'a [u8],
+    buf: &'a [u8; TCP_HEADER_LEN],
 }
 
 impl<'a> TcpView<'a> {
@@ -336,68 +322,71 @@ impl<'a> TcpView<'a> {
     ///
     /// Returns [`PacketError::BufferTooShort`] if `buf` is shorter than 20
     /// bytes.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Result<Self, PacketError> {
-        if buf.len() < tcp_spec().byte_len() {
-            return Err(PacketError::BufferTooShort {
-                needed: tcp_spec().byte_len(),
+        match buf.first_chunk() {
+            Some(buf) => Ok(TcpView { buf }),
+            None => Err(PacketError::BufferTooShort {
+                needed: TCP_HEADER_LEN,
                 got: buf.len(),
-            });
+            }),
         }
-        Ok(TcpView { buf })
-    }
-
-    /// Reads a field straight from the buffer. `new` validated the length
-    /// once; going through the spec again would re-check it and bump the
-    /// shared spec's refcount on every field of every delivered packet.
-    fn get(&self, field: FieldRef) -> u64 {
-        read_bits(self.buf, field.bit_offset, field.bits)
     }
 
     /// Source port.
+    #[inline]
     pub fn src_port(&self) -> u16 {
-        self.get(tcp_refs().src_port) as u16
+        read_field(self.buf, layout::SRC_PORT) as u16
     }
 
     /// Destination port.
+    #[inline]
     pub fn dst_port(&self) -> u16 {
-        self.get(tcp_refs().dst_port) as u16
+        read_field(self.buf, layout::DST_PORT) as u16
     }
 
     /// Sequence number.
+    #[inline]
     pub fn seq(&self) -> u32 {
-        self.get(tcp_refs().seq) as u32
+        read_field(self.buf, layout::SEQ) as u32
     }
 
     /// Acknowledgment number.
+    #[inline]
     pub fn ack(&self) -> u32 {
-        self.get(tcp_refs().ack) as u32
+        read_field(self.buf, layout::ACK) as u32
     }
 
     /// Header length in 32-bit words (`5` on every packet the simulation
     /// builds; anything else means the field was mutated in flight).
+    #[inline]
     pub fn data_offset(&self) -> u8 {
-        self.get(tcp_refs().data_offset) as u8
+        read_field(self.buf, layout::DATA_OFFSET) as u8
     }
 
     /// Receive window.
+    #[inline]
     pub fn window(&self) -> u16 {
-        self.get(tcp_refs().window) as u16
+        read_field(self.buf, layout::WINDOW) as u16
     }
 
     /// Checksum field (`0` on every packet the simulation builds).
+    #[inline]
     pub fn checksum(&self) -> u16 {
-        self.get(tcp_refs().checksum) as u16
+        read_field(self.buf, layout::CHECKSUM) as u16
     }
 
     /// Urgent pointer.
+    #[inline]
     pub fn urgent_ptr(&self) -> u16 {
-        self.get(tcp_refs().urgent_ptr) as u16
+        read_field(self.buf, layout::URGENT_PTR) as u16
     }
 
     /// Control flags, read as one six-bit window (URG..FIN are declared
-    /// contiguously — asserted when the refs are resolved).
+    /// contiguously — asserted when the spec is resolved).
+    #[inline]
     pub fn flags(&self) -> TcpFlags {
-        let word = read_bits(self.buf, tcp_refs().urg.bit_offset, 6);
+        let word = read_bits(self.buf, layout::FLAGS_BIT_OFFSET, 6);
         TcpFlags {
             urg: word & 0b10_0000 != 0,
             ack: word & 0b01_0000 != 0,
@@ -466,16 +455,14 @@ impl TcpBuilder {
         self
     }
 
-    /// Builds the header bytes.
+    /// Encodes the header into a stack array.
     ///
     /// Hot path: the engine constructs a header for every segment it
-    /// sends, so fields are written straight into a local buffer (one
-    /// length check at the final `parse`, no per-field spec traffic) and
+    /// sends, so this touches neither the allocator nor the shared spec;
     /// the six flag bits go in as a single window write.
-    pub fn build(self) -> Header {
-        let spec = tcp_spec();
-        let mut bytes = vec![0u8; spec.byte_len()];
-        let r = tcp_refs();
+    #[inline]
+    pub fn encode(self) -> [u8; TCP_HEADER_LEN] {
+        let mut bytes = [0u8; TCP_HEADER_LEN];
         let f = &self.flags;
         let flag_word = ((f.urg as u64) << 5)
             | ((f.ack as u64) << 4)
@@ -483,19 +470,24 @@ impl TcpBuilder {
             | ((f.rst as u64) << 2)
             | ((f.syn as u64) << 1)
             | (f.fin as u64);
-        for (field, value) in [
-            (r.src_port, self.src_port as u64),
-            (r.dst_port, self.dst_port as u64),
-            (r.seq, self.seq as u64),
-            (r.ack, self.ack as u64),
-            (r.data_offset, 5),
-            (r.window, self.window as u64),
-            (r.urgent_ptr, self.urgent_ptr as u64),
-        ] {
-            write_bits(&mut bytes, field.bit_offset, field.bits, value);
-        }
-        write_bits(&mut bytes, r.urg.bit_offset, 6, flag_word);
-        spec.parse(bytes).expect("built to spec length")
+        write_field(&mut bytes, layout::SRC_PORT, self.src_port as u64);
+        write_field(&mut bytes, layout::DST_PORT, self.dst_port as u64);
+        write_field(&mut bytes, layout::SEQ, self.seq as u64);
+        write_field(&mut bytes, layout::ACK, self.ack as u64);
+        write_field(&mut bytes, layout::DATA_OFFSET, 5);
+        write_field(&mut bytes, layout::WINDOW, self.window as u64);
+        write_field(&mut bytes, layout::URGENT_PTR, self.urgent_ptr as u64);
+        write_bits(&mut bytes, layout::FLAGS_BIT_OFFSET, 6, flag_word);
+        bytes
+    }
+
+    /// Builds the header as an owned, spec-bound [`Header`] for by-name
+    /// access (tests and the mutation path; the engine uses
+    /// [`encode`](Self::encode)).
+    pub fn build(self) -> Header {
+        tcp_spec()
+            .parse(self.encode().to_vec())
+            .expect("built to spec length")
     }
 }
 

@@ -138,12 +138,12 @@ impl ProtocolAdapter for TcpAdapter {
             .seq(ctx.seq as u32)
             .ack(0)
             .flags(flags)
-            .build();
+            .encode();
         Some(Packet::new(
             ctx.src,
             ctx.dst,
             Protocol::Tcp,
-            header.into_bytes(),
+            header,
             payload,
         ))
     }
@@ -209,12 +209,12 @@ impl ProtocolAdapter for DccpAdapter {
         let header = DccpBuilder::new(ctx.src.port, ctx.dst.port, ptype)
             .seq(ctx.seq)
             .ack(ctx.seq)
-            .build();
+            .encode();
         Some(Packet::new(
             ctx.src,
             ctx.dst,
             Protocol::Dccp,
-            header.into_bytes(),
+            header,
             payload,
         ))
     }

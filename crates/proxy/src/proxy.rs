@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use snake_netsim::{Addr, FxHashMap, NodeId, Packet, SimDuration, SimTime, Tap, TapCtx};
@@ -176,6 +178,9 @@ struct InjectionRun {
 #[derive(Debug)]
 pub struct AttackProxy {
     adapter: Box<dyn ProtocolAdapter>,
+    /// The adapter's header spec, fetched once per proxy: `adapter.spec()`
+    /// bumps a refcount every worker thread shares, too costly per packet.
+    spec: Arc<FormatSpec>,
     config: ProxyConfig,
     rules: Vec<Strategy>,
     /// One tracker per connection (keyed by the client-side transport
@@ -207,6 +212,7 @@ impl Clone for AttackProxy {
     fn clone(&self) -> AttackProxy {
         AttackProxy {
             adapter: self.adapter.clone_adapter(),
+            spec: Arc::clone(&self.spec),
             config: self.config,
             rules: self.rules.clone(),
             trackers: self.trackers.clone(),
@@ -249,6 +255,7 @@ impl AttackProxy {
     ) -> AttackProxy {
         let n = rules.len();
         AttackProxy {
+            spec: adapter.spec(),
             adapter: Box::new(adapter),
             config,
             rules,
@@ -607,7 +614,7 @@ impl AttackProxy {
             BasicAttack::Reflect => {
                 self.count_match(ri);
                 self.report.reflected += 1;
-                swap_endpoints(&self.adapter.spec(), &mut packet);
+                swap_endpoints(&self.spec, &mut packet);
                 self.fp_fold_event(5, idx, fx_hash_bytes(&packet.header));
                 ctx.send_back(packet, toward_b);
             }
@@ -618,10 +625,12 @@ impl AttackProxy {
                 // no-op: forward the original bytes untouched and count
                 // nothing, so an all-no-op run's report (fingerprint
                 // included) stays bit-identical to the baseline's.
-                let spec = self.adapter.spec();
                 let original = packet.header.clone();
                 let mut changed = false;
-                match spec.parse(std::mem::take(&mut packet.header).into_vec()) {
+                match self
+                    .spec
+                    .parse(std::mem::take(&mut packet.header).into_vec())
+                {
                     Ok(mut header) => {
                         if mutation.apply(&mut header, field, &mut self.rng).is_ok() {
                             let bytes = header.into_bytes();
@@ -719,7 +728,6 @@ impl Tap for AttackProxy {
             if let Some(tl) = self.timeline.as_mut() {
                 let now = ctx.now();
                 let index = self.report.packets_seen;
-                let spec = self.adapter.spec();
                 tl.packets
                     .entry((sender, sender_state.to_owned(), ptype.to_owned()))
                     .or_insert_with(|| PacketFirstSeen {
@@ -727,7 +735,7 @@ impl Tap for AttackProxy {
                         first_index: index,
                         fields: Vec::new(),
                     })
-                    .update_constancy(&spec, &packet.header);
+                    .update_constancy(&self.spec, &packet.header);
             }
             self.rules.iter().position(|rule| match &rule.kind {
                 StrategyKind::OnPacket {

@@ -95,9 +95,11 @@ pub struct StateMachine {
     by_name: HashMap<String, StateId>,
     transitions: Vec<Transition>,
     /// Per-state, per-direction transition index: `step_table[state][dir]`
-    /// maps packet type → destination. `step` is called for every tracker
-    /// on every proxied packet, so it must not scan `transitions`.
-    step_table: Vec<[HashMap<String, StateId>; 2]>,
+    /// lists `(packet type, destination)`. `step` is called for every
+    /// tracker on every proxied packet, so it must not scan `transitions`;
+    /// a state has a handful of outgoing edges per direction, which a
+    /// linear scan resolves faster than hashing the label.
+    step_table: Vec<[Vec<(String, StateId)>; 2]>,
 }
 
 impl StateMachine {
@@ -138,15 +140,11 @@ impl StateMachine {
                 event,
             });
         }
-        let mut step_table: Vec<[HashMap<String, StateId>; 2]> = states
-            .iter()
-            .map(|_| [HashMap::new(), HashMap::new()])
-            .collect();
+        let mut step_table: Vec<[Vec<(String, StateId)>; 2]> =
+            states.iter().map(|_| [Vec::new(), Vec::new()]).collect();
         for t in &transitions {
-            // First matching transition wins, same as the old linear scan.
-            step_table[t.from.0][t.event.dir as usize]
-                .entry(t.event.packet_type.clone())
-                .or_insert(t.to);
+            // Declaration order, so the first matching transition wins.
+            step_table[t.from.0][t.event.dir as usize].push((t.event.packet_type.clone(), t.to));
         }
         Ok(Arc::new(StateMachine {
             name: name.into(),
@@ -204,8 +202,9 @@ impl StateMachine {
     /// the event, or `None` (implicit self-loop).
     pub fn step(&self, from: StateId, dir: Dir, packet_type: &str) -> Option<StateId> {
         self.step_table[from.0][dir as usize]
-            .get(packet_type)
-            .copied()
+            .iter()
+            .find(|(label, _)| label == packet_type)
+            .map(|&(_, to)| to)
     }
 
     /// Renders the machine back to dot, suitable for graphviz. Internal

@@ -88,7 +88,7 @@ impl Seg {
 
 /// Effects a [`Connection`] asks its host to perform. The engine is a pure
 /// state machine: it never touches the network or timers directly.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnEvent {
     /// Transmit this segment to the peer.
     Transmit(Seg),

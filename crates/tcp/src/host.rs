@@ -127,6 +127,9 @@ pub struct TcpHost {
     next_ephemeral: u16,
     total_delivered: u64,
     malformed_dropped: u64,
+    /// Reused buffer for the events one callback produces, so handling a
+    /// segment does not allocate. Always empty between callbacks.
+    events: Vec<ConnEvent>,
 }
 
 impl TcpHost {
@@ -141,6 +144,7 @@ impl TcpHost {
             next_ephemeral: 40_000,
             total_delivered: 0,
             malformed_dropped: 0,
+            events: Vec::new(),
         }
     }
 
@@ -167,29 +171,23 @@ impl TcpHost {
         let port = self.next_ephemeral;
         self.next_ephemeral = self.next_ephemeral.wrapping_add(1).max(40_000);
         let iss: u32 = ctx.rng().gen();
-        let mut conn = Connection::client(self.profile.clone(), iss);
-        let mut events = Vec::new();
-        conn.open(&mut events);
+        let conn = Connection::client(self.profile.clone(), iss);
         let idx = self.install(conn, port, remote, AppKind::ClientDownload);
-        self.pump(ctx, idx, events);
+        self.drive(ctx, idx, |conn, _now, events| conn.open(events));
     }
 
     /// Abortively closes every connection — the moment the test ends and
     /// the client process is killed mid-download.
     pub fn abort_all(&mut self, ctx: &mut Ctx<'_>) {
         for idx in 0..self.conns.len() {
-            let mut events = Vec::new();
-            self.conns[idx].conn.app_abort(ctx.now(), &mut events);
-            self.pump(ctx, idx, events);
+            self.drive(ctx, idx, Connection::app_abort);
         }
     }
 
     /// Gracefully closes every connection.
     pub fn close_all(&mut self, ctx: &mut Ctx<'_>) {
         for idx in 0..self.conns.len() {
-            let mut events = Vec::new();
-            self.conns[idx].conn.app_close(ctx.now(), &mut events);
-            self.pump(ctx, idx, events);
+            self.drive(ctx, idx, Connection::app_close);
         }
     }
 
@@ -243,11 +241,20 @@ impl TcpHost {
         idx
     }
 
-    /// Applies a batch of connection events, running any events they in
-    /// turn generate until quiescence.
-    fn pump(&mut self, ctx: &mut Ctx<'_>, idx: usize, events: Vec<ConnEvent>) {
-        let mut queue = std::collections::VecDeque::from(events);
-        while let Some(ev) = queue.pop_front() {
+    /// Runs one engine entry point on connection `idx` and applies the
+    /// events it produces, including any those events in turn generate,
+    /// until quiescence.
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        idx: usize,
+        step: impl FnOnce(&mut Connection, SimTime, &mut Vec<ConnEvent>),
+    ) {
+        let mut events = std::mem::take(&mut self.events);
+        step(&mut self.conns[idx].conn, ctx.now(), &mut events);
+        let mut next = 0;
+        while let Some(&ev) = events.get(next) {
+            next += 1;
             match ev {
                 ConnEvent::Transmit(seg) => {
                     let slot = &self.conns[idx];
@@ -270,9 +277,7 @@ impl TcpHost {
                 ConnEvent::Connected => {}
                 ConnEvent::Accepted => {
                     if let AppKind::ServerBulk { bytes } = self.conns[idx].app {
-                        let mut more = Vec::new();
-                        self.conns[idx].conn.app_send(bytes, ctx.now(), &mut more);
-                        queue.extend(more);
+                        self.conns[idx].conn.app_send(bytes, ctx.now(), &mut events);
                     }
                 }
                 ConnEvent::DeliverData(n) => {
@@ -291,6 +296,8 @@ impl TcpHost {
                 }
             }
         }
+        events.clear();
+        self.events = events;
     }
 }
 
@@ -302,14 +309,8 @@ fn build_packet(src: Addr, dst: Addr, seg: &Seg) -> Packet {
         .window(seg.window)
         .flags(seg.flags)
         .urgent_ptr(seg.urgent_ptr)
-        .build();
-    Packet::new(
-        src,
-        dst,
-        Protocol::Tcp,
-        header.into_bytes(),
-        seg.payload_len,
-    )
+        .encode();
+    Packet::new(src, dst, Protocol::Tcp, header, seg.payload_len)
 }
 
 /// Decodes a wire packet into a segment, or `None` if the header is
@@ -364,9 +365,9 @@ impl Agent for TcpHost {
         };
         let key = (packet.dst.port, packet.src);
         if let Some(&idx) = self.by_pair.get(&key) {
-            let mut events = Vec::new();
-            self.conns[idx].conn.on_segment(seg, ctx.now(), &mut events);
-            self.pump(ctx, idx, events);
+            self.drive(ctx, idx, |conn, now, events| {
+                conn.on_segment(seg, now, events)
+            });
             return;
         }
         // No existing connection: maybe a listener accepts it.
@@ -382,9 +383,9 @@ impl Agent for TcpHost {
                         ServerApp::BulkSender { bytes } => AppKind::ServerBulk { bytes },
                     },
                 );
-                let mut events = Vec::new();
-                self.conns[idx].conn.on_segment(seg, ctx.now(), &mut events);
-                self.pump(ctx, idx, events);
+                self.drive(ctx, idx, |conn, now, events| {
+                    conn.on_segment(seg, now, events)
+                });
                 return;
             }
         }
@@ -412,19 +413,15 @@ impl Agent for TcpHost {
                 }
             }
             KIND_RTO if idx < self.conns.len() && self.conns[idx].rto_gen == gen => {
-                let mut events = Vec::new();
-                self.conns[idx].conn.on_rto(ctx.now(), &mut events);
-                self.pump(ctx, idx, events);
+                self.drive(ctx, idx, Connection::on_rto);
             }
             KIND_TIME_WAIT if idx < self.conns.len() => {
-                let mut events = Vec::new();
-                self.conns[idx].conn.on_time_wait_expiry(&mut events);
-                self.pump(ctx, idx, events);
+                self.drive(ctx, idx, |conn, _now, events| {
+                    conn.on_time_wait_expiry(events)
+                });
             }
             KIND_APP_CLOSE if idx < self.conns.len() => {
-                let mut events = Vec::new();
-                self.conns[idx].conn.app_close(ctx.now(), &mut events);
-                self.pump(ctx, idx, events);
+                self.drive(ctx, idx, Connection::app_close);
             }
             _ => {}
         }
@@ -610,6 +607,40 @@ mod tests {
         let host = sim.agent::<TcpHost>(b).unwrap();
         assert_eq!(host.malformed_dropped(), 1);
         assert_eq!(host.census().count("SYN_RECEIVED"), 0);
+    }
+
+    #[test]
+    fn parse_packet_keeps_every_header_check() {
+        let packet = |header: Vec<u8>| {
+            let node = snake_netsim::NodeId::from_index(0);
+            Packet::new(
+                Addr::new(node, 40_000),
+                Addr::new(node, 80),
+                Protocol::Tcp,
+                header,
+                7,
+            )
+        };
+        let good = TcpBuilder::new(40_000, 80)
+            .seq(11)
+            .ack(22)
+            .flags(TcpFlags::ACK)
+            .build();
+        let seg = parse_packet(&packet(good.bytes().to_vec())).expect("well-formed header");
+        assert_eq!((seg.seq, seg.ack, seg.payload_len), (11, 22, 7));
+
+        assert!(
+            parse_packet(&packet(good.bytes()[..19].to_vec())).is_none(),
+            "19-byte header"
+        );
+        for (field, value) in [("data_offset", 6), ("data_offset", 0), ("checksum", 1)] {
+            let mut mutated = good.clone();
+            mutated.set(field, value).unwrap();
+            assert!(
+                parse_packet(&packet(mutated.into_bytes())).is_none(),
+                "{field} = {value}"
+            );
+        }
     }
 
     #[test]

@@ -200,14 +200,22 @@ fn four_shards_match_single_process_on_a_generated_multiflow_profile() {
 fn a_shard_killed_mid_range_changes_nothing() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
-    let reference = run(spec.clone(), 0, 12);
+    // Sized so the dispatch arithmetic, not a race, leaves shard 1 holding
+    // work when it dies: cap 40 dispatches 36 strategies (4 are class
+    // followers), ranges are `36.div_ceil(4 shards * 4) = 3` long and each
+    // shard is handed two up front, so shard 1's first range alone
+    // outlives its second outcome. (At cap 12 ranges were 1 long, and
+    // whether shard 1 still held one depended on how fast the others
+    // drained the queue.)
+    const CAP: usize = 40;
+    let reference = run(spec.clone(), 0, CAP);
 
     // Shard 1 exits (kill-switch in the worker binary) right after its
     // second outcome — mid-range, with work still outstanding. The
     // controller must re-dispatch its unfinished indices to the
     // survivors without re-admitting anything already merged.
     std::env::set_var("SNAKE_SHARD_EXIT_AFTER", "1:2");
-    let sharded = run(spec, 4, 12);
+    let sharded = run(spec, 4, CAP);
     std::env::remove_var("SNAKE_SHARD_EXIT_AFTER");
 
     assert_identical("kill-mid-range", &reference, &sharded, 4);
