@@ -182,11 +182,6 @@ const COMMANDS: &[CommandSpec] = &[
             switch("--resume", "reuse outcomes already in the journal"),
             value("--progress", "N", "progress line every N strategies"),
             switch("--no-memo", "disable cross-strategy memoization"),
-            value(
-                "--memo-store",
-                "FILE",
-                "persist the fingerprint verdict cache across runs",
-            ),
             value("--manifest", "FILE", "write the observability run manifest"),
             switch("--observe-summary", "print the observability summary"),
             value(
@@ -601,9 +596,6 @@ fn campaign_config(
     if let Some(secs) = parse_finite_secs(flags, flag_spec(command, "--deadline"))? {
         builder = builder.deadline(Duration::from_secs_f64(secs));
     }
-    if let Some(path) = flags.get("--memo-store") {
-        builder = builder.memo_store(path);
-    }
     if let Some(name) = flags.get("--chaos") {
         let plan = ChaosPlan::preset(name).ok_or_else(|| {
             let names: Vec<&str> = ChaosPlan::presets().iter().map(|(n, _)| *n).collect();
@@ -701,29 +693,6 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
             100.0 * result.short_circuits as f64 / tried as f64
         );
     }
-    if let Some(store) = &result.memo_store {
-        eprintln!(
-            "memo store: {} entries loaded ({} for this scope, {} skipped), \
-             {} cross-run hits / {} eligible ({:.1}%), {} appended{}",
-            store.entries_loaded,
-            store.entries_valid,
-            store.entries_skipped,
-            store.cross_run_hits,
-            store.eligible_runs,
-            100.0 * store.hit_rate(),
-            store.appended,
-            if store.write_failures > 0 {
-                format!(
-                    ", {} write failure(s) — persistence disabled",
-                    store.write_failures
-                )
-            } else {
-                String::new()
-            }
-        );
-    } else if flags.get("--memo-store").is_some() {
-        eprintln!("memo store: inactive (memoization is forced off this run)");
-    }
     if result.resumed > 0 {
         eprintln!(
             "resumed {} outcomes from the journal ({} malformed lines skipped)",
@@ -747,18 +716,14 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
             eprintln!("wrote run manifest to {path}");
         }
         if observe_summary {
-            print_observe_summary(&snapshot, result.memo_store.as_ref(), wall_secs);
+            print_observe_summary(&snapshot, wall_secs);
         }
     }
     Ok(())
 }
 
 /// Human-oriented digest of the recorder snapshot (`--observe-summary`).
-fn print_observe_summary(
-    snapshot: &snake_core::RecorderSnapshot,
-    memo_store: Option<&snake_core::MemoStoreReport>,
-    wall_secs: f64,
-) {
+fn print_observe_summary(snapshot: &snake_core::RecorderSnapshot, wall_secs: f64) {
     eprintln!("observability summary ({wall_secs:.2}s wall clock):");
     eprintln!(
         "  runs: {} from scratch, {} forked, {} elided, {} halted",
@@ -767,17 +732,6 @@ fn print_observe_summary(
         snapshot.counter("exec.runs.elided"),
         snapshot.counter("exec.runs.halted"),
     );
-    if let Some(store) = memo_store {
-        eprintln!(
-            "  memo store: {} loaded / {} valid / {} skipped, {} cross-run hits of {} eligible, {} appended",
-            store.entries_loaded,
-            store.entries_valid,
-            store.entries_skipped,
-            store.cross_run_hits,
-            store.eligible_runs,
-            store.appended,
-        );
-    }
     eprintln!(
         "  netsim: {} events, {} timers cancelled, {} purged, {} queue compactions",
         snapshot.counter("netsim.events"),
@@ -1174,22 +1128,6 @@ mod tests {
                 "{raw}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn memo_store_flag_is_wired_and_contradiction_is_caught() {
-        let spec = campaign_spec();
-        let owned = args(&[
-            "--impl",
-            "linux-3.13",
-            "--quick",
-            "--memo-store",
-            "/tmp/store.jsonl",
-            "--no-memo",
-        ]);
-        let flags = parse_flags(spec, &owned).unwrap();
-        let err = campaign_config(spec, &flags, None).unwrap_err();
-        assert!(err.contains("memo_store requires memoize"), "{err}");
     }
 
     #[test]

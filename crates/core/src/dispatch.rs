@@ -1,0 +1,393 @@
+//! Dispatch: the two batch drivers that turn strategies into outcomes.
+//! Both are pure producers into [`Admission`] — worker threads in this
+//! process, and the event loop over a pool of shard worker processes —
+//! so neither knows how an outcome becomes part of the campaign.
+
+use std::collections::VecDeque;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
+
+use snake_observe::{self as observe, Observer};
+use snake_proxy::Strategy;
+
+use crate::admission::Admission;
+use crate::config::CampaignConfig;
+use crate::evaluate::{evaluate_watched, Shared};
+use crate::result::StrategyOutcome;
+use crate::segment::SegmentEntry;
+use crate::shard::{PoolWait, ShardEvent, ShardPool};
+
+/// The campaign's executors (paper §V): worker threads in this process
+/// or, with `shards > 0`, a pool of worker processes. The pool is
+/// best-effort by construction — a launch failure, a lost handshake or a
+/// mid-run crash only shrinks it, and whatever a pool with no live shards
+/// left undone runs on the in-process threads instead. Determinism is
+/// unaffected either way: generation, admission and the journal never
+/// leave this process.
+///
+/// Spawning workers costs a process launch and a handshake each, so a
+/// spawned pool waits for the first batch that actually has something to
+/// evaluate — a resume over a complete journal never pays it. A
+/// `--shard-listen` pool launches at once: external workers are waiting
+/// on its address.
+pub(crate) struct Dispatcher {
+    shared: Shared,
+    /// Where shard workers write their journal segments, if anywhere.
+    segments: Option<PathBuf>,
+    launch_pending: bool,
+    pool: Option<ShardPool>,
+}
+
+impl Dispatcher {
+    pub(crate) fn new(shared: Shared, segments: Option<PathBuf>) -> Dispatcher {
+        let mut dispatcher = Dispatcher {
+            launch_pending: shared.config.shards > 0,
+            shared,
+            segments,
+            pool: None,
+        };
+        if dispatcher.launch_pending && dispatcher.shared.config.shard_listen.is_some() {
+            dispatcher.launch();
+        }
+        dispatcher
+    }
+
+    fn launch(&mut self) {
+        let config = &self.shared.config;
+        let _span = observe::span(config.observer.as_ref(), "phase.shard_launch", 0);
+        self.launch_pending = false;
+        match ShardPool::launch(config, self.shared.memoize, self.segments.clone()) {
+            Ok(pool) => {
+                if pool.live() == 0 {
+                    eprintln!(
+                        "snake: no shard worker survived the handshake; \
+                         falling back to in-process execution"
+                    );
+                }
+                self.pool = Some(pool);
+            }
+            Err(err) => eprintln!(
+                "snake: shard pool launch failed ({err}); falling back to \
+                 in-process execution"
+            ),
+        }
+    }
+
+    /// Launches the deferred pool if a batch with these prefetched
+    /// outcomes has anything left to evaluate. Separate from
+    /// [`run_batch`](Self::run_batch) so the launch is timed as its own
+    /// phase, not as part of the batch.
+    pub(crate) fn ready_for(&mut self, pre: &[Option<SegmentEntry>]) {
+        if self.launch_pending && pre.iter().any(Option::is_none) {
+            self.launch();
+        }
+    }
+
+    /// Runs one batch and returns its outcomes in strategy-index order,
+    /// every one of them admitted.
+    ///
+    /// `pre` holds segment-prefetched outcomes (what a crashed run's
+    /// workers had already evaluated) positionally: a `Some` index is
+    /// never evaluated; its outcome is offered up front and admits at its
+    /// exact position with the crashed run's worker counter deltas.
+    pub(crate) fn run_batch(
+        &mut self,
+        admission: &Admission,
+        strategies: Vec<Strategy>,
+        pre: Vec<Option<SegmentEntry>>,
+    ) -> Vec<StrategyOutcome> {
+        admission.begin_batch(strategies.len());
+        let mut todo = Vec::new();
+        for (index, entry) in pre.into_iter().enumerate() {
+            match entry {
+                Some(entry) => admission.offer(index, entry.outcome, entry.counters),
+                None => todo.push(index),
+            }
+        }
+        if let Some(pool) = &mut self.pool {
+            todo = run_sharded(&self.shared.config, admission, &strategies, todo, pool);
+        }
+        run_in_process(&self.shared, admission, &strategies, &todo);
+        admission.take_batch(strategies.len())
+    }
+
+    /// Tears the pool down and reports its tallies.
+    pub(crate) fn finish(self) {
+        let config = &self.shared.config;
+        match self.pool {
+            Some(mut pool) => pool.finish(config.observer.as_ref()),
+            None if self.launch_pending => ShardPool::report_unlaunched(config),
+            None => {}
+        }
+    }
+}
+
+/// Per-worker activity tally, folded into the observer's histograms when
+/// observation is enabled. The `Instant` reads are gated on
+/// [`Observer::enabled`], so the default no-op observer costs the workers
+/// nothing but a branch per claim.
+struct WorkerClock {
+    started: Option<Instant>,
+    busy_nanos: u64,
+    claimed: u64,
+}
+
+impl WorkerClock {
+    fn start(enabled: bool) -> WorkerClock {
+        WorkerClock {
+            started: enabled.then(Instant::now),
+            busy_nanos: 0,
+            claimed: 0,
+        }
+    }
+
+    /// Runs `work`, attributing its wall time to this worker's busy tally.
+    fn time<T>(&mut self, work: impl FnOnce() -> T) -> T {
+        let t0 = self.started.map(|_| Instant::now());
+        let out = work();
+        if let Some(t0) = t0 {
+            self.busy_nanos += t0.elapsed().as_nanos() as u64;
+        }
+        self.claimed += 1;
+        out
+    }
+
+    /// Emits the per-worker histogram samples: busy wall time, idle wall
+    /// time (lifetime minus busy — claim overhead, journal contention,
+    /// end-of-batch drain), and strategies claimed.
+    fn finish(self, observer: &dyn Observer) {
+        let Some(started) = self.started else { return };
+        let lifetime = started.elapsed().as_nanos() as u64;
+        observer.record("worker.busy_nanos", self.busy_nanos);
+        observer.record(
+            "worker.idle_nanos",
+            lifetime.saturating_sub(self.busy_nanos),
+        );
+        observer.record("worker.claimed", self.claimed);
+    }
+}
+
+/// Evaluates the `todo` indices of a batch on `parallelism` worker threads
+/// — the paper's pool of executors with linear speedup (§V-D). Workers
+/// claim the next index with a relaxed fetch-add (no queue mutex on the
+/// hot path) and offer each outcome as it finishes; evaluation runs fully
+/// in parallel, only the cheap admission step is serialized.
+fn run_in_process(shared: &Shared, admission: &Admission, strategies: &[Strategy], todo: &[usize]) {
+    if todo.is_empty() {
+        return;
+    }
+    let observer = shared.config.observer.as_ref();
+    let enabled = observer.enabled();
+    let workers = shared.config.parallelism.clamp(1, todo.len());
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut clock = WorkerClock::start(enabled);
+                while let Some(&index) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let strategy = strategies[index].clone();
+                    let outcome = clock.time(|| evaluate_watched(shared, strategy));
+                    admission.offer(index, outcome, Vec::new());
+                }
+                clock.finish(observer);
+            });
+        }
+    });
+}
+
+/// Groups ascending indices into contiguous `(start, len)` ranges.
+fn contiguous_ranges(indices: impl IntoIterator<Item = usize>) -> Vec<(usize, usize)> {
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    for index in indices {
+        match ranges.last_mut() {
+            Some((start, len)) if *start + *len == index => *len += 1,
+            _ => ranges.push((index, 1)),
+        }
+    }
+    ranges
+}
+
+/// Returns a dead shard's not-yet-received indices to the dispatch queue
+/// as contiguous ranges, front of the queue so the lowest indices (the
+/// ones holding back admission) go back out first. Returns how many
+/// ranges were re-created, for the re-dispatch tally.
+fn requeue_outstanding(
+    queue: &mut VecDeque<(usize, usize)>,
+    outstanding: &mut VecDeque<usize>,
+) -> u64 {
+    let ranges = contiguous_ranges(outstanding.drain(..));
+    let count = ranges.len() as u64;
+    for range in ranges.into_iter().rev() {
+        queue.push_front(range);
+    }
+    count
+}
+
+/// Evaluates the `todo` indices of a batch on the shard worker pool and
+/// returns the indices it could not get evaluated (empty unless every
+/// shard died), for the in-process driver to finish — results identical,
+/// only slower.
+///
+/// Dispatch is pull-ish: the work is cut into contiguous ranges of about
+/// a quarter of a shard's fair share, and each shard holds at most two
+/// ranges' worth of outstanding work, so a slow shard strands little.
+/// A shard that disconnects, breaks the framing, or answers out of
+/// contract (wrong index order, an index it was never given or already
+/// delivered, a strategy id that does not match) is killed and its
+/// unfinished indices are re-dispatched.
+fn run_sharded(
+    config: &CampaignConfig,
+    admission: &Admission,
+    strategies: &[Strategy],
+    todo: Vec<usize>,
+    pool: &mut ShardPool,
+) -> Vec<usize> {
+    let n = strategies.len();
+    let chunk = n.div_ceil(pool.live().max(1) * 4).max(1);
+    let mut delivered = vec![true; n];
+    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
+    for (start, len) in contiguous_ranges(todo.iter().copied()) {
+        for cursor in (start..start + len).step_by(chunk) {
+            queue.push_back((cursor, chunk.min(start + len - cursor)));
+        }
+    }
+    for &index in &todo {
+        delivered[index] = false;
+    }
+    let mut remaining = todo.len();
+    let mut outstanding: Vec<VecDeque<usize>> = vec![VecDeque::new(); pool.len()];
+    // Kills a shard, puts its unfinished work back on the queue and tries
+    // to bring a replacement up in its slot.
+    let redispatch = |pool: &mut ShardPool,
+                      queue: &mut VecDeque<(usize, usize)>,
+                      outstanding: &mut VecDeque<usize>,
+                      shard: usize| {
+        pool.kill(shard);
+        pool.ranges_redispatched += requeue_outstanding(queue, outstanding);
+        pool.try_reconnect(shard, config);
+    };
+
+    // Per-shard progress deadline: heartbeats prove a worker *process* is
+    // alive (they feed the read deadline), but only outcomes prove it is
+    // *working*. A shard that holds outstanding work for a whole
+    // `shard_timeout` without delivering anything — a frame lost on the
+    // wire, an evaluation thread wedged behind a live heartbeat thread —
+    // is killed and its work re-dispatched. A worker that has gone
+    // silent altogether belongs to its reader's read deadline, which
+    // expires `shard_timeout` after its last byte; waiting one heartbeat
+    // longer here keeps the two from tying when the silent shard was also
+    // the last to deliver anything, so that case is always attributed to
+    // the read deadline.
+    let progress_window = config.shard_timeout + config.heartbeat;
+    let mut progress: Vec<Instant> = vec![Instant::now(); pool.len()];
+    while remaining > 0 {
+        if pool.live() == 0 {
+            break;
+        }
+        // Top-up: hand queued ranges to the least-loaded live shards.
+        loop {
+            let target = (0..pool.len())
+                .filter(|&s| pool.is_live(s) && outstanding[s].len() < 2 * chunk)
+                .min_by_key(|&s| outstanding[s].len());
+            let Some(shard) = target else { break };
+            let Some((start, len)) = queue.pop_front() else {
+                break;
+            };
+            if pool.send_range(shard, start, &strategies[start..start + len]) {
+                outstanding[shard].extend(start..start + len);
+                progress[shard] = Instant::now();
+            } else {
+                queue.push_front((start, len));
+            }
+        }
+        if pool.live() == 0 {
+            break;
+        }
+        match pool.next_event_timeout(progress_window) {
+            PoolWait::Idle => {
+                for shard in 0..pool.len() {
+                    if pool.is_live(shard)
+                        && !outstanding[shard].is_empty()
+                        && progress[shard].elapsed() >= progress_window
+                    {
+                        redispatch(pool, &mut queue, &mut outstanding[shard], shard);
+                    }
+                }
+            }
+            PoolWait::Closed => {
+                // Every reader thread is gone; nothing further can arrive.
+                for shard in 0..pool.len() {
+                    pool.kill(shard);
+                }
+                break;
+            }
+            PoolWait::Event(ShardEvent::Dead {
+                shard,
+                generation,
+                timed_out,
+            }) => {
+                // Gate on generation alone, NOT liveness: a failed
+                // `send_range` kills the link without draining its
+                // outstanding indices (the Dead event owns that), so a
+                // Dead for the *current* generation must still requeue
+                // even when the slot was already killed. Only a retired
+                // generation's reader winding down is stale.
+                if generation != pool.generation(shard) {
+                    continue;
+                }
+                if timed_out {
+                    pool.heartbeats_missed += 1;
+                }
+                redispatch(pool, &mut queue, &mut outstanding[shard], shard);
+            }
+            PoolWait::Event(ShardEvent::Outcome {
+                shard,
+                generation,
+                index,
+                busy_nanos,
+                counters,
+                outcome,
+            }) => {
+                if generation != pool.generation(shard) || !pool.is_live(shard) {
+                    // Late traffic from a connection already declared dead;
+                    // its indices were re-queued, so this result is stale.
+                    continue;
+                }
+                let in_contract = outstanding[shard].front() == Some(&index)
+                    && delivered.get(index) == Some(&false)
+                    && outcome.strategy.id == strategies[index].id;
+                if !in_contract {
+                    redispatch(pool, &mut queue, &mut outstanding[shard], shard);
+                    continue;
+                }
+                outstanding[shard].pop_front();
+                progress[shard] = Instant::now();
+                pool.record_busy(shard, busy_nanos);
+                delivered[index] = true;
+                remaining -= 1;
+                admission.offer(index, *outcome, counters);
+            }
+        }
+    }
+
+    (0..n).filter(|&index| !delivered[index]).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn requeued_work_goes_back_out_first_as_contiguous_ranges() {
+        let mut queue: VecDeque<(usize, usize)> = VecDeque::from([(20, 4)]);
+        let mut outstanding: VecDeque<usize> = VecDeque::from([3, 4, 5, 9, 11, 12]);
+        assert_eq!(requeue_outstanding(&mut queue, &mut outstanding), 3);
+        assert!(outstanding.is_empty());
+        assert_eq!(
+            Vec::from(queue),
+            vec![(3, 3), (9, 1), (11, 2), (20, 4)],
+            "lowest indices first, ahead of what was already queued"
+        );
+    }
+}

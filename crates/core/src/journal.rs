@@ -22,8 +22,8 @@
 //!   renamed into place, so a crash during journal creation can never
 //!   leave a half-written header behind.
 //!
-//! Checksums are optional on read: journals written before this scheme
-//! (bare JSON lines) still load.
+//! Checksums are mandatory on read: a line without one is damage (a tail
+//! torn off mid-write), counted as malformed like any other.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
@@ -32,8 +32,8 @@ use std::path::Path;
 use snake_json::{obj, FromJson, JsonError, ObjExt, ToJson, Value};
 use snake_proxy::{ProxyReport, Strategy};
 
-use crate::campaign::{OutcomeKind, StrategyOutcome};
 use crate::detect::Verdict;
+use crate::result::{OutcomeKind, StrategyOutcome};
 use crate::scenario::TestMetrics;
 
 impl ToJson for Verdict {
@@ -389,7 +389,7 @@ pub(crate) fn decode_counters(value: Option<&Value>) -> Vec<(String, u64)> {
 /// FNV-1a 64-bit hash of a line's JSON payload — the per-line checksum.
 /// Small, dependency-free, and plenty for detecting torn or bit-rotted
 /// lines (this guards against accidents, not adversaries). Shared with the
-/// persistent memo store, which uses the same framing.
+/// worker segments and the shard wire, which use the same framing.
 pub(crate) fn line_checksum(payload: &str) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in payload.as_bytes() {
@@ -412,20 +412,16 @@ pub(crate) fn checksummed_line(payload: &str) -> String {
     format!("{payload}\t{:016x}\n", line_checksum(payload))
 }
 
-/// Splits a loaded line into its JSON payload, verifying the checksum
-/// when one is present. Returns `None` for a checksum mismatch (the line
-/// is damaged); bare lines without a checksum pass through untouched for
-/// backward compatibility.
+/// Splits a loaded line into its JSON payload, verifying the checksum.
+/// Returns `None` for a damaged line: a checksum that does not match, or
+/// none at all (every writer appends one, so a bare line is a torn one).
 pub(crate) fn verify_line(line: &str) -> Option<&str> {
-    match line.rsplit_once('\t') {
-        Some((payload, suffix))
-            if suffix.len() == 16 && suffix.bytes().all(|b| b.is_ascii_hexdigit()) =>
-        {
-            let expected = u64::from_str_radix(suffix, 16).ok()?;
-            (line_checksum(payload) == expected).then_some(payload)
-        }
-        _ => Some(line),
+    let (payload, suffix) = line.rsplit_once('\t')?;
+    if suffix.len() != 16 || !suffix.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
     }
+    let expected = u64::from_str_radix(suffix, 16).ok()?;
+    (line_checksum(payload) == expected).then_some(payload)
 }
 
 /// Appends outcomes to a journal file, flushing after every line so a
@@ -878,26 +874,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_journals_without_checksums_still_load() {
-        let path = temp_path("legacy");
-        // A legacy header predates the memoize/impairment fields too.
-        let header = JournalHeader {
-            implementation: "x".into(),
-            seed: 1,
-            threshold: 0.5,
-            memoize: None,
-            impairment: None,
-        };
-        // A pre-checksum journal: bare JSON lines, no tab suffix.
-        let mut text = header.to_json().to_string_compact();
+    fn lines_without_checksums_are_rejected_not_trusted() {
+        let path = temp_path("bare");
+        // Bare JSON lines, no tab suffix: what a pre-checksum writer
+        // produced, and what a tail torn off before its checksum looks
+        // like. Neither the header nor the outcome may be believed.
+        let mut text = header("x", 1).to_json().to_string_compact();
         text.push('\n');
         text.push_str(&outcome(1).to_json().to_string_compact());
         text.push('\n');
         std::fs::write(&path, text).unwrap();
         let loaded = load(&path).unwrap();
-        assert_eq!(loaded.header, Some(header));
-        assert_eq!(loaded.outcomes, vec![outcome(1)]);
-        assert_eq!(loaded.malformed_lines, 0);
+        assert_eq!(loaded.header, None);
+        assert!(loaded.outcomes.is_empty());
+        assert_eq!(loaded.malformed_lines, 2);
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,7 +15,7 @@
 //! * [`detect`] — attack detection against the no-attack baseline: ±50 %
 //!   throughput change, zero-data establishment failure, or leaked server
 //!   sockets (§V-A).
-//! * [`Controller`] / [`Campaign`] — the parallel search loop with
+//! * [`Campaign`] — the paper's controller: the parallel search loop with
 //!   repeatability re-testing, hitseqwindow false-positive checking, and
 //!   on-path classification (§VI), producing the rows of Table I.
 //! * [`cluster_attacks`] — grouping true attack strategies into the named,
@@ -63,13 +63,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+mod admission;
 mod attacks;
 mod campaign;
+mod chaos;
+mod config;
 mod detect;
+mod dispatch;
+mod evaluate;
 pub mod journal;
 mod manifest;
-mod memostore;
 mod report;
+mod result;
 mod scenario;
 pub mod search;
 mod segment;
@@ -77,20 +82,19 @@ mod shard;
 mod strategen;
 
 pub use attacks::{classify, cluster_attacks, AttackFinding, KnownAttack};
-pub use campaign::{
-    Campaign, CampaignConfig, CampaignConfigBuilder, CampaignError, CampaignResult, ChaosPlan,
-    Controller, FaultHook, OutcomeKind, StrategyOutcome,
-};
+pub use campaign::Campaign;
+pub use chaos::ChaosPlan;
+pub use config::{CampaignConfig, CampaignConfigBuilder, CampaignError, FaultHook};
 pub use detect::{
     baseline_valid, detect, detect_enveloped, Envelope, Verdict, DEFAULT_THRESHOLD,
     TABLE_LEAK_MARGIN,
 };
 pub use manifest::build_run_manifest;
-pub use memostore::{scenario_digest, MemoStore, MemoStoreReport, StoreScope, MEMO_STORE_VERSION};
 pub use report::{render_table1, render_table2};
+pub use result::{CampaignResult, OutcomeKind, StrategyOutcome};
 pub use scenario::{
-    Executor, ExecutorOptions, FlowGroup, FlowRole, PlannedExecutor, ProtocolKind, RunInfo,
-    ScenarioError, ScenarioSpec, ScenarioSpecBuilder, TestMetrics, TopologySpec,
+    scenario_digest, Executor, ExecutorOptions, FlowGroup, FlowRole, PlannedExecutor, ProtocolKind,
+    RunInfo, ScenarioError, ScenarioSpec, ScenarioSpecBuilder, TestMetrics, TopologySpec,
 };
 pub use shard::{connect_with_backoff, run_shard_worker};
 pub use snake_netsim::{TopologyGenSpec, TopologyKind};

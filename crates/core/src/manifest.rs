@@ -16,7 +16,7 @@ use snake_json::{obj, Value};
 use snake_observe::{RecorderSnapshot, RunManifest};
 use snake_proxy::{InjectionAttack, StrategyKind};
 
-use crate::campaign::CampaignResult;
+use crate::result::CampaignResult;
 
 /// Builds the per-run manifest from the campaign's result, the observer's
 /// merged snapshot, and the run's wall-clock duration in seconds.
@@ -32,9 +32,6 @@ pub fn build_run_manifest(
     let mut manifest = RunManifest::new("snake campaign");
     manifest.set_section("run", run_section(result));
     manifest.set_section("memo", memo_section(result));
-    if let Some(store) = &result.memo_store {
-        manifest.set_section("memo_store", memo_store_section(store));
-    }
     manifest.set_section("exec", exec_section(snapshot));
     manifest.set_section("netsim", netsim_section(snapshot));
     manifest.set_section("robustness", robustness_section(result, snapshot));
@@ -157,28 +154,6 @@ fn memo_section(result: &CampaignResult) -> Value {
         ),
         ("memo_hits", Value::U64(result.memo_hits as u64)),
         ("short_circuits", Value::U64(result.short_circuits as u64)),
-    ])
-}
-
-/// Persistent memo store accounting. Present only when a store was
-/// configured and active. Everything except the load-side tallies
-/// (`entries_loaded` / `entries_valid` / `entries_skipped`, which depend
-/// on what earlier campaigns left in the file) is deterministic; two runs
-/// against equally-warm stores produce identical sections.
-fn memo_store_section(store: &crate::MemoStoreReport) -> Value {
-    obj([
-        ("entries_loaded", Value::U64(store.entries_loaded as u64)),
-        ("entries_valid", Value::U64(store.entries_valid as u64)),
-        ("entries_skipped", Value::U64(store.entries_skipped as u64)),
-        ("cross_run_hits", Value::U64(store.cross_run_hits as u64)),
-        ("eligible_runs", Value::U64(store.eligible_runs as u64)),
-        ("hit_rate", Value::F64(store.hit_rate())),
-        ("appended", Value::U64(store.appended as u64)),
-        ("write_failures", Value::U64(store.write_failures as u64)),
-        (
-            "verdict_mismatches",
-            Value::U64(store.verdict_mismatches as u64),
-        ),
     ])
 }
 

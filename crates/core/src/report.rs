@@ -1,7 +1,7 @@
 //! Text rendering of the evaluation tables.
 
 use crate::attacks::KnownAttack;
-use crate::campaign::CampaignResult;
+use crate::result::CampaignResult;
 
 /// Renders Table I ("Summary of SNAKE results") from a set of campaigns.
 pub fn render_table1(results: &[CampaignResult]) -> String {
@@ -94,7 +94,6 @@ mod tests {
             escalated: 0,
             stalls: 0,
             quarantined: 0,
-            memo_store: None,
         }
     }
 

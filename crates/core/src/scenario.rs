@@ -303,6 +303,20 @@ impl ScenarioSpec {
     }
 }
 
+/// Stable FNV-1a digest of everything scenario-side that can influence a
+/// verdict: the full [`ScenarioSpec`] (topology, workload, budgets, seed,
+/// impairments), the detection threshold, and the baseline-ensemble size.
+/// The shard handshake and the worker segment headers pin it, so outcomes
+/// evaluated under one configuration are never admitted under another.
+/// Hashing the spec's `Debug` rendering deliberately over-approximates —
+/// any representational change (a new field, a reordered one) moves the
+/// digest and rejects old data in the safe direction.
+pub fn scenario_digest(spec: &ScenarioSpec, threshold: f64, baseline_reps: usize) -> u64 {
+    crate::journal::line_checksum(&format!(
+        "{spec:?}|threshold={threshold}|baseline_reps={baseline_reps}"
+    ))
+}
+
 /// Validating builder for [`ScenarioSpec`], mirroring
 /// `CampaignConfig::builder`. Defaults are the evaluation preset.
 #[derive(Debug, Clone)]
@@ -1909,5 +1923,24 @@ mod tests {
         assert_eq!(reseeded.seed(), 99);
         // A different build-time seed genuinely moves the hosts.
         assert_ne!(spec.topology(), build(6).topology());
+    }
+
+    #[test]
+    fn digest_moves_with_every_verdict_relevant_knob() {
+        let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
+        let base = scenario_digest(&spec, 0.5, 1);
+        assert_eq!(base, scenario_digest(&spec.clone(), 0.5, 1), "stable");
+        assert_ne!(base, scenario_digest(&spec, 0.4, 1), "threshold");
+        assert_ne!(base, scenario_digest(&spec, 0.5, 3), "baseline reps");
+        let mut other = spec.clone();
+        other.seed += 1;
+        assert_ne!(base, scenario_digest(&other, 0.5, 1), "seed");
+        let impaired = spec
+            .clone()
+            .with_impairment(Impairment::preset("lossy").unwrap());
+        assert_ne!(base, scenario_digest(&impaired, 0.5, 1), "impairment");
+        let mut shorter = spec;
+        shorter.data_secs -= 1;
+        assert_ne!(base, scenario_digest(&shorter, 0.5, 1), "workload");
     }
 }

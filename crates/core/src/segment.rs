@@ -41,8 +41,8 @@ use std::path::{Path, PathBuf};
 
 use snake_json::{obj, FromJson, ToJson, Value};
 
-use crate::campaign::StrategyOutcome;
 use crate::journal::{checksummed_line, counters_json, decode_counters, verify_line};
+use crate::result::StrategyOutcome;
 
 /// Bumped when the segment line format changes incompatibly; a resuming
 /// controller discards segments from another version.
@@ -268,8 +268,8 @@ fn decode_entry(line: &str) -> Option<SegmentEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::OutcomeKind;
     use crate::detect::Verdict;
+    use crate::result::OutcomeKind;
     use crate::scenario::TestMetrics;
     use snake_proxy::{BasicAttack, Endpoint, Strategy, StrategyKind};
 

@@ -37,13 +37,13 @@
 //!   wall-clock busy time, the counter deltas its observer accumulated
 //!   during the evaluation (so the controller's manifest tallies match a
 //!   single-process run), and the full
-//!   [`StrategyOutcome`](crate::campaign::StrategyOutcome) in journal
+//!   [`StrategyOutcome`](crate::StrategyOutcome) in journal
 //!   encoding.
 //!
 //! Determinism is owned entirely by the controller: workers never touch
-//! the journal, the memo store or the admission ledger. Outcomes are
-//! admitted strictly in strategy-index order through the same reorder
-//! buffer the in-process thread pool uses, so TSV, manifest and memo
+//! the journal or the admission ledger. Outcomes are admitted strictly in
+//! strategy-index order through the same `Admission` the in-process
+//! thread pool offers to, so TSV, manifest and memo
 //! markers are bit-identical at any shard count — including zero, the
 //! in-process fallback the controller degrades to when every shard dies.
 //!
@@ -76,7 +76,7 @@
 //!
 //! Wire-level chaos (dropped/truncated/corrupted/delayed outcome frames,
 //! worker hangs) is injected deterministically on the controller's read
-//! path under [`ChaosPlan`](crate::campaign::ChaosPlan) control, so the
+//! path under [`ChaosPlan`](crate::ChaosPlan) control, so the
 //! whole recovery matrix above is exercised by seeded tests.
 
 use std::collections::BTreeMap;
@@ -85,7 +85,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -100,14 +100,13 @@ use snake_observe::Observer;
 use snake_proxy::Strategy;
 use snake_tcp::{AbortStyle, InvalidFlagPolicy, Profile};
 
-use crate::campaign::{
-    build_envelope, evaluate_watched, CampaignConfig, ChaosPlan, SharedCtx, StrategyOutcome,
-};
-use crate::detect::baseline_valid;
+use crate::chaos::ChaosPlan;
+use crate::config::CampaignConfig;
+use crate::evaluate::{evaluate_watched, SharedCtx};
 use crate::journal::{checksummed_line, counters_json, verify_line};
-use crate::memostore::scenario_digest;
+use crate::result::StrategyOutcome;
 use crate::scenario::{
-    ExecutorOptions, FlowGroup, FlowRole, PlannedExecutor, ProtocolKind, ScenarioSpec, TopologySpec,
+    scenario_digest, FlowGroup, FlowRole, ProtocolKind, ScenarioSpec, TopologySpec,
 };
 use crate::segment::{segment_file, SegmentWriter};
 use crate::strategen::GenerationParams;
@@ -817,7 +816,7 @@ pub fn connect_with_backoff(
 /// connection.
 ///
 /// The worker is stateless between ranges and owns no campaign artifacts
-/// beyond its segment file: no journal, no memo store, no verdict ledger.
+/// beyond its segment file: no journal, no verdict ledger.
 /// If it dies mid-range the controller re-dispatches the unfinished
 /// indices elsewhere, and already-admitted outcomes are never re-run.
 pub fn run_shard_worker(addr: &str) -> io::Result<()> {
@@ -853,36 +852,6 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
     // to the controller per outcome.
     let accumulator = Arc::new(CounterAccumulator::default());
     let observer: Arc<dyn Observer> = accumulator.clone();
-    let exec_options = ExecutorOptions {
-        snapshot_fork: job.snapshot_fork,
-        memoize: job.memoize,
-        halt_arming: true,
-        observer: observer.clone(),
-    };
-    let exec = PlannedExecutor::new(&job.spec, exec_options.clone());
-    let baseline = exec.baseline().clone();
-    if !baseline_valid(&baseline) {
-        return Err(protocol_err("worker baseline is invalid"));
-    }
-    let retest_spec = ScenarioSpec {
-        seed: job.spec.seed.wrapping_add(1),
-        ..job.spec.clone()
-    };
-    let retest_exec = if job.retest {
-        Some(PlannedExecutor::new(&retest_spec, exec_options))
-    } else {
-        None
-    };
-    let envelope = build_envelope(&job.spec, &baseline, job.baseline_reps, job.threshold);
-    let retest_envelope = retest_exec.as_ref().map(|retest| {
-        build_envelope(
-            &retest_spec,
-            retest.baseline(),
-            job.baseline_reps,
-            job.threshold,
-        )
-    });
-
     let config = CampaignConfig {
         scenario: job.spec,
         params: GenerationParams::default(),
@@ -896,7 +865,6 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
         progress_every: 0,
         snapshot_fork: job.snapshot_fork,
         memoize: job.memoize,
-        memo_store: None,
         fault_hook: None,
         chaos: None,
         baseline_reps: job.baseline_reps,
@@ -911,17 +879,10 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
         heartbeat: job.heartbeat,
         insecure_bind: false,
     };
-    let shared = Arc::new(SharedCtx {
-        exec,
-        retest_exec,
-        config,
-        memoize: job.memoize,
-        envelope,
-        retest_envelope,
-        escalated: AtomicUsize::new(0),
-        stalls: AtomicUsize::new(0),
-        quarantined: AtomicUsize::new(0),
-    });
+    let shared = Arc::new(
+        SharedCtx::prepare(config, job.memoize)
+            .map_err(|_| protocol_err("worker baseline is invalid"))?,
+    );
     // Setup cost (baseline, plan, envelopes) accrued counters of its own;
     // the controller already counted its setup once, so discard ours
     // rather than double-reporting.
