@@ -23,8 +23,11 @@
 //!   leave a half-written header behind.
 //!
 //! Checksums are mandatory on read: a line without one is damage (a tail
-//! torn off mid-write), counted as malformed like any other.
+//! torn off mid-write), counted as malformed like any other. The file is
+//! read as bytes, not text, so damage that leaves a line invalid UTF-8 is
+//! that line's problem and not an I/O error for the whole journal.
 
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
@@ -390,38 +393,66 @@ pub(crate) fn decode_counters(value: Option<&Value>) -> Vec<(String, u64)> {
 /// Small, dependency-free, and plenty for detecting torn or bit-rotted
 /// lines (this guards against accidents, not adversaries). Shared with the
 /// worker segments and the shard wire, which use the same framing.
-pub(crate) fn line_checksum(payload: &str) -> u64 {
+pub(crate) fn line_checksum(payload: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in payload.as_bytes() {
+    for byte in payload {
         hash ^= u64::from(*byte);
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
 }
 
-/// Renders one journal line: compact JSON, a tab, and the checksum as 16
-/// lowercase hex digits. The tab can never appear inside the payload (the
-/// JSON writer escapes control characters), so the loader can split
-/// unambiguously from the right.
-pub(crate) fn checksummed_line(payload: &str) -> String {
+/// Completes one journal line in place: the compact JSON payload gains a
+/// tab, its checksum as 16 lowercase hex digits, and the newline. The tab
+/// can never appear inside the payload (the JSON writer escapes control
+/// characters), so the loader can split unambiguously from the right.
+pub(crate) fn checksummed_line(mut payload: String) -> String {
     debug_assert!(!payload.contains('\n'), "journal lines must be single-line");
     debug_assert!(
         !payload.contains('\t'),
         "payload tabs would break the checksum split"
     );
-    format!("{payload}\t{:016x}\n", line_checksum(payload))
+    let checksum = line_checksum(payload.as_bytes());
+    writeln!(payload, "\t{checksum:016x}").expect("writing to a String cannot fail");
+    payload
+}
+
+/// Reads the next raw line into `line` (cleared first) without its line
+/// ending; `false` at end of input. Bytes, not text: a damaged line may no
+/// longer be UTF-8, and that is for [`verify_line`] to reject, not for the
+/// read to fail on.
+pub(crate) fn read_raw_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<bool> {
+    line.clear();
+    if reader.read_until(b'\n', line)? == 0 {
+        return Ok(false);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    }
+    Ok(true)
 }
 
 /// Splits a loaded line into its JSON payload, verifying the checksum.
-/// Returns `None` for a damaged line: a checksum that does not match, or
-/// none at all (every writer appends one, so a bare line is a torn one).
-pub(crate) fn verify_line(line: &str) -> Option<&str> {
-    let (payload, suffix) = line.rsplit_once('\t')?;
-    if suffix.len() != 16 || !suffix.bytes().all(|b| b.is_ascii_hexdigit()) {
+/// Returns `None` for a damaged line: a checksum that does not match, none
+/// at all (every writer appends one, so a bare line is a torn one), or a
+/// payload that is not UTF-8 — checked last and once, so the checksum
+/// gate has already passed by then.
+pub(crate) fn verify_line(line: &[u8]) -> Option<&str> {
+    let (payload, suffix) = line.split_at(line.len().checked_sub(17)?);
+    let (b'\t', digits) = suffix.split_first()? else {
+        return None;
+    };
+    let mut expected = 0u64;
+    for &digit in digits {
+        expected = expected << 4 | u64::from(char::from(digit).to_digit(16)?);
+    }
+    if line_checksum(payload) != expected {
         return None;
     }
-    let expected = u64::from_str_radix(suffix, 16).ok()?;
-    (line_checksum(payload) == expected).then_some(payload)
+    std::str::from_utf8(payload).ok()
 }
 
 /// Appends outcomes to a journal file, flushing after every line so a
@@ -442,7 +473,7 @@ impl JournalWriter {
         tmp.push(".tmp");
         let tmp_path = std::path::PathBuf::from(tmp);
         let mut file = File::create(&tmp_path)?;
-        let line = checksummed_line(&header.to_json().to_string_compact());
+        let line = checksummed_line(header.to_json().to_string_compact());
         file.write_all(line.as_bytes())?;
         file.flush()?;
         file.sync_all()?;
@@ -499,7 +530,7 @@ impl JournalWriter {
                 pairs.push(("counters".to_owned(), counters_json(counters)));
             }
         }
-        let line = checksummed_line(&json.to_string_compact());
+        let line = checksummed_line(json.to_string_compact());
         self.file.write_all(line.as_bytes())?;
         self.file.flush()
     }
@@ -538,9 +569,11 @@ pub struct LoadedJournal {
 #[derive(Debug)]
 pub struct JournalReader {
     /// `None` for a missing file or once the file is exhausted.
-    lines: Option<std::io::Lines<BufReader<File>>>,
-    /// Raw line index of the next line `lines` will yield (blank and
-    /// malformed lines count, exactly as [`load`]'s enumeration did).
+    file: Option<BufReader<File>>,
+    /// The raw line being classified; one buffer serves the whole file.
+    line: Vec<u8>,
+    /// Raw line index of the next line to be read (blank and malformed
+    /// lines count, exactly as [`load`]'s enumeration did).
     line_index: usize,
     header: Option<JournalHeader>,
     /// An outcome sitting at raw line 0 (a headerless journal), decoded
@@ -555,20 +588,13 @@ impl JournalReader {
     /// journal, not an error.
     pub fn open(path: &Path) -> io::Result<JournalReader> {
         let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok(JournalReader {
-                    lines: None,
-                    line_index: 0,
-                    header: None,
-                    pending: None,
-                    malformed_lines: 0,
-                })
-            }
+            Ok(f) => Some(BufReader::new(f)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e),
         };
         let mut reader = JournalReader {
-            lines: Some(BufReader::new(file).lines()),
+            file,
+            line: Vec::new(),
             line_index: 0,
             header: None,
             pending: None,
@@ -577,12 +603,10 @@ impl JournalReader {
         // Classify raw line 0 eagerly: it is the only line a header may
         // legitimately occupy, and callers decide resume-vs-fresh from
         // `header()` before replaying anything.
-        if let Some(first) = reader.next_line()? {
-            match reader.classify(&first, 0) {
-                Classified::Header(header) => reader.header = Some(header),
-                Classified::Outcome(outcome) => reader.pending = Some(outcome),
-                Classified::Skipped => {}
-            }
+        match reader.next_classified()? {
+            Some(Classified::Header(header)) => reader.header = Some(header),
+            Some(Classified::Outcome(outcome)) => reader.pending = Some(outcome),
+            Some(Classified::Blank | Classified::Malformed) | None => {}
         }
         Ok(reader)
     }
@@ -611,78 +635,64 @@ impl JournalReader {
         if let Some(pending) = self.pending.take() {
             return Ok(Some(*pending));
         }
-        loop {
-            let index = self.line_index;
-            let Some(line) = self.next_line()? else {
-                return Ok(None);
-            };
-            match self.classify(&line, index) {
-                Classified::Outcome(entry) => return Ok(Some(*entry)),
-                Classified::Header(_) | Classified::Skipped => {}
+        while let Some(classified) = self.next_classified()? {
+            if let Classified::Outcome(entry) = classified {
+                return Ok(Some(*entry));
             }
         }
+        Ok(None)
     }
 
-    fn next_line(&mut self) -> io::Result<Option<String>> {
-        let Some(lines) = &mut self.lines else {
+    /// Reads and classifies the next raw line, counting it when it is
+    /// malformed; `None` at end of file.
+    fn next_classified(&mut self) -> io::Result<Option<Classified>> {
+        let Some(file) = &mut self.file else {
             return Ok(None);
         };
-        match lines.next() {
-            Some(line) => {
-                self.line_index += 1;
-                Ok(Some(line?))
-            }
-            None => {
-                self.lines = None;
-                Ok(None)
-            }
+        if !read_raw_line(file, &mut self.line)? {
+            self.file = None;
+            return Ok(None);
         }
-    }
-
-    fn classify(&mut self, line: &str, index: usize) -> Classified {
-        if line.trim().is_empty() {
-            return Classified::Skipped;
-        }
-        // Checksum gate first: a damaged line must not be trusted even if
-        // it still happens to parse as JSON.
-        let Some(payload) = verify_line(line) else {
+        let classified = classify(&self.line, self.line_index);
+        self.line_index += 1;
+        if matches!(classified, Classified::Malformed) {
             self.malformed_lines += 1;
-            return Classified::Skipped;
-        };
-        let Ok(parsed) = snake_json::parse(payload) else {
-            self.malformed_lines += 1;
-            return Classified::Skipped;
-        };
-        match parsed.req_str("type") {
-            Ok("campaign") if index == 0 => match JournalHeader::from_json(&parsed) {
-                Ok(header) => Classified::Header(header),
-                Err(_) => {
-                    self.malformed_lines += 1;
-                    Classified::Skipped
-                }
-            },
-            Ok("outcome") => match StrategyOutcome::from_json(&parsed) {
-                Ok(outcome) => Classified::Outcome(Box::new(JournalEntry {
-                    outcome,
-                    counters: decode_counters(parsed.get("counters")),
-                })),
-                Err(_) => {
-                    self.malformed_lines += 1;
-                    Classified::Skipped
-                }
-            },
-            _ => {
-                self.malformed_lines += 1;
-                Classified::Skipped
-            }
         }
+        Ok(Some(classified))
     }
 }
 
 enum Classified {
     Header(JournalHeader),
     Outcome(Box<JournalEntry>),
-    Skipped,
+    /// An empty line: skipped without being counted.
+    Blank,
+    /// Failed its checksum, failed to parse, or carried an unexpected type.
+    Malformed,
+}
+
+fn classify(line: &[u8], index: usize) -> Classified {
+    if line.trim_ascii().is_empty() {
+        return Classified::Blank;
+    }
+    // Checksum gate first: a damaged line must not be trusted even if
+    // it still happens to parse as JSON.
+    let Some(parsed) = verify_line(line).and_then(|payload| snake_json::parse(payload).ok()) else {
+        return Classified::Malformed;
+    };
+    match parsed.req_str("type") {
+        Ok("campaign") if index == 0 => {
+            JournalHeader::from_json(&parsed).map_or(Classified::Malformed, Classified::Header)
+        }
+        Ok("outcome") => match StrategyOutcome::from_json(&parsed) {
+            Ok(outcome) => Classified::Outcome(Box::new(JournalEntry {
+                outcome,
+                counters: decode_counters(parsed.get("counters")),
+            })),
+            Err(_) => Classified::Malformed,
+        },
+        _ => Classified::Malformed,
+    }
 }
 
 /// Loads a whole journal into memory, tolerating a missing file (empty
@@ -870,6 +880,104 @@ mod tests {
         assert_eq!(loaded.outcomes.len(), 1, "the damaged line must be dropped");
         assert_eq!(loaded.outcomes[0].strategy.id, 1);
         assert_eq!(loaded.malformed_lines, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Three lines (payload, checksum) exactly as the commit before the
+    /// linear-time codec wrote them: the header, a plain outcome, and an
+    /// errored outcome whose message needs every kind of escape and which
+    /// carries worker counters. The format is frozen: journals written by
+    /// older binaries must keep loading, and newer ones must load in older
+    /// binaries.
+    const GOLDEN: [(&str, &str); 3] = [
+        (
+            r#"{"type":"campaign","implementation":"Linux 3.13","seed":42,"threshold":0.5,"memoize":true,"impairment":"none"}"#,
+            "feec128309d079eb",
+        ),
+        (
+            r#"{"type":"outcome","outcome":"ok","error":null,"strategy":{"id":1,"strategy":{"kind":"on_packet","endpoint":"client","state":"ESTABLISHED","packet_type":"ACK","basic":{"attack":"drop","percent":100}}},"verdict":{"establishment_prevented":false,"throughput_degradation":true,"throughput_gain":false,"competing_degradation":false,"socket_leak":false,"fairness_collapse":false,"flow_starvation":false,"table_exhaustion":false},"metrics":{"target_bytes":123,"competing_bytes":0,"leaked_sockets":0,"leaked_close_wait":0,"leaked_with_queue":0,"truncated":false,"sim_events":0,"flow_bytes":[],"server_sockets":0,"leaked_total":0,"proxy":{"packets_seen":0,"matched":0,"dropped":0,"duplicates":0,"delayed":0,"batched":0,"reflected":0,"lied":0,"injected":0,"effect_fp_a":0,"effect_fp_b":0,"rule_hits":[],"observed":[],"client_final_state":"","server_final_state":""}},"repeatable":true,"on_path":false,"false_positive":false,"memo":"inert"}"#,
+            "51f12b2971ff80c7",
+        ),
+        (
+            r#"{"type":"outcome","outcome":"errored","error":"engine panicked: \"index\" out of bounds\n\tat C:\\sim é\u0001","strategy":{"id":7,"strategy":{"kind":"on_packet","endpoint":"client","state":"ESTABLISHED","packet_type":"ACK","basic":{"attack":"drop","percent":100}}},"verdict":{"establishment_prevented":false,"throughput_degradation":true,"throughput_gain":false,"competing_degradation":false,"socket_leak":false,"fairness_collapse":false,"flow_starvation":false,"table_exhaustion":false},"metrics":{"target_bytes":123,"competing_bytes":0,"leaked_sockets":0,"leaked_close_wait":0,"leaked_with_queue":0,"truncated":false,"sim_events":0,"flow_bytes":[],"server_sockets":0,"leaked_total":0,"proxy":{"packets_seen":0,"matched":0,"dropped":0,"duplicates":0,"delayed":0,"batched":0,"reflected":0,"lied":0,"injected":0,"effect_fp_a":0,"effect_fp_b":0,"rule_hits":[],"observed":[],"client_final_state":"","server_final_state":""}},"repeatable":true,"on_path":false,"false_positive":false,"memo":"inert","counters":{"exec.runs.from_scratch":3,"netsim.events":106547}}"#,
+            "3adc1fd2f5d0f731",
+        ),
+    ];
+
+    fn golden_error_outcome() -> StrategyOutcome {
+        let mut o = outcome(7);
+        o.outcome_kind = OutcomeKind::Errored;
+        o.error = Some("engine panicked: \"index\" out of bounds\n\tat C:\\sim é\u{1}".into());
+        o
+    }
+
+    fn golden_counters() -> Vec<(String, u64)> {
+        vec![
+            ("exec.runs.from_scratch".to_owned(), 3),
+            ("netsim.events".to_owned(), 106_547),
+        ]
+    }
+
+    fn golden_text() -> String {
+        GOLDEN
+            .iter()
+            .map(|(payload, checksum)| format!("{payload}\t{checksum}\n"))
+            .collect()
+    }
+
+    #[test]
+    fn golden_lines_are_written_byte_for_byte() {
+        let path = temp_path("golden-write");
+        let mut w = JournalWriter::create(&path, &header("Linux 3.13", 42)).unwrap();
+        w.record(&outcome(1)).unwrap();
+        w.record_with_counters(&golden_error_outcome(), &golden_counters())
+            .unwrap();
+        drop(w);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), golden_text());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn golden_lines_load_back_exactly() {
+        let path = temp_path("golden-load");
+        std::fs::write(&path, golden_text()).unwrap();
+        let mut r = JournalReader::open(&path).unwrap();
+        assert_eq!(r.header(), Some(&header("Linux 3.13", 42)));
+        let plain = r.next_entry().unwrap().expect("plain outcome");
+        assert_eq!(plain.outcome, outcome(1));
+        assert!(plain.counters.is_empty());
+        let errored = r.next_entry().unwrap().expect("errored outcome");
+        assert_eq!(errored.outcome, golden_error_outcome());
+        assert_eq!(errored.counters, golden_counters());
+        assert!(r.next_entry().unwrap().is_none());
+        assert_eq!(r.malformed_lines(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn line_that_is_no_longer_utf8_is_skipped_not_fatal() {
+        let path = temp_path("high-bit");
+        let mut w = JournalWriter::create(&path, &header("x", 1)).unwrap();
+        for id in 1..=3 {
+            w.record(&outcome(id)).unwrap();
+        }
+        drop(w);
+        // One flipped bit in outcome 2's payload leaves a byte that is not
+        // UTF-8 any more; reading the file as text would fail outright.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let second_outcome: usize = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .take(2)
+            .map(<[u8]>::len)
+            .sum();
+        bytes[second_outcome + 40] |= 0x80;
+        assert!(std::str::from_utf8(&bytes).is_err());
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = load(&path).unwrap();
+        let ids: Vec<u64> = loaded.outcomes.iter().map(|o| o.strategy.id).collect();
+        assert_eq!(ids, [1, 3], "only the damaged line is dropped");
+        assert_eq!(loaded.malformed_lines, 1);
+        assert!(loaded.header.is_some());
         std::fs::remove_file(&path).ok();
     }
 

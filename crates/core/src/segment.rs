@@ -36,12 +36,14 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use snake_json::{obj, FromJson, ToJson, Value};
 
-use crate::journal::{checksummed_line, counters_json, decode_counters, verify_line};
+use crate::journal::{
+    checksummed_line, counters_json, decode_counters, read_raw_line, verify_line,
+};
 use crate::result::StrategyOutcome;
 
 /// Bumped when the segment line format changes incompatibly; a resuming
@@ -106,7 +108,7 @@ impl SegmentWriter {
             ("digest", Value::Str(format!("{digest:016x}"))),
             ("memoize", Value::Bool(memoize)),
         ]);
-        let line = checksummed_line(&header.to_string_compact());
+        let line = checksummed_line(header.to_string_compact());
         file.write_all(line.as_bytes())?;
         file.flush()?;
         Ok(SegmentWriter { file })
@@ -128,7 +130,7 @@ impl SegmentWriter {
             ("counters", counters_json(counters)),
             ("outcome", outcome.to_json()),
         ]);
-        let line = checksummed_line(&entry.to_string_compact());
+        let line = checksummed_line(entry.to_string_compact());
         self.file.write_all(line.as_bytes())?;
         self.file.flush()
     }
@@ -202,19 +204,19 @@ fn merge_file(
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
-    let mut lines = BufReader::new(file).lines();
+    let mut file = BufReader::new(file);
+    let mut line = Vec::new();
     // Header gate: a segment from another campaign (digest drift), another
     // memoize mode, or another format version must not leak outcomes into
     // this resume. Its remaining lines are counted as discarded without
     // being trusted. An empty file — a worker that died before its first
     // write — is simply skipped.
-    let header_ok = match lines.next() {
-        None => return Ok(()),
-        Some(line) => header_matches(&line?, digest, memoize),
-    };
-    for line in lines {
-        let line = line?;
-        if line.trim().is_empty() {
+    if !read_raw_line(&mut file, &mut line)? {
+        return Ok(());
+    }
+    let header_ok = header_matches(&line, digest, memoize);
+    while read_raw_line(&mut file, &mut line)? {
+        if line.trim_ascii().is_empty() {
             continue;
         }
         if !header_ok {
@@ -241,7 +243,7 @@ fn merge_file(
     Ok(())
 }
 
-fn header_matches(line: &str, digest: u64, memoize: bool) -> bool {
+fn header_matches(line: &[u8], digest: u64, memoize: bool) -> bool {
     let Some(payload) = verify_line(line) else {
         return false;
     };
@@ -254,7 +256,7 @@ fn header_matches(line: &str, digest: u64, memoize: bool) -> bool {
         && parsed.get("memoize").and_then(Value::as_bool) == Some(memoize)
 }
 
-fn decode_entry(line: &str) -> Option<SegmentEntry> {
+fn decode_entry(line: &[u8]) -> Option<SegmentEntry> {
     let payload = verify_line(line)?;
     let parsed = snake_json::parse(payload).ok()?;
     if parsed.get("type").and_then(Value::as_str) != Some("eval") {
@@ -380,6 +382,29 @@ mod tests {
         assert_eq!(merge.merged, 1);
         assert_eq!(merge.discarded, 1);
         assert!(merge.entries.contains_key(&7));
+        clear_dir(&dir);
+    }
+
+    #[test]
+    fn line_that_is_no_longer_utf8_is_discarded_not_fatal() {
+        let dir = temp_dir("high-bit");
+        let path = write_segment(&dir, 0, 0, &[7, 8, 9]);
+        // One flipped bit in the middle entry leaves a byte that is not
+        // UTF-8 any more; reading the file as text would fail outright
+        // and take the two intact entries down with it.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let middle: usize = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .take(2)
+            .map(<[u8]>::len)
+            .sum();
+        bytes[middle + 40] |= 0x80;
+        assert!(std::str::from_utf8(&bytes).is_err());
+        std::fs::write(&path, bytes).unwrap();
+        let merge = merge(&dir, 0xd1e5, true, |_| false).unwrap();
+        assert_eq!(merge.merged, 2);
+        assert_eq!(merge.discarded, 1);
+        assert_eq!(merge.entries.keys().copied().collect::<Vec<_>>(), [7, 9]);
         clear_dir(&dir);
     }
 

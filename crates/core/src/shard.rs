@@ -103,7 +103,7 @@ use snake_tcp::{AbortStyle, InvalidFlagPolicy, Profile};
 use crate::chaos::ChaosPlan;
 use crate::config::CampaignConfig;
 use crate::evaluate::{evaluate_watched, SharedCtx};
-use crate::journal::{checksummed_line, counters_json, verify_line};
+use crate::journal::{checksummed_line, counters_json, read_raw_line, verify_line};
 use crate::result::StrategyOutcome;
 use crate::scenario::{
     scenario_digest, FlowGroup, FlowRole, ProtocolKind, ScenarioSpec, TopologySpec,
@@ -205,7 +205,7 @@ fn write_line(writer: &mut impl Write, message: &Value) -> io::Result<()> {
 /// burst instead of N (the controller admits outcomes by index, so frame
 /// arrival granularity is invisible to campaign state).
 fn queue_line(writer: &mut impl Write, message: &Value) -> io::Result<()> {
-    let line = checksummed_line(&message.to_string_compact());
+    let line = checksummed_line(message.to_string_compact());
     writer.write_all(line.as_bytes())
 }
 
@@ -213,22 +213,18 @@ fn queue_line(writer: &mut impl Write, message: &Value) -> io::Result<()> {
 /// connection; a failed checksum or unparseable payload is an error — on
 /// the wire (unlike on disk) there is no tolerant skip.
 fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Value>> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(None);
-        }
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if trimmed.is_empty() {
+    let mut line = Vec::new();
+    while read_raw_line(reader, &mut line)? {
+        if line.is_empty() {
             continue;
         }
-        let payload = verify_line(trimmed)
+        let payload = verify_line(&line)
             .ok_or_else(|| protocol_err("shard wire line failed its checksum"))?;
         let message = snake_json::parse(payload)
             .map_err(|err| protocol_err(format!("shard wire line is not JSON: {err}")))?;
         return Ok(Some(message));
     }
+    Ok(None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1805,5 +1801,42 @@ impl ShardPool {
 impl Drop for ShardPool {
     fn drop(&mut self) {
         self.teardown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::line_checksum;
+
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = payload.to_vec();
+        frame.extend(format!("\t{:016x}\n", line_checksum(payload)).bytes());
+        frame
+    }
+
+    /// A frame whose checksum holds but whose payload the parser refuses
+    /// is a protocol error — which the reader thread turns into a dead
+    /// shard — and never a crash of the controller reading it.
+    #[test]
+    fn well_framed_garbage_is_a_protocol_error() {
+        let too_deep = format!("{}{}", "[".repeat(129), "]".repeat(129));
+        let mut not_utf8 = br#"{"type":"heartbeat"}"#.to_vec();
+        not_utf8[3] |= 0x80;
+        for payload in [too_deep.as_bytes(), &not_utf8] {
+            let err = read_message(&mut frame(payload).as_slice()).expect_err("must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        // The same framing around a sound payload goes through, blank
+        // lines before it or not.
+        let mut wire = b"\n".to_vec();
+        wire.extend(frame(br#"{"type":"heartbeat"}"#));
+        let mut wire = wire.as_slice();
+        let message = read_message(&mut wire).unwrap().expect("one message");
+        assert_eq!(message.req_str("type").unwrap(), "heartbeat");
+        assert!(
+            read_message(&mut wire).unwrap().is_none(),
+            "then end of stream"
+        );
     }
 }

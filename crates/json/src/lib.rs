@@ -6,7 +6,7 @@
 //! values round-trip without passing through `f64`, which matters for
 //! 48-bit DCCP sequence numbers and byte counters.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A JSON value.
@@ -90,14 +90,14 @@ impl Value {
     /// Serialises to compact JSON text (single line, no trailing newline).
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        write_value(self, &mut out);
+        write_value(self, &mut out).expect("writing to a String cannot fail");
         out
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_string_compact())
+        write_value(self, f)
     }
 }
 
@@ -192,90 +192,117 @@ impl ObjExt for Value {
     }
 }
 
-fn write_value(value: &Value, out: &mut String) {
+fn write_value(value: &Value, out: &mut impl fmt::Write) -> fmt::Result {
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(v) => out.push_str(&v.to_string()),
-        Value::I64(v) => out.push_str(&v.to_string()),
-        Value::F64(v) => {
-            if v.is_finite() {
-                // `{:?}` always keeps a decimal point or exponent, so the
-                // parser reads it back as F64.
-                out.push_str(&format!("{v:?}"));
-            } else {
-                // JSON has no Inf/NaN; null is the conventional stand-in.
-                out.push_str("null");
-            }
-        }
+        Value::Null => out.write_str("null"),
+        Value::Bool(true) => out.write_str("true"),
+        Value::Bool(false) => out.write_str("false"),
+        Value::U64(v) => write!(out, "{v}"),
+        Value::I64(v) => write!(out, "{v}"),
+        // `{:?}` always keeps a decimal point or exponent, so the parser
+        // reads it back as F64.
+        Value::F64(v) if v.is_finite() => write!(out, "{v:?}"),
+        // JSON has no Inf/NaN; null is the conventional stand-in.
+        Value::F64(_) => out.write_str("null"),
         Value::Str(s) => write_string(s, out),
         Value::Arr(items) => {
-            out.push('[');
+            out.write_char('[')?;
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write_value(item, out);
+                write_value(item, out)?;
             }
-            out.push(']');
+            out.write_char(']')
         }
         Value::Obj(pairs) => {
-            out.push('{');
+            out.write_char('{')?;
             for (i, (k, v)) in pairs.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write_string(k, out);
-                out.push(':');
-                write_value(v, out);
+                write_string(k, out)?;
+                out.write_char(':')?;
+                write_value(v, out)?;
             }
-            out.push('}');
+            out.write_char('}')
         }
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+fn write_string(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // start and end on char boundaries and are copied whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
         }
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
+
+/// Deepest container nesting [`parse`] accepts. The parser recurses per
+/// level and reads untrusted input (the shard wire, journals on disk), so
+/// depth must be bounded; the documents this workspace writes nest 6 deep.
+const MAX_DEPTH: usize = 128;
+
+/// Objects up to this many members (every object this workspace writes)
+/// check for duplicate keys by scanning the members already parsed; larger
+/// ones switch to a set so the check stays sub-quadratic.
+const KEY_SCAN_LIMIT: usize = 16;
+
+/// Initial capacity of array and object vectors: most containers in a
+/// journal line fit, so they allocate once instead of growing from zero.
+const CONTAINER_CAPACITY: usize = 8;
 
 /// Parses one JSON document, requiring it to span the whole input.
+///
+/// Safe on input the process did not write: time is linear in the length
+/// of the text (`n log n` in the members of an object with more than 16),
+/// and containers nested more than 128 deep are an error rather than a
+/// stack overflow.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(JsonError::parse("trailing characters", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -285,7 +312,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -306,8 +333,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(_) => Err(JsonError::parse("unexpected character", self.pos)),
             None => Err(JsonError::parse("unexpected end of input", self.pos)),
@@ -315,7 +342,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -323,14 +350,31 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses one container, refusing to open it past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::parse(
+                format!("nesting deeper than {MAX_DEPTH}"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = container(self)?;
+        self.depth -= 1;
+        Ok(value)
+    }
+
     fn array(&mut self) -> Result<Value, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            return Ok(Value::Arr(Vec::new()));
         }
+        let mut items = Vec::with_capacity(CONTAINER_CAPACITY);
         loop {
             self.skip_ws();
             items.push(self.value()?);
@@ -348,17 +392,26 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, JsonError> {
         self.expect(b'{')?;
-        let mut pairs: Vec<(String, Value)> = Vec::new();
-        let mut keys_seen: BTreeMap<String, ()> = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(pairs));
+            return Ok(Value::Obj(Vec::new()));
         }
+        let mut pairs: Vec<(String, Value)> = Vec::with_capacity(CONTAINER_CAPACITY);
+        // Filled from `pairs` when the object outgrows the scan.
+        let mut keys_seen: BTreeSet<String> = BTreeSet::new();
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if keys_seen.insert(key.clone(), ()).is_some() {
+            let duplicate = if pairs.len() < KEY_SCAN_LIMIT {
+                pairs.iter().any(|(k, _)| *k == key)
+            } else {
+                if keys_seen.is_empty() {
+                    keys_seen.extend(pairs.iter().map(|(k, _)| k.clone()));
+                }
+                !keys_seen.insert(key.clone())
+            };
+            if duplicate {
                 return Err(JsonError::parse(format!("duplicate key `{key}`"), self.pos));
             }
             self.skip_ws();
@@ -382,73 +435,81 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next delimiter at once. Both
+            // delimiters are ASCII, so the run ends on a char boundary.
             let start = self.pos;
-            match self.peek() {
-                None => return Err(JsonError::parse("unterminated string", self.pos)),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            let Some(len) = self.bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                return Err(JsonError::parse("unterminated string", self.text.len()));
+            };
+            let end = start + len;
+            let run = &self.text[start..end];
+            self.pos = end + 1;
+            if self.bytes()[end] == b'"' {
+                // Without an escape the run is the string: one exact-size
+                // allocation.
+                if out.is_empty() {
+                    return Ok(run.to_owned());
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| JsonError::parse("bad \\u escape", start))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError::parse("bad \\u escape", start))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::parse("bad \\u escape", start))?;
-                            // Surrogates are not paired here; the writer only
-                            // emits \u for control characters.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(JsonError::parse("bad escape", start)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::parse("invalid utf-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                out.push_str(run);
+                return Ok(out);
             }
+            out.push_str(run);
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{0008}'),
+                Some(b'f') => out.push('\u{000C}'),
+                Some(b'u') => {
+                    let code = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| JsonError::parse("bad \\u escape", end))?;
+                    // Surrogates are not paired here; the writer only
+                    // emits \u for control characters.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                    self.pos += 4;
+                }
+                _ => return Err(JsonError::parse("bad escape", end)),
+            }
+            self.pos += 1;
         }
     }
 
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+        // The integer's magnitude, read off the digits as they are
+        // scanned; `None` once it no longer fits in a `u64`.
+        let digits = self.pos;
+        let mut magnitude = Some(0u64);
+        while let Some(b) = self.peek().filter(u8::is_ascii_digit) {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10))
+                .and_then(|m| m.checked_add(u64::from(b - b'0')));
             self.pos += 1;
         }
-        let mut is_float = false;
+        // "-" and "-.5" have no integer digits and go the float way.
+        let mut is_integer = self.pos > digits;
         if self.peek() == Some(b'.') {
-            is_float = true;
+            is_integer = false;
             self.pos += 1;
             while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
                 self.pos += 1;
             }
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            is_float = true;
+            is_integer = false;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
@@ -457,17 +518,18 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::parse("invalid number", start))?;
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::U64(v));
+        if let (true, Some(m)) = (is_integer, magnitude) {
+            if !negative {
+                return Ok(Value::U64(m));
             }
-            if let Ok(v) = text.parse::<i64>() {
+            if let Some(v) = 0i64.checked_sub_unsigned(m) {
                 return Ok(Value::I64(v));
             }
         }
-        text.parse::<f64>()
+        // Integers too large for 64 bits are read as floats too. Everything
+        // scanned is ASCII, so the slice is on char boundaries.
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::F64)
             .map_err(|_| JsonError::parse("invalid number", start))
     }

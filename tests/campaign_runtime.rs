@@ -156,6 +156,46 @@ fn kill_and_resume_reproduces_the_same_table() {
 }
 
 #[test]
+fn a_flipped_bit_costs_one_rerun_not_the_resume() {
+    let path = temp_journal("high-bit");
+    let config = |resume: bool| {
+        CampaignConfig::builder(quick_tcp())
+            .cap(12)
+            .feedback_rounds(1)
+            .retest(false)
+            .parallelism(2)
+            .journal(path.clone())
+            .resume(resume)
+            .build()
+            .expect("valid config")
+    };
+    let full = Campaign::run(config(false)).unwrap();
+
+    // Bit rot: set the high bit of one payload byte in the fifth line.
+    // The byte is no longer UTF-8, so the journal no longer reads as text
+    // at all — that must fail the one line, never the whole resume.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let fifth_line: usize = bytes
+        .split_inclusive(|&b| b == b'\n')
+        .take(4)
+        .map(<[u8]>::len)
+        .sum();
+    bytes[fifth_line + 100] |= 0x80;
+    assert!(std::str::from_utf8(&bytes).is_err());
+    std::fs::write(&path, bytes).unwrap();
+
+    let resumed = Campaign::run(config(true)).expect("a damaged line must not abort the resume");
+    assert_eq!(resumed.resumed, 11, "every intact outcome reused");
+    assert_eq!(resumed.journal_lines_skipped, 1, "the damaged line skipped");
+    assert_eq!(
+        table_key(&resumed),
+        table_key(&full),
+        "the affected strategy re-runs to the same result"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn resume_refuses_a_journal_from_a_different_campaign() {
     let path = temp_journal("mismatch");
     let spec = quick_tcp();
