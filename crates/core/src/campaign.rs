@@ -5,23 +5,25 @@
 //! what to run, [`evaluate`](crate::evaluate) turns one strategy into one
 //! outcome, [`dispatch`](crate::dispatch) spreads a batch over threads or
 //! shard processes, and [`admission`](crate::admission) is the one place
-//! an outcome becomes part of the campaign. What stays here is the round
-//! loop and its phases.
+//! an outcome becomes part of the campaign. What stays here is start-up —
+//! the plans built while the journal is read, then the journal opened for
+//! writing — and the round loop with its phases.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use snake_observe as observe;
-use snake_proxy::Strategy;
+use snake_proxy::{ProxyReport, Strategy};
 
 use crate::admission::Admission;
 use crate::attacks::{classify, cluster_attacks};
 use crate::config::{CampaignConfig, CampaignError};
 use crate::dispatch::Dispatcher;
 use crate::evaluate::{
-    class_key, evaluate_watched, inert_outcome, materialize_class_member, Shared, SharedCtx,
+    class_key, evaluate_watched, inert_outcome, join_scoped, materialize_class_member, Shared,
+    SharedCtx,
 };
 use crate::journal::{JournalEntry, JournalHeader, JournalReader, JournalWriter};
 use crate::result::{CampaignResult, OutcomeKind, StrategyOutcome};
@@ -53,11 +55,27 @@ impl Campaign {
         let memoize = config.memoize
             && config.fault_hook.is_none()
             && !config.chaos.is_some_and(|c| c.has_eval_faults());
-        let shared: Shared = Arc::new(SharedCtx::prepare(config, memoize)?);
+        // Start-up is three jobs, none of which reads what another
+        // produces: the two plan builds inside `prepare` and the read half
+        // of the journal. The journal is read on *this* thread because its
+        // entries are the allocation that outlives start-up: here they sit
+        // in the main allocator arena as they always did, while decoded on
+        // a spawned thread they land in a fresh one and peak RSS starts to
+        // depend on which arena later threads inherit (DESIGN §12).
+        let (prepared, loaded) = std::thread::scope(|scope| {
+            let prepare = scope.spawn(|| SharedCtx::prepare(config.clone(), memoize));
+            let loaded = load_inherited(&config, memoize);
+            (join_scoped(prepare), loaded)
+        });
+        // An invalid baseline wins over whatever the journal had to say,
+        // and nothing below the journal's directory is created, written or
+        // removed before both have passed.
+        let shared: Shared = Arc::new(prepared?);
+        let mut inherited = loaded?;
         let config = &shared.config;
 
-        let (writer, mut inherited) = open_journal(config, memoize)?;
-        let seg_dir = merge_segments(config, memoize, &mut inherited);
+        let writer = open_writer(config, memoize, &inherited)?;
+        let seg_dir = open_segment_dir(config);
         let admission = Admission::new(shared.clone(), writer);
         let mut dispatcher = Dispatcher::new(shared.clone(), seg_dir.clone());
 
@@ -75,7 +93,7 @@ impl Campaign {
             {
                 break;
             }
-            let refs: Vec<&snake_proxy::ProxyReport> = reports.iter().map(|r| r.as_ref()).collect();
+            let refs: Vec<&ProxyReport> = reports.iter().map(|r| r.as_ref()).collect();
             let mut fresh = generate_strategies(
                 &config.scenario.protocol,
                 &refs,
@@ -141,103 +159,153 @@ struct Inherited {
     resumed: usize,
     /// Journal lines that could not be read back (skipped, not fatal).
     journal_lines_skipped: usize,
+    /// The journal opened with a header matching this campaign, so the
+    /// writer appends to it instead of starting a fresh one.
+    has_header: bool,
 }
 
-/// Journal setup: load previous outcomes when resuming, then keep a writer
-/// open for streaming appends. The header records the memoization and
-/// impairment settings alongside the campaign identity, so appending to a
-/// journal written under different memo/impairment semantics is refused
-/// instead of silently mixing provenance markers (or metrics) from two
-/// different worlds.
-fn open_journal(
-    config: &CampaignConfig,
-    memoize: bool,
-) -> Result<(Option<JournalWriter>, Inherited), CampaignError> {
-    let mut inherited = Inherited::default();
-    let Some(path) = &config.journal else {
-        if config.resume {
-            return Err(CampaignError::ResumeWithoutJournal);
-        }
-        return Ok((None, inherited));
-    };
+/// The header this campaign writes, and requires of a journal it resumes.
+/// It records the memoization and impairment settings alongside the
+/// campaign identity, so appending to a journal written under different
+/// memo/impairment semantics is refused instead of silently mixing
+/// provenance markers (or metrics) from two different worlds.
+fn journal_header(config: &CampaignConfig, memoize: bool) -> JournalHeader {
     let spec = &config.scenario;
-    let header = JournalHeader {
+    JournalHeader {
         implementation: spec.protocol.implementation_name().to_owned(),
         seed: spec.seed,
         threshold: config.threshold,
         memoize: Some(memoize),
         impairment: Some(spec.bottleneck().impair.to_string()),
+    }
+}
+
+/// The read half of journal set-up: what a resuming campaign inherits from
+/// its journal and from the segment files a crashed run's workers left
+/// beside it. Opens nothing for writing, so it can run while the plans
+/// are still being built; [`open_writer`] and [`open_segment_dir`] are the
+/// write half.
+///
+/// Segments are the worker-side crash-tolerance layer: whatever the
+/// crashed run's workers had evaluated (journal wins on overlap) lands in
+/// `prefetch` and is replayed through the ordinary admission path, so
+/// nothing a worker already evaluated runs again.
+fn load_inherited(config: &CampaignConfig, memoize: bool) -> Result<Inherited, CampaignError> {
+    let mut inherited = Inherited::default();
+    let Some(path) = &config.journal else {
+        if config.resume {
+            return Err(CampaignError::ResumeWithoutJournal);
+        }
+        return Ok(inherited);
     };
+    if !config.resume {
+        return Ok(inherited);
+    }
+    let observer = config.observer.as_ref();
+    let _span = observe::span(observer, "phase.journal_load", 0);
     let journal_err = |source| CampaignError::Journal {
         path: path.clone(),
         source,
     };
-    if !config.resume {
-        let writer = JournalWriter::create(path, &header).map_err(journal_err)?;
-        return Ok((Some(writer), inherited));
-    }
+    let mismatch = |detail| CampaignError::JournalMismatch {
+        path: path.clone(),
+        detail,
+    };
     // Stream the journal line by line: a 1M-strategy journal replays
     // without ever holding the whole file in memory (only the reusable
     // outcomes themselves).
     let mut reader = JournalReader::open(path).map_err(journal_err)?;
+    let header = journal_header(config, memoize);
     if let Some(detail) = reader.header().and_then(|h| h.mismatch_against(&header)) {
-        return Err(CampaignError::JournalMismatch {
-            path: path.clone(),
-            detail,
-        });
+        return Err(mismatch(detail));
     }
-    let has_header = reader.header().is_some();
-    // A missing or headerless journal contributes no outcomes — resuming
-    // from nothing is just a fresh run — but is still drained, so
-    // damaged-line accounting matches what a whole-file load reports.
-    while let Some(entry) = reader.next_entry().map_err(journal_err)? {
-        if has_header {
-            inherited.reusable.insert(entry.outcome.strategy.id, entry);
+    inherited.has_header = reader.header().is_some();
+    // Memo hits and elided runs share their representative's report when
+    // evaluated; interning gives the decoded copies back that sharing, so
+    // a resumed result is no larger than the fresh one it reproduces.
+    let mut reports: HashSet<Arc<ProxyReport>> = HashSet::new();
+    let mut loaded = 0u64;
+    while let Some(mut entry) = reader.next_entry().map_err(journal_err)? {
+        loaded += 1;
+        if !inherited.has_header {
+            continue;
         }
+        let report = &mut entry.outcome.metrics.proxy;
+        match reports.get(&**report) {
+            Some(shared) => *report = shared.clone(),
+            None => {
+                reports.insert(report.clone());
+            }
+        }
+        inherited.reusable.insert(entry.outcome.strategy.id, entry);
     }
     inherited.journal_lines_skipped = reader.malformed_lines();
-    let writer = if has_header {
-        JournalWriter::append(path)
-    } else {
-        JournalWriter::create(path, &header)
-    };
-    Ok((Some(writer.map_err(journal_err)?), inherited))
+    observer.counter_add("journal.lines_loaded", loaded);
+    observer.counter_add(
+        "journal.lines_skipped",
+        inherited.journal_lines_skipped as u64,
+    );
+    // Without a header nothing ties the outcomes to this campaign. A
+    // missing or empty file, or one whose writer died inside its first
+    // line, is just a fresh run; intact outcomes under an unreadable
+    // header are somebody's finished work, and starting over would
+    // truncate them.
+    if !inherited.has_header && loaded > 0 {
+        return Err(mismatch(format!(
+            "header line is unreadable, so nothing ties its {loaded} intact outcome line(s) \
+             to this campaign; the file was left untouched"
+        )));
+    }
+
+    let dir = segment::segment_dir(path);
+    let digest = scenario_digest(&config.scenario, config.threshold, config.baseline_reps);
+    let reusable = &inherited.reusable;
+    match segment::merge(&dir, digest, memoize, |id| reusable.contains_key(&id)) {
+        Ok(merge) => {
+            observer.counter_add("shard.segments.merged", merge.merged);
+            observer.counter_add("shard.segments.discarded", merge.discarded);
+            inherited.prefetch = merge.entries;
+        }
+        Err(err) => {
+            eprintln!("snake: segment merge failed ({err}); resuming from the journal alone");
+        }
+    }
+    Ok(inherited)
 }
 
-/// Journal segments — the worker-side crash-tolerance layer. A resuming
-/// controller merges whatever the crashed run's workers wrote (journal
-/// wins on overlap) into `inherited.prefetch`, replayed through the
-/// ordinary admission path so nothing a worker already evaluated runs
-/// again. The merged files stay on disk until this run completes: if the
-/// resume itself crashes before re-journaling a prefetched outcome, the
-/// next resume still finds it — the controller pid in segment filenames
-/// keeps this run's own workers from overwriting them. A fresh run instead
-/// clears stale segments so it cannot inherit another campaign's.
-///
-/// Returns the segment directory this run's workers write into and the
-/// campaign clears on completion (`None` without a journal, or when the
-/// directory cannot be created).
-fn merge_segments(
+/// The write half of journal set-up, strictly after a successful
+/// `prepare`: appends to the journal [`load_inherited`] accepted, starts a
+/// fresh one otherwise.
+fn open_writer(
     config: &CampaignConfig,
     memoize: bool,
-    inherited: &mut Inherited,
-) -> Option<PathBuf> {
-    let dir = segment::segment_dir(config.journal.as_deref()?);
-    if config.resume {
-        let digest = scenario_digest(&config.scenario, config.threshold, config.baseline_reps);
-        let reusable = &inherited.reusable;
-        match segment::merge(&dir, digest, memoize, |id| reusable.contains_key(&id)) {
-            Ok(merge) => {
-                let observer = config.observer.as_ref();
-                observer.counter_add("shard.segments.merged", merge.merged);
-                observer.counter_add("shard.segments.discarded", merge.discarded);
-                inherited.prefetch = merge.entries;
-            }
-            Err(err) => {
-                eprintln!("snake: segment merge failed ({err}); resuming from the journal alone");
-            }
-        }
+    inherited: &Inherited,
+) -> Result<Option<JournalWriter>, CampaignError> {
+    let Some(path) = &config.journal else {
+        return Ok(None);
+    };
+    let writer = if inherited.has_header {
+        JournalWriter::append(path)
     } else {
+        JournalWriter::create(path, &journal_header(config, memoize))
+    };
+    writer.map(Some).map_err(|source| CampaignError::Journal {
+        path: path.clone(),
+        source,
+    })
+}
+
+/// The segment directory this run's workers write into and the campaign
+/// clears on completion (`None` without a journal, or when the directory
+/// cannot be created). A fresh run clears stale segments so it cannot
+/// inherit another campaign's. A resuming run leaves the merged files on
+/// disk until it completes: if the resume itself crashes before
+/// re-journaling a prefetched outcome, the next resume still finds it —
+/// the controller pid in segment filenames keeps this run's own workers
+/// from overwriting them.
+fn open_segment_dir(config: &CampaignConfig) -> Option<PathBuf> {
+    let dir = segment::segment_dir(config.journal.as_deref()?);
+    if !config.resume {
         segment::clear_dir(&dir);
     }
     if config.shards > 0 {

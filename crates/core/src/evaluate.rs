@@ -69,6 +69,14 @@ pub(crate) struct SharedCtx {
 
 pub(crate) type Shared = Arc<SharedCtx>;
 
+/// Joins a start-up thread; one that panicked is re-raised here with the
+/// payload — and so the message — it died with.
+pub(crate) fn join_scoped<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
 impl SharedCtx {
     /// Stands up what every evaluation of a campaign shares, on the
     /// controller and in a shard worker alike: the planned executors for
@@ -87,21 +95,28 @@ impl SharedCtx {
             halt_arming: true,
             observer: config.observer.clone(),
         };
-        let exec = PlannedExecutor::new(spec, exec_options.clone());
-        if !baseline_valid(exec.baseline()) {
-            return Err(CampaignError::InvalidBaseline {
-                implementation: spec.protocol.implementation_name().to_owned(),
-            });
-        }
         // The repeatability re-test compares a different-seed attack run
         // against the matching different-seed baseline.
         let retest_spec = ScenarioSpec {
             seed: spec.seed.wrapping_add(1),
             ..spec.clone()
         };
-        let retest_exec = config
-            .retest
-            .then(|| PlannedExecutor::new(&retest_spec, exec_options));
+        // The two plans share nothing — each is a baseline run plus its
+        // guarded snapshot replay — so they are built side by side: the
+        // re-test plan on a thread of its own, the main plan on this one.
+        let (exec, retest_exec) = std::thread::scope(|scope| {
+            let retest = config.retest.then(|| {
+                let (spec, options) = (&retest_spec, exec_options.clone());
+                scope.spawn(move || PlannedExecutor::new(spec, options))
+            });
+            let exec = PlannedExecutor::new(spec, exec_options);
+            (exec, retest.map(join_scoped))
+        });
+        if !baseline_valid(exec.baseline()) {
+            return Err(CampaignError::InvalidBaseline {
+                implementation: spec.protocol.implementation_name().to_owned(),
+            });
+        }
 
         // Detection envelopes. With `baseline_reps == 1` the envelope is
         // the single baseline and `detect_enveloped` degenerates to the
@@ -465,5 +480,54 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "panic with non-string payload".to_owned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::ProtocolKind;
+    use snake_tcp::Profile;
+
+    #[test]
+    fn a_panicking_start_up_thread_is_re_raised_with_its_own_message() {
+        let caught = std::panic::catch_unwind(|| {
+            std::thread::scope(|scope| {
+                join_scoped(scope.spawn(|| panic!("plan builder fault")));
+            })
+        });
+        let payload = caught.expect_err("the panic must cross the join");
+        assert_eq!(panic_message(payload.as_ref()), "plan builder fault");
+    }
+
+    #[test]
+    fn plans_built_side_by_side_equal_plans_built_in_turn() {
+        let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
+        let config = CampaignConfig::builder(spec.clone())
+            .retest(true)
+            .build()
+            .expect("valid config");
+        let options = ExecutorOptions {
+            snapshot_fork: config.snapshot_fork,
+            memoize: true,
+            halt_arming: true,
+            observer: config.observer.clone(),
+        };
+        let shared = SharedCtx::prepare(config, true).expect("valid baseline");
+        let retest = shared.retest_exec.as_ref().expect("re-testing is on");
+
+        let main_alone = PlannedExecutor::new(&spec, options.clone());
+        let retest_spec = spec.clone().with_seed(spec.seed().wrapping_add(1));
+        let retest_alone = PlannedExecutor::new(&retest_spec, options);
+        assert_eq!(shared.exec.baseline(), main_alone.baseline());
+        assert_eq!(shared.exec.snapshot_count(), main_alone.snapshot_count());
+        assert_eq!(retest.baseline(), retest_alone.baseline());
+        assert_eq!(retest.snapshot_count(), retest_alone.snapshot_count());
+        assert_ne!(
+            shared.exec.baseline(),
+            retest.baseline(),
+            "the two seeds are different runs, so a swap would show"
+        );
+        assert!(main_alone.snapshot_count() > 0);
     }
 }

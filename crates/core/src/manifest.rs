@@ -305,20 +305,39 @@ fn proxy_section(result: &CampaignResult) -> Value {
     obj([("rule_hits", Value::Arr(rows))])
 }
 
-/// Wall-clock timing: total duration, per-phase span totals, and the
-/// per-worker busy/idle/claimed histograms. Everything in here is
-/// nondeterministic by nature; manifest consumers comparing runs must
-/// strip this section (the determinism tests do).
+/// Wall-clock timing: total duration, per-phase span totals with the wall
+/// offsets they cover, the journal-load line counts, and the per-worker
+/// busy/idle/claimed histograms. Everything in here is nondeterministic by
+/// nature; manifest consumers comparing runs must strip this section (the
+/// determinism tests do).
+///
+/// Phases overlap: start-up builds the two plans side by side while the
+/// journal loads, so `wall_nanos` summed over a name is CPU-like and the
+/// `first_start_nanos..last_end_nanos` windows (offsets from the
+/// recorder's creation) are what shows which phases ran beside which.
 fn timing_section(snapshot: &RecorderSnapshot, wall_secs: f64) -> Value {
-    let phases: Vec<(String, Value)> = snapshot
-        .span_totals()
+    // name -> (count, summed wall, first start, last end)
+    let mut totals: BTreeMap<&str, (u64, u64, u64, u64)> = BTreeMap::new();
+    for span in &snapshot.spans {
+        let end = span.wall_start_nanos + span.wall_nanos;
+        let entry = totals
+            .entry(span.name)
+            .or_insert((0, 0, span.wall_start_nanos, end));
+        entry.0 += 1;
+        entry.1 += span.wall_nanos;
+        entry.2 = entry.2.min(span.wall_start_nanos);
+        entry.3 = entry.3.max(end);
+    }
+    let phases: Vec<(String, Value)> = totals
         .into_iter()
-        .map(|(name, (count, wall_nanos))| {
+        .map(|(name, (count, wall_nanos, first_start, last_end))| {
             (
                 name.to_owned(),
                 obj([
                     ("count", Value::U64(count)),
                     ("wall_nanos", Value::U64(wall_nanos)),
+                    ("first_start_nanos", Value::U64(first_start)),
+                    ("last_end_nanos", Value::U64(last_end)),
                 ]),
             )
         })
@@ -332,6 +351,19 @@ fn timing_section(snapshot: &RecorderSnapshot, wall_secs: f64) -> Value {
     obj([
         ("wall_clock_secs", Value::F64(wall_secs)),
         ("phases", Value::Obj(phases)),
+        (
+            "journal",
+            obj([
+                (
+                    "lines_loaded",
+                    Value::U64(snapshot.counter("journal.lines_loaded")),
+                ),
+                (
+                    "lines_skipped",
+                    Value::U64(snapshot.counter("journal.lines_skipped")),
+                ),
+            ]),
+        ),
         ("workers", Value::Obj(workers)),
     ])
 }

@@ -6,7 +6,7 @@
 //! SNAKE on a variety of two-party protocols simply by swapping out the
 //! state machine and packet header descriptions."
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::{parse_dot, StateMachine};
 
@@ -73,20 +73,33 @@ pub const DCCP_DOT: &str = r#"digraph dccp {
 }
 "#;
 
-/// Parses and returns the built-in TCP state machine.
+/// The built-in TCP state machine. Parsed on first use and shared from
+/// then on: the proxy asks for it once per tracked connection.
 pub fn tcp_state_machine() -> Arc<StateMachine> {
-    parse_dot(TCP_DOT).expect("built-in TCP state machine is valid")
+    static MACHINE: OnceLock<Arc<StateMachine>> = OnceLock::new();
+    MACHINE
+        .get_or_init(|| parse_dot(TCP_DOT).expect("built-in TCP state machine is valid"))
+        .clone()
 }
 
-/// Parses and returns the built-in DCCP state machine.
+/// The built-in DCCP state machine, parsed once like the TCP one.
 pub fn dccp_state_machine() -> Arc<StateMachine> {
-    parse_dot(DCCP_DOT).expect("built-in DCCP state machine is valid")
+    static MACHINE: OnceLock<Arc<StateMachine>> = OnceLock::new();
+    MACHINE
+        .get_or_init(|| parse_dot(DCCP_DOT).expect("built-in DCCP state machine is valid"))
+        .clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Dir;
+
+    #[test]
+    fn built_in_machines_are_parsed_once() {
+        assert!(Arc::ptr_eq(&tcp_state_machine(), &tcp_state_machine()));
+        assert!(Arc::ptr_eq(&dccp_state_machine(), &dccp_state_machine()));
+    }
 
     #[test]
     fn tcp_machine_has_eleven_states() {

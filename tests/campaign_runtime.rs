@@ -2,13 +2,15 @@
 //! isolation, event-budget truncation, the streaming JSONL journal, and
 //! kill-and-resume reproducing the same final table.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use snake_core::{
     journal, Campaign, CampaignConfig, CampaignError, CampaignResult, OutcomeKind, ProtocolKind,
     ScenarioSpec,
 };
+use snake_dccp::DccpProfile;
 use snake_tcp::Profile;
 
 fn quick_tcp() -> ScenarioSpec {
@@ -361,6 +363,237 @@ fn journal_and_faults_compose_with_budgets() {
     assert!(
         tsv.contains("errored"),
         "TSV outcome column records the fault"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+// ---- start-up: the plans and the journal's read half run side by side ----
+
+/// A baseline that cannot anchor detection, through the public builder:
+/// one event is not enough to move a byte (`data_secs(0)` is rejected at
+/// build time, so the budget is the route an integration test has).
+fn no_data_tcp() -> ScenarioSpec {
+    quick_tcp().with_event_budget(1)
+}
+
+/// `<journal>.segments`, as the campaign derives it.
+fn segments_dir(journal: &Path) -> PathBuf {
+    let mut s = journal.as_os_str().to_owned();
+    s.push(".segments");
+    PathBuf::from(s)
+}
+
+/// The journal, its `.tmp` sibling and its segment directory with
+/// everything in it, contents included — what start-up may not touch
+/// before the plans are built. Absent paths are simply not listed.
+fn files_beside(journal: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut tmp = journal.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let segments = segments_dir(journal);
+    let mut paths = vec![journal.to_path_buf(), PathBuf::from(tmp), segments.clone()];
+    if let Ok(entries) = std::fs::read_dir(&segments) {
+        paths.extend(entries.flatten().map(|entry| entry.path()));
+    }
+    paths
+        .into_iter()
+        .filter(|path| path.exists())
+        .map(|path| {
+            let bytes = std::fs::read(&path).unwrap_or_default();
+            (path, bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn an_invalid_baseline_touches_no_file() {
+    // The write half of start-up (journal create/append, segment clearing,
+    // segment directory creation) comes strictly after both plans: a
+    // campaign that fails its baseline leaves the disk as it found it.
+    let path = temp_journal("invalid-baseline");
+    let segments = segments_dir(&path);
+    std::fs::remove_dir_all(&segments).ok();
+    let invalid = |resume: bool| {
+        let config = CampaignConfig::builder(no_data_tcp())
+            .cap(3)
+            .feedback_rounds(1)
+            .shards(2)
+            .journal(path.clone())
+            .resume(resume)
+            .build()
+            .expect("valid config");
+        match Campaign::run(config) {
+            Err(CampaignError::InvalidBaseline { .. }) => {}
+            other => panic!("expected InvalidBaseline, got {other:?}"),
+        }
+    };
+
+    // Nothing there: nothing appears.
+    for resume in [false, true] {
+        invalid(resume);
+        assert_eq!(files_beside(&path), BTreeMap::new(), "resume={resume}");
+    }
+
+    // A journal and a segment file from an earlier campaign: both stay
+    // byte-identical.
+    let earlier = CampaignConfig::builder(quick_tcp())
+        .cap(3)
+        .feedback_rounds(1)
+        .retest(false)
+        .journal(path.clone())
+        .build()
+        .expect("valid config");
+    Campaign::run(earlier).unwrap();
+    std::fs::create_dir_all(&segments).unwrap();
+    std::fs::write(segments.join("shard-00-g0-p1.seg"), b"not a segment\n").unwrap();
+    let before = files_beside(&path);
+    assert_eq!(before.len(), 3, "journal, directory, segment: {before:?}");
+    for resume in [false, true] {
+        invalid(resume);
+        assert_eq!(files_beside(&path), before, "resume={resume}");
+    }
+
+    std::fs::remove_dir_all(&segments).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn an_invalid_baseline_outranks_a_foreign_journal() {
+    let path = temp_journal("invalid-vs-mismatch");
+    let config = |spec: ScenarioSpec, resume: bool| {
+        CampaignConfig::builder(spec)
+            .cap(3)
+            .feedback_rounds(1)
+            .retest(false)
+            .journal(path.clone())
+            .resume(resume)
+            .build()
+            .expect("valid config")
+    };
+    Campaign::run(config(quick_tcp(), false)).unwrap();
+
+    // Both complaints apply — the journal is from another seed and the
+    // baseline moves no data. The baseline is the one reported.
+    let spec = no_data_tcp().with_seed(quick_tcp().seed().wrapping_add(99));
+    match Campaign::run(config(spec, true)) {
+        Err(CampaignError::InvalidBaseline { .. }) => {}
+        other => panic!("expected InvalidBaseline, got {other:?}"),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn an_unreadable_header_over_intact_outcomes_is_refused_not_overwritten() {
+    let path = temp_journal("header-flip");
+    let config = |resume: bool| {
+        CampaignConfig::builder(quick_tcp())
+            .cap(12)
+            .feedback_rounds(1)
+            .retest(false)
+            .parallelism(2)
+            .journal(path.clone())
+            .resume(resume)
+            .build()
+            .expect("valid config")
+    };
+    let full = Campaign::run(config(false)).unwrap();
+    let intact = std::fs::read(&path).unwrap();
+
+    // One flipped bit in line 0: twelve finished outcomes sit under a
+    // header that no longer passes its checksum. Starting over would
+    // truncate them, so the resume is refused and the file left alone.
+    let mut damaged = intact.clone();
+    damaged[10] ^= 1;
+    std::fs::write(&path, &damaged).unwrap();
+    match Campaign::run(config(true)) {
+        Err(CampaignError::JournalMismatch { detail, .. }) => {
+            assert!(detail.contains("header"), "{detail}");
+            assert!(detail.contains("12 intact"), "{detail}");
+        }
+        other => panic!("expected JournalMismatch, got {other:?}"),
+    }
+    assert_eq!(std::fs::read(&path).unwrap(), damaged, "journal untouched");
+
+    // A header torn with nothing after it (a writer killed inside its
+    // first line) holds no one's work: resuming it is a fresh run.
+    std::fs::write(&path, &intact[..40]).unwrap();
+    let fresh = Campaign::run(config(true)).unwrap();
+    assert_eq!(fresh.resumed, 0);
+    assert_eq!(fresh.journal_lines_skipped, 1, "the torn header");
+    assert_eq!(table_key(&fresh), table_key(&full));
+    assert_eq!(std::fs::read(&path).unwrap(), intact, "rewritten in full");
+
+    // So is a journal that is not there at all.
+    std::fs::remove_file(&path).unwrap();
+    let fresh = Campaign::run(config(true)).unwrap();
+    assert_eq!((fresh.resumed, fresh.journal_lines_skipped), (0, 0));
+    assert_eq!(std::fs::read(&path).unwrap(), intact);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn resume_reproduces_the_fresh_result_however_start_up_interleaves() {
+    // Start-up runs three jobs at once (two plan builds, the journal
+    // load); a race between them would show as a flaky mismatch here.
+    let dccp = ScenarioSpec::quick(ProtocolKind::Dccp(DccpProfile::linux_3_13()));
+    for (name, spec) in [("tcp", quick_tcp()), ("dccp", dccp)] {
+        for workers in [1, 2] {
+            let path = temp_journal(&format!("overlap-{name}-{workers}"));
+            let config = |resume: bool| {
+                CampaignConfig::builder(spec.clone())
+                    .cap(40)
+                    .feedback_rounds(1)
+                    .parallelism(workers)
+                    .journal(path.clone())
+                    .resume(resume)
+                    .build()
+                    .expect("valid config")
+            };
+            let fresh = Campaign::run(config(false)).unwrap();
+            assert_eq!(fresh.outcomes.len(), 40);
+            for pass in 0..20 {
+                let resumed = Campaign::run(config(true)).unwrap();
+                let at = format!("{name}, {workers} worker(s), pass {pass}");
+                assert_eq!(resumed.resumed, 40, "{at}");
+                assert_eq!(resumed.outcomes, fresh.outcomes, "{at}");
+                assert_eq!(resumed.findings, fresh.findings, "{at}");
+                assert_eq!(resumed.baseline, fresh.baseline, "{at}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
+#[test]
+fn resumed_outcomes_share_reports_the_way_fresh_ones_do() {
+    let path = temp_journal("shared-reports");
+    let config = |resume: bool| {
+        CampaignConfig::builder(quick_tcp())
+            .cap(40)
+            .feedback_rounds(1)
+            .journal(path.clone())
+            .resume(resume)
+            .build()
+            .expect("valid config")
+    };
+    let shares_report = |result: &CampaignResult, a: usize, b: usize| -> bool {
+        Arc::ptr_eq(
+            &result.outcomes[a].metrics.proxy,
+            &result.outcomes[b].metrics.proxy,
+        )
+    };
+    // Memo hits and elided runs carry their representative's report, not
+    // a copy of it.
+    let fresh = Campaign::run(config(false)).unwrap();
+    let (a, b) = (0..40)
+        .flat_map(|a| (a + 1..40).map(move |b| (a, b)))
+        .find(|&(a, b)| shares_report(&fresh, a, b))
+        .expect("the memoized quick campaign shares at least one report");
+
+    let resumed = Campaign::run(config(true)).unwrap();
+    assert_eq!(resumed.resumed, 40);
+    assert!(
+        shares_report(&resumed, a, b),
+        "outcomes {a} and {b} share one report when evaluated and must when decoded"
     );
     std::fs::remove_file(&path).ok();
 }
