@@ -1,6 +1,11 @@
 use std::collections::BTreeMap;
 
-use snake_proxy::{BasicAttack, Endpoint, InjectionAttack, Strategy, StrategyKind};
+use snake_dccp::DccpProfile;
+use snake_packet::FieldMutation;
+use snake_proxy::{
+    BasicAttack, Endpoint, InjectDirection, InjectionAttack, SeqChoice, Strategy, StrategyKind,
+};
+use snake_tcp::Profile;
 
 use crate::detect::Verdict;
 use crate::scenario::{ProtocolKind, TestMetrics};
@@ -41,6 +46,114 @@ pub enum KnownAttack {
 }
 
 impl KnownAttack {
+    /// The nine named attacks, in Table II order.
+    pub const NAMED: [KnownAttack; 9] = [
+        KnownAttack::CloseWaitExhaustion,
+        KnownAttack::InvalidFlagProcessing,
+        KnownAttack::DupAckSpoofing,
+        KnownAttack::ResetAttack,
+        KnownAttack::SynResetAttack,
+        KnownAttack::DupAckRateLimiting,
+        KnownAttack::AckMungExhaustion,
+        KnownAttack::InWindowAckSeqMod,
+        KnownAttack::RequestTermination,
+    ];
+
+    /// The attack's command-line name (`snake replay --attack <slug>`).
+    pub fn slug(&self) -> &'static str {
+        match self {
+            KnownAttack::CloseWaitExhaustion => "close-wait",
+            KnownAttack::InvalidFlagProcessing => "invalid-flags",
+            KnownAttack::DupAckSpoofing => "dupack-spoofing",
+            KnownAttack::ResetAttack => "reset",
+            KnownAttack::SynResetAttack => "syn-reset",
+            KnownAttack::DupAckRateLimiting => "dupack-rate-limiting",
+            KnownAttack::AckMungExhaustion => "ack-mung",
+            KnownAttack::InWindowAckSeqMod => "ack-seq-mod",
+            KnownAttack::RequestTermination => "request-termination",
+            KnownAttack::Other => "other",
+        }
+    }
+
+    /// One strategy the search generates for this attack, with an
+    /// implementation it is found on: replaying it on the evaluation
+    /// scenario is flagged by [`detect`](crate::detect) and classified
+    /// back as this attack. `None` for [`KnownAttack::Other`].
+    pub fn witness(&self) -> Option<(ProtocolKind, Strategy)> {
+        use BasicAttack::{Drop, Duplicate};
+        use KnownAttack::*;
+        let protocol = match self {
+            CloseWaitExhaustion | InvalidFlagProcessing => {
+                ProtocolKind::Tcp(Profile::linux_3_0_0())
+            }
+            DupAckSpoofing => ProtocolKind::Tcp(Profile::windows_95()),
+            ResetAttack | SynResetAttack => ProtocolKind::Tcp(Profile::linux_3_13()),
+            DupAckRateLimiting => ProtocolKind::Tcp(Profile::windows_8_1()),
+            AckMungExhaustion | InWindowAckSeqMod | RequestTermination => {
+                ProtocolKind::Dccp(DccpProfile::linux_3_13())
+            }
+            Other => return None,
+        };
+        let on_packet = |endpoint, state: &str, packet_type: &str, attack| StrategyKind::OnPacket {
+            endpoint,
+            state: state.into(),
+            packet_type: packet_type.into(),
+            attack,
+        };
+        let client =
+            |state, packet_type, attack| on_packet(Endpoint::Client, state, packet_type, attack);
+        let on_state = |state: &str, attack| StrategyKind::OnState {
+            endpoint: Endpoint::Client,
+            state: state.into(),
+            attack,
+        };
+        let lie = |field: &str, mutation| BasicAttack::Lie {
+            field: field.into(),
+            mutation,
+        };
+        let hitseq = |packet_type: &str| {
+            on_state(
+                "ESTABLISHED",
+                InjectionAttack::HitSeqWindow {
+                    packet_type: packet_type.into(),
+                    direction: InjectDirection::ToClient,
+                    stride: 65_535,
+                    count: 66_000,
+                    rate_pps: 20_000,
+                    inert: false,
+                },
+            )
+        };
+        let kind = match self {
+            CloseWaitExhaustion => client("FIN_WAIT_1", "RST", Drop { percent: 100 }),
+            InvalidFlagProcessing => {
+                client("ESTABLISHED", "ACK", lie("syn", FieldMutation::Set(1)))
+            }
+            DupAckSpoofing => client("ESTABLISHED", "ACK", Duplicate { copies: 2 }),
+            ResetAttack => hitseq("RST"),
+            SynResetAttack => hitseq("SYN"),
+            DupAckRateLimiting => on_packet(
+                Endpoint::Server,
+                "ESTABLISHED",
+                "PSH+ACK",
+                Duplicate { copies: 10 },
+            ),
+            AckMungExhaustion => client("OPEN", "ACK", Drop { percent: 100 }),
+            InWindowAckSeqMod => client("OPEN", "ACK", lie("seq", FieldMutation::Add(25))),
+            RequestTermination => on_state(
+                "REQUEST",
+                InjectionAttack::Inject {
+                    packet_type: "SYNC".into(),
+                    seq: SeqChoice::Random,
+                    direction: InjectDirection::ToClient,
+                    repeat: 3,
+                },
+            ),
+            Other => return None,
+        };
+        Some((protocol, Strategy { id: 1, kind }))
+    }
+
     /// The attack's name as the paper's Table II gives it.
     pub fn name(&self) -> &'static str {
         match self {
@@ -251,8 +364,6 @@ pub fn cluster_attacks(classified: &[(Strategy, Verdict, KnownAttack)]) -> Vec<A
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snake_proxy::{InjectDirection, SeqChoice};
-    use snake_tcp::Profile;
 
     fn tcp() -> ProtocolKind {
         ProtocolKind::Tcp(Profile::linux_3_0_0())

@@ -7,7 +7,7 @@
 //!               [--cap N] [--quick] [--manifest FILE] [--observe-summary] …
 //! snake shard-worker --connect ADDR       executor process for --shards
 //! snake replay --attack close-wait        replay a named Table II attack
-//! snake search-space                      the §VI-C injection-model comparison
+//! snake tables                            regenerate the paper's evaluation tables
 //! ```
 //!
 //! Flag handling is table-driven: each command declares its flags once in
@@ -20,18 +20,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use snake_core::search::SearchSpaceParams;
+use snake_core::tables::{shape_failures, Tables};
 use snake_core::{
     build_run_manifest, detect, render_table1, render_table2, Campaign, CampaignConfig, ChaosPlan,
-    Executor, FlowGroup, FlowRole, ProtocolKind, Recorder, ScenarioSpec, TopologyKind,
+    Executor, FlowGroup, FlowRole, KnownAttack, ProtocolKind, Recorder, ScenarioSpec, TopologyKind,
     DEFAULT_THRESHOLD,
 };
 use snake_dccp::DccpProfile;
 use snake_netsim::{preset_names, Impairment, LinkSpec, SimDuration};
-use snake_packet::FieldMutation;
-use snake_proxy::{
-    BasicAttack, Endpoint, InjectDirection, InjectionAttack, SeqChoice, Strategy, StrategyKind,
-};
 use snake_tcp::Profile;
 
 const IMPLEMENTATIONS: &[(&str, &str)] = &[
@@ -40,29 +36,6 @@ const IMPLEMENTATIONS: &[(&str, &str)] = &[
     ("windows-8.1", "TCP, Windows 8.1"),
     ("windows-95", "TCP, Windows 95"),
     ("dccp", "DCCP, Linux kernel 3.13 (CCID-2)"),
-];
-
-const ATTACKS: &[(&str, &str)] = &[
-    ("close-wait", "CLOSE_WAIT Resource Exhaustion (TCP, Linux)"),
-    (
-        "dupack-spoofing",
-        "Duplicate Acknowledgment Spoofing (TCP, Windows 95)",
-    ),
-    (
-        "dupack-rate-limiting",
-        "Duplicate Acknowledgment Rate Limiting (TCP, Windows 8.1)",
-    ),
-    ("reset", "Reset Attack (TCP, all implementations)"),
-    ("syn-reset", "SYN-Reset Attack (TCP, all implementations)"),
-    ("ack-mung", "Acknowledgment Mung Resource Exhaustion (DCCP)"),
-    (
-        "ack-seq-mod",
-        "In-window Ack Sequence Number Modification (DCCP)",
-    ),
-    (
-        "request-termination",
-        "REQUEST Connection Termination (DCCP)",
-    ),
 ];
 
 /// One flag a command accepts: `arg` is `None` for a bare switch, or the
@@ -225,8 +198,8 @@ const COMMANDS: &[CommandSpec] = &[
         flags: &[value("--attack", "NAME", "attack to replay (`snake list`)")],
     },
     CommandSpec {
-        name: "search-space",
-        summary: "the §VI-C injection-model comparison",
+        name: "tables",
+        summary: "regenerate the paper's evaluation tables and check their shape",
         flags: &[],
     },
 ];
@@ -351,7 +324,7 @@ fn main() -> ExitCode {
                 "campaign" => cmd_campaign(spec, &flags),
                 "shard-worker" => cmd_shard_worker(&flags),
                 "replay" => cmd_replay(&flags),
-                "search-space" => cmd_search_space(),
+                "tables" => cmd_tables(),
                 other => unreachable!("command {other} declared but not dispatched"),
             }),
         },
@@ -531,8 +504,14 @@ fn cmd_list() -> Result<(), String> {
         println!("  {name:<22} {desc}");
     }
     println!("\nattacks (--attack):");
-    for (name, desc) in ATTACKS {
-        println!("  {name:<22} {desc}");
+    for attack in KnownAttack::NAMED {
+        let (protocol, _) = attack.witness().expect("named attacks have a witness");
+        println!(
+            "  {:<22} {} (replays on {})",
+            attack.slug(),
+            attack.name(),
+            protocol.implementation_name()
+        );
     }
     Ok(())
 }
@@ -813,7 +792,11 @@ fn print_observe_summary(snapshot: &snake_core::RecorderSnapshot, wall_secs: f64
 
 fn cmd_replay(flags: &ParsedFlags<'_>) -> Result<(), String> {
     let name = flags.get("--attack").ok_or("missing --attack <name>")?;
-    let (protocol, strategy) = named_attack(name)?;
+    let (protocol, strategy) = KnownAttack::NAMED
+        .iter()
+        .find(|a| a.slug() == name)
+        .and_then(KnownAttack::witness)
+        .ok_or_else(|| format!("unknown attack `{name}` (try `snake list`)"))?;
     let spec = ScenarioSpec::evaluation(protocol);
     let baseline = Executor::run(&spec, None);
     let attacked = Executor::run(&spec, Some(strategy.clone()));
@@ -838,107 +821,22 @@ fn cmd_replay(flags: &ParsedFlags<'_>) -> Result<(), String> {
     Ok(())
 }
 
-fn named_attack(name: &str) -> Result<(ProtocolKind, Strategy), String> {
-    let on_packet = |endpoint, state: &str, ptype: &str, attack| Strategy {
-        id: 1,
-        kind: StrategyKind::OnPacket {
-            endpoint,
-            state: state.into(),
-            packet_type: ptype.into(),
-            attack,
-        },
-    };
-    Ok(match name {
-        "close-wait" => (
-            ProtocolKind::Tcp(Profile::linux_3_0_0()),
-            on_packet(
-                Endpoint::Client,
-                "FIN_WAIT_1",
-                "RST",
-                BasicAttack::Drop { percent: 100 },
-            ),
-        ),
-        "dupack-spoofing" => (
-            ProtocolKind::Tcp(Profile::windows_95()),
-            on_packet(
-                Endpoint::Client,
-                "ESTABLISHED",
-                "ACK",
-                BasicAttack::Duplicate { copies: 2 },
-            ),
-        ),
-        "dupack-rate-limiting" => (
-            ProtocolKind::Tcp(Profile::windows_8_1()),
-            on_packet(
-                Endpoint::Server,
-                "ESTABLISHED",
-                "PSH+ACK",
-                BasicAttack::Duplicate { copies: 10 },
-            ),
-        ),
-        "reset" | "syn-reset" => (
-            ProtocolKind::Tcp(Profile::linux_3_13()),
-            Strategy {
-                id: 1,
-                kind: StrategyKind::OnState {
-                    endpoint: Endpoint::Client,
-                    state: "ESTABLISHED".into(),
-                    attack: InjectionAttack::HitSeqWindow {
-                        packet_type: if name == "reset" { "RST" } else { "SYN" }.into(),
-                        direction: InjectDirection::ToClient,
-                        stride: 65_535,
-                        count: 66_000,
-                        rate_pps: 20_000,
-                        inert: false,
-                    },
-                },
-            },
-        ),
-        "ack-mung" => (
-            ProtocolKind::Dccp(DccpProfile::linux_3_13()),
-            on_packet(
-                Endpoint::Client,
-                "OPEN",
-                "ACK",
-                BasicAttack::Drop { percent: 100 },
-            ),
-        ),
-        "ack-seq-mod" => (
-            ProtocolKind::Dccp(DccpProfile::linux_3_13()),
-            on_packet(
-                Endpoint::Client,
-                "OPEN",
-                "ACK",
-                BasicAttack::Lie {
-                    field: "seq".into(),
-                    mutation: FieldMutation::Add(25),
-                },
-            ),
-        ),
-        "request-termination" => (
-            ProtocolKind::Dccp(DccpProfile::linux_3_13()),
-            Strategy {
-                id: 1,
-                kind: StrategyKind::OnState {
-                    endpoint: Endpoint::Client,
-                    state: "REQUEST".into(),
-                    attack: InjectionAttack::Inject {
-                        packet_type: "SYNC".into(),
-                        seq: SeqChoice::Random,
-                        direction: InjectDirection::ToClient,
-                        repeat: 3,
-                    },
-                },
-            },
-        ),
-        other => return Err(format!("unknown attack `{other}` (try `snake list`)")),
-    })
-}
-
-fn cmd_search_space() -> Result<(), String> {
-    println!("Search-space comparison (paper §VI-C, published parameters):\n");
-    println!("{}", SearchSpaceParams::paper().render());
-    Ok(())
+/// `snake tables` — every measured table of EXPERIMENTS.md as markdown on
+/// stdout, then the paper-shape checks; fails naming each check that does
+/// not hold.
+fn cmd_tables() -> Result<(), String> {
+    let tables = Tables::collect().map_err(|e| e.to_string())?;
+    print!("{}", tables.render());
+    let failures = shape_failures(&tables);
+    if failures.is_empty() {
+        eprintln!("every paper-shape check holds");
+        return Ok(());
+    }
+    Err(format!(
+        "{} paper-shape check(s) failed:\n  {}",
+        failures.len(),
+        failures.join("\n  ")
+    ))
 }
 
 fn mbps(bytes: u64, secs: u64) -> f64 {

@@ -22,6 +22,8 @@
 //!   unique attacks of Table II.
 //! * [`search`] — the §VI-C comparison against the send-packet-based and
 //!   time-interval-based injection models.
+//! * [`tables`] — the whole evaluation regenerated in one pass (`snake
+//!   tables`), with the paper's shape as checks over it.
 //!
 //! # Examples
 //!
@@ -80,6 +82,7 @@ pub mod search;
 mod segment;
 mod shard;
 mod strategen;
+pub mod tables;
 
 pub use attacks::{classify, cluster_attacks, AttackFinding, KnownAttack};
 pub use campaign::Campaign;

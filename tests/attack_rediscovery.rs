@@ -5,22 +5,12 @@
 
 use snake_core::{detect, Executor, KnownAttack, ProtocolKind, ScenarioSpec, DEFAULT_THRESHOLD};
 use snake_dccp::DccpProfile;
-use snake_packet::FieldMutation;
-use snake_proxy::{
-    BasicAttack, Endpoint, InjectDirection, InjectionAttack, SeqChoice, Strategy, StrategyKind,
-};
+use snake_proxy::Strategy;
 use snake_tcp::Profile;
 
-fn on_packet(endpoint: Endpoint, state: &str, ptype: &str, attack: BasicAttack) -> Strategy {
-    Strategy {
-        id: 1,
-        kind: StrategyKind::OnPacket {
-            endpoint,
-            state: state.into(),
-            packet_type: ptype.into(),
-            attack,
-        },
-    }
+/// The strategy `snake replay --attack` runs for `attack`.
+fn strategy(attack: KnownAttack) -> Strategy {
+    attack.witness().expect("named attacks have a witness").1
 }
 
 fn run_tcp(profile: Profile, strategy: Strategy) -> (snake_core::Verdict, snake_core::TestMetrics) {
@@ -41,17 +31,9 @@ fn run_dccp(strategy: Strategy) -> (snake_core::Verdict, snake_core::TestMetrics
 /// aborts with a bare RST and its 5-retry give-up frees the socket).
 #[test]
 fn close_wait_exhaustion_on_linux_only() {
-    let strategy = || {
-        on_packet(
-            Endpoint::Client,
-            "FIN_WAIT_1",
-            "RST",
-            BasicAttack::Drop { percent: 100 },
-        )
-    };
     for profile in [Profile::linux_3_0_0(), Profile::linux_3_13()] {
         let name = profile.name.clone();
-        let (verdict, metrics) = run_tcp(profile, strategy());
+        let (verdict, metrics) = run_tcp(profile, strategy(KnownAttack::CloseWaitExhaustion));
         assert!(verdict.socket_leak, "{name}: must leak");
         assert!(metrics.leaked_close_wait > 0, "{name}: stuck in CLOSE_WAIT");
     }
@@ -59,7 +41,7 @@ fn close_wait_exhaustion_on_linux_only() {
         let name = profile.name.clone();
         // Windows clients never send RSTs from FIN_WAIT_1 (no FIN on
         // abort), so the strategy matches nothing.
-        let (verdict, _) = run_tcp(profile, strategy());
+        let (verdict, _) = run_tcp(profile, strategy(KnownAttack::CloseWaitExhaustion));
         assert!(!verdict.socket_leak, "{name}: must not leak");
     }
 }
@@ -68,15 +50,7 @@ fn close_wait_exhaustion_on_linux_only() {
 /// sender's window — Windows 95 only.
 #[test]
 fn dup_ack_spoofing_on_windows_95_only() {
-    let strategy = || {
-        on_packet(
-            Endpoint::Client,
-            "ESTABLISHED",
-            "ACK",
-            BasicAttack::Duplicate { copies: 2 },
-        )
-    };
-    let (verdict, _) = run_tcp(Profile::windows_95(), strategy());
+    let (verdict, _) = run_tcp(Profile::windows_95(), strategy(KnownAttack::DupAckSpoofing));
     assert!(
         verdict.throughput_gain,
         "Windows 95 gains from duplicated acks"
@@ -84,7 +58,7 @@ fn dup_ack_spoofing_on_windows_95_only() {
 
     for profile in [Profile::linux_3_0_0(), Profile::linux_3_13()] {
         let name = profile.name.clone();
-        let (verdict, _) = run_tcp(profile, strategy());
+        let (verdict, _) = run_tcp(profile, strategy(KnownAttack::DupAckSpoofing));
         assert!(
             !verdict.throughput_gain,
             "{name}: DSACK filtering prevents the gain"
@@ -96,28 +70,13 @@ fn dup_ack_spoofing_on_windows_95_only() {
 /// implementation is vulnerable (the behaviour is specified by RFC 793).
 #[test]
 fn reset_and_syn_reset_on_all_implementations() {
-    for ptype in ["RST", "SYN"] {
+    for attack in [KnownAttack::ResetAttack, KnownAttack::SynResetAttack] {
         for profile in Profile::all() {
             let name = profile.name.clone();
-            let strategy = Strategy {
-                id: 1,
-                kind: StrategyKind::OnState {
-                    endpoint: Endpoint::Client,
-                    state: "ESTABLISHED".into(),
-                    attack: InjectionAttack::HitSeqWindow {
-                        packet_type: ptype.into(),
-                        direction: InjectDirection::ToClient,
-                        stride: 65_535,
-                        count: 66_000,
-                        rate_pps: 20_000,
-                        inert: false,
-                    },
-                },
-            };
-            let (verdict, _) = run_tcp(profile, strategy);
+            let (verdict, _) = run_tcp(profile, strategy(attack));
             assert!(
                 verdict.throughput_degradation || verdict.establishment_prevented,
-                "{name}: {ptype} window brute force must kill the connection"
+                "{name}: the {attack} window brute force must kill the connection"
             );
         }
     }
@@ -128,18 +87,16 @@ fn reset_and_syn_reset_on_all_implementations() {
 /// filtering keeps it fair.
 #[test]
 fn dup_ack_rate_limiting_on_windows_81_only() {
-    let strategy = || {
-        on_packet(
-            Endpoint::Server,
-            "ESTABLISHED",
-            "PSH+ACK",
-            BasicAttack::Duplicate { copies: 10 },
-        )
-    };
-    let (verdict, _) = run_tcp(Profile::windows_8_1(), strategy());
+    let (verdict, _) = run_tcp(
+        Profile::windows_8_1(),
+        strategy(KnownAttack::DupAckRateLimiting),
+    );
     assert!(verdict.throughput_degradation, "Windows 8.1 degrades ~5x");
 
-    let (verdict, _) = run_tcp(Profile::linux_3_13(), strategy());
+    let (verdict, _) = run_tcp(
+        Profile::linux_3_13(),
+        strategy(KnownAttack::DupAckRateLimiting),
+    );
     assert!(
         !verdict.throughput_degradation,
         "Linux shows approximately fair sharing in the same scenario"
@@ -147,25 +104,17 @@ fn dup_ack_rate_limiting_on_windows_81_only() {
 }
 
 /// Table II row 2: invalid-flag handling differs per implementation
-/// (fingerprinting). Verified at the engine level by the `fingerprint`
-/// example; here we check the flag-lie strategy class is flagged on the
-/// best-effort stacks via its connection impact.
+/// (fingerprinting). The per-implementation response matrix is E2 of
+/// `snake tables`; here we check the flag-lie strategy class is flagged on
+/// the best-effort stacks via its connection impact.
 #[test]
 fn invalid_flag_probes_have_observable_impact() {
-    let strategy = || {
-        on_packet(
-            Endpoint::Client,
-            "ESTABLISHED",
-            "ACK",
-            BasicAttack::Lie {
-                field: "syn".into(),
-                mutation: FieldMutation::Set(1),
-            },
-        )
-    };
     // Setting SYN on the client's own acks makes them in-window SYNs: the
     // server resets (RFC 793) — observable on every implementation.
-    let (verdict, _) = run_tcp(Profile::linux_3_0_0(), strategy());
+    let (verdict, _) = run_tcp(
+        Profile::linux_3_0_0(),
+        strategy(KnownAttack::InvalidFlagProcessing),
+    );
     assert!(
         verdict.flagged(),
         "in-window SYN via flag lie must be flagged"
@@ -177,13 +126,7 @@ fn invalid_flag_probes_have_observable_impact() {
 /// the socket hangs.
 #[test]
 fn dccp_ack_mung_resource_exhaustion() {
-    let strategy = on_packet(
-        Endpoint::Client,
-        "OPEN",
-        "ACK",
-        BasicAttack::Drop { percent: 100 },
-    );
-    let (verdict, metrics) = run_dccp(strategy);
+    let (verdict, metrics) = run_dccp(strategy(KnownAttack::AckMungExhaustion));
     assert!(verdict.socket_leak, "server socket must hang: {metrics:?}");
     assert!(
         verdict.throughput_degradation,
@@ -196,16 +139,7 @@ fn dccp_ack_mung_resource_exhaustion() {
 /// over.
 #[test]
 fn dccp_in_window_ack_seq_modification() {
-    let strategy = on_packet(
-        Endpoint::Client,
-        "OPEN",
-        "ACK",
-        BasicAttack::Lie {
-            field: "seq".into(),
-            mutation: FieldMutation::Add(25),
-        },
-    );
-    let (verdict, metrics) = run_dccp(strategy);
+    let (verdict, metrics) = run_dccp(strategy(KnownAttack::InWindowAckSeqMod));
     assert!(verdict.throughput_degradation, "resync storm: {metrics:?}");
     assert!(metrics.proxy.packets_seen > 0);
 }
@@ -215,20 +149,7 @@ fn dccp_in_window_ack_seq_modification() {
 /// because the RFC (and Linux) check the type before the sequence numbers.
 #[test]
 fn dccp_request_connection_termination() {
-    let strategy = Strategy {
-        id: 1,
-        kind: StrategyKind::OnState {
-            endpoint: Endpoint::Client,
-            state: "REQUEST".into(),
-            attack: InjectionAttack::Inject {
-                packet_type: "SYNC".into(),
-                seq: SeqChoice::Random,
-                direction: InjectDirection::ToClient,
-                repeat: 3,
-            },
-        },
-    };
-    let (verdict, _) = run_dccp(strategy);
+    let (verdict, _) = run_dccp(strategy(KnownAttack::RequestTermination));
     assert!(
         verdict.establishment_prevented,
         "connection must never establish"
@@ -238,12 +159,7 @@ fn dccp_request_connection_termination() {
 /// The classifier names each rediscovered attack as Table II does.
 #[test]
 fn classifier_names_the_close_wait_attack() {
-    let strategy = on_packet(
-        Endpoint::Client,
-        "FIN_WAIT_1",
-        "RST",
-        BasicAttack::Drop { percent: 100 },
-    );
+    let strategy = strategy(KnownAttack::CloseWaitExhaustion);
     let protocol = ProtocolKind::Tcp(Profile::linux_3_0_0());
     let spec = ScenarioSpec::evaluation(protocol.clone());
     let baseline = Executor::run(&spec, None);
@@ -252,4 +168,22 @@ fn classifier_names_the_close_wait_attack() {
     let attack = snake_core::classify(&protocol, &strategy, &verdict, &attacked);
     let classified = snake_core::cluster_attacks(&[(strategy, verdict, attack)]);
     assert_eq!(classified[0].attack, KnownAttack::CloseWaitExhaustion);
+}
+
+/// Every named attack's witness — the strategy `snake replay --attack`
+/// runs — is flagged and classified back as that attack.
+#[test]
+fn every_witness_round_trips_through_the_classifier() {
+    for attack in KnownAttack::NAMED {
+        let (protocol, strategy) = attack.witness().expect("named attacks have a witness");
+        let spec = ScenarioSpec::evaluation(protocol.clone());
+        let baseline = Executor::run(&spec, None);
+        let attacked = Executor::run(&spec, Some(strategy.clone()));
+        let verdict = detect(&baseline, &attacked, DEFAULT_THRESHOLD);
+        assert!(verdict.flagged(), "{}: witness not flagged", attack.name());
+        assert_eq!(
+            snake_core::classify(&protocol, &strategy, &verdict, &attacked),
+            attack
+        );
+    }
 }
