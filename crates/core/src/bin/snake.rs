@@ -712,11 +712,10 @@ fn print_observe_summary(snapshot: &snake_core::RecorderSnapshot, wall_secs: f64
         snapshot.counter("exec.runs.halted"),
     );
     eprintln!(
-        "  netsim: {} events, {} timers cancelled, {} purged, {} queue compactions",
+        "  netsim: {} events, {} timers cancelled, {} purged",
         snapshot.counter("netsim.events"),
         snapshot.counter("netsim.timers_cancelled"),
         snapshot.counter("netsim.timers_purged"),
-        snapshot.counter("netsim.queue_compactions"),
     );
     eprintln!(
         "  netsim queue/arena: {} summed depth high-water, {} arena allocs, {} arena reuses",

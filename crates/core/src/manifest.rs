@@ -187,7 +187,6 @@ fn netsim_section(snapshot: &RecorderSnapshot) -> Value {
         ("events", c("netsim.events")),
         ("timers_cancelled", c("netsim.timers_cancelled")),
         ("timers_purged", c("netsim.timers_purged")),
-        ("queue_compactions", c("netsim.queue_compactions")),
         ("queue_depth_hwm", c("netsim.queue.depth_hwm")),
         ("arena_alloc", c("netsim.arena.alloc")),
         ("arena_reuse", c("netsim.arena.reuse")),

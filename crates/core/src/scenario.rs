@@ -653,7 +653,6 @@ fn record_sim_stats(observer: &dyn Observer, sim: &Simulator) {
     observer.counter_add("netsim.events", stats.events_processed);
     observer.counter_add("netsim.timers_cancelled", stats.timers_cancelled);
     observer.counter_add("netsim.timers_purged", stats.timers_purged);
-    observer.counter_add("netsim.queue_compactions", stats.queue_compactions);
     observer.counter_add("netsim.queue.depth_hwm", stats.queue_depth_hwm);
     observer.counter_add("netsim.arena.alloc", stats.arena_alloc);
     observer.counter_add("netsim.arena.reuse", stats.arena_reuse);

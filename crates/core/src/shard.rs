@@ -158,7 +158,6 @@ const WORKER_COUNTERS: &[&str] = &[
     "netsim.events",
     "netsim.timers_cancelled",
     "netsim.timers_purged",
-    "netsim.queue_compactions",
     "netsim.queue.depth_hwm",
     "netsim.arena.alloc",
     "netsim.arena.reuse",

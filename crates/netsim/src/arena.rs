@@ -1,24 +1,34 @@
 //! Slab-style recycling arena for in-flight [`Packet`] storage.
 //!
-//! Every packet travelling through the simulator — parked in a scheduled
-//! event, a channel queue, or a delivery FIFO — lives in one `PacketArena`
-//! slot and is referred to by a 4-byte [`PacketRef`](crate::sched::PacketRef)
-//! index. Taking a packet returns its slot to a free list, so steady-state
-//! traffic recycles a small working set of `Packet` (and, transitively,
-//! inline [`HeaderBuf`](crate::smallbuf::HeaderBuf)) storage instead of
-//! allocating per hop. Slots are handed out deterministically (LIFO free
-//! list, then append), so the arena's layout — and therefore a forked
-//! clone of it — is a pure function of the event history.
+//! A packet is parked here once, when an agent's send or a tap's emission
+//! hands it to the simulator, and stays put for its whole journey: channel
+//! queues and in-flight slots, delivery FIFOs and scheduled events all
+//! carry its 4-byte [`PacketRef`] instead of the ~90-byte `Packet`. It
+//! leaves only when an agent or a tap receives it by value
+//! ([`take`](PacketArena::take)); a drop anywhere on the path
+//! ([`free`](PacketArena::free)) just vacates the slot. Vacated slots go
+//! to a free list, so steady-state traffic recycles a small working set of
+//! `Packet` (and, transitively, inline
+//! [`HeaderBuf`](crate::smallbuf::HeaderBuf)) storage instead of
+//! allocating. Slots are handed out deterministically (LIFO free list,
+//! then append), so the arena's layout — and therefore a forked clone of
+//! it — is a pure function of the event history.
 
 use crate::packet::Packet;
 
-/// Recycling store for packets referenced by scheduled events and channel
-/// queues. Cloning clones the slots verbatim, which is exactly what the
-/// snapshot-fork path needs: outstanding `PacketRef`s in the cloned event
-/// queue resolve to identical packet bytes in the cloned arena.
+/// Index of a packet parked in a [`PacketArena`]. Events, channel queues
+/// and delivery FIFOs carry this instead of the packet, so heap sifts,
+/// wheel cascades and queue shifts move small `Copy` entries.
+pub(crate) type PacketRef = u32;
+
+/// Recycling store for every packet the simulator holds. Cloning clones
+/// the slots verbatim, which is exactly what the snapshot-fork path needs:
+/// outstanding `PacketRef`s in the cloned queue and channels resolve to
+/// identical packet bytes in the cloned arena.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PacketArena {
-    slots: Vec<Packet>,
+    /// `None` while vacated.
+    slots: Vec<Option<Packet>>,
     /// Indices of vacated slots, reused LIFO.
     free: Vec<u32>,
     /// Slots created because the free list was empty.
@@ -28,28 +38,47 @@ pub(crate) struct PacketArena {
 }
 
 impl PacketArena {
-    /// Parks a packet, returning the slot index to embed in an event.
-    pub(crate) fn insert(&mut self, packet: Packet) -> u32 {
+    /// Parks a packet, returning its ref.
+    pub(crate) fn insert(&mut self, packet: Packet) -> PacketRef {
         match self.free.pop() {
             Some(idx) => {
                 self.reuses += 1;
-                self.slots[idx as usize] = packet;
+                self.slots[idx as usize] = Some(packet);
                 idx
             }
             None => {
                 self.allocs += 1;
                 let idx = self.slots.len() as u32;
-                self.slots.push(packet);
+                self.slots.push(Some(packet));
                 idx
             }
         }
     }
 
-    /// Removes and returns the packet at `idx`, vacating the slot. Each
-    /// ref is taken exactly once — events own their packet refs uniquely.
-    pub(crate) fn take(&mut self, idx: u32) -> Packet {
-        self.free.push(idx);
-        std::mem::replace(&mut self.slots[idx as usize], Packet::tombstone())
+    /// The packet behind a live ref.
+    pub(crate) fn get(&self, packet: PacketRef) -> &Packet {
+        self.slots[packet as usize]
+            .as_ref()
+            .expect("live packet ref")
+    }
+
+    /// Parks a copy of a live packet (the duplication impairment).
+    pub(crate) fn duplicate(&mut self, packet: PacketRef) -> PacketRef {
+        let copy = self.get(packet).clone();
+        self.insert(copy)
+    }
+
+    /// Removes and returns the packet, vacating its slot. Each ref is
+    /// taken or freed exactly once — its holder owns it uniquely.
+    pub(crate) fn take(&mut self, packet: PacketRef) -> Packet {
+        self.free.push(packet);
+        self.slots[packet as usize].take().expect("live packet ref")
+    }
+
+    /// Drops a packet where it is parked, vacating its slot.
+    pub(crate) fn free(&mut self, packet: PacketRef) {
+        self.free.push(packet);
+        self.slots[packet as usize] = None;
     }
 
     /// Slots ever created (the arena's high-water occupancy).
@@ -65,6 +94,12 @@ impl PacketArena {
     /// Total insertions served from the free list.
     pub(crate) fn reuses(&self) -> u64 {
         self.reuses
+    }
+
+    /// Packets currently parked (slots not on the free list).
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -110,5 +145,20 @@ mod tests {
         // Both sides hand out the same slot next and resolve b equally.
         assert_eq!(arena.insert(pkt(9)), fork.insert(pkt(9)));
         assert_eq!(arena.take(1).payload_len, fork.take(1).payload_len);
+    }
+
+    #[test]
+    fn duplicates_and_frees_keep_the_live_count() {
+        let mut arena = PacketArena::default();
+        let a = arena.insert(pkt(5));
+        let copy = arena.duplicate(a);
+        assert_eq!(arena.get(copy), arena.get(a));
+        assert_eq!(arena.live(), 2);
+        arena.free(a);
+        assert_eq!(arena.live(), 1);
+        // The freed slot is the next one handed out.
+        assert_eq!(arena.insert(pkt(6)), a);
+        assert_eq!(arena.take(copy).payload_len, 5);
+        assert_eq!(arena.live(), 1);
     }
 }

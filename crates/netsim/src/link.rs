@@ -3,8 +3,8 @@ use std::collections::VecDeque;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::arena::{PacketArena, PacketRef};
 use crate::impair::{Impairment, PPM};
-use crate::packet::Packet;
 use crate::time::{tx_delay, SimDuration, SimTime};
 
 /// Identifier of a duplex link between two nodes.
@@ -149,9 +149,22 @@ pub(crate) const LANE_AQM: u64 = 1;
 /// Lane salt for a channel's impairment draws.
 pub(crate) const LANE_IMPAIR: u64 = 2;
 
+/// A packet as a channel holds it: its arena ref, plus the wire length
+/// its transmission time and byte count need — 8 bytes instead of the
+/// packet itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Parked {
+    pub(crate) packet: PacketRef,
+    wire_len: u32,
+}
+
 /// One direction of a duplex link: a FIFO tail-drop queue feeding a
 /// transmitter, followed by fixed propagation delay, with an optional
 /// impairment stage in front of the queue.
+///
+/// Packets stay parked in the simulator's [`PacketArena`]; the channel
+/// queues their refs, and every path that drops one — flap, loss,
+/// corruption, tail drop, RED — frees its slot.
 ///
 /// Each channel owns two private RNG lanes derived from the simulator
 /// seed and the channel's index: one for AQM drop decisions, one for
@@ -162,8 +175,8 @@ pub(crate) const LANE_IMPAIR: u64 = 2;
 #[derive(Debug, Clone)]
 pub(crate) struct Channel {
     pub(crate) spec: LinkSpec,
-    queue: VecDeque<Packet>,
-    in_flight: Option<Packet>,
+    queue: VecDeque<Parked>,
+    in_flight: Option<Parked>,
     aqm_rng: SmallRng,
     impair_rng: SmallRng,
     pub(crate) stats: ChannelStats,
@@ -193,92 +206,108 @@ impl Channel {
         ppm > 0 && self.impair_rng.gen_range(0..PPM) < ppm
     }
 
-    /// Offers a packet to the channel. Returns the completion time of a
-    /// newly started transmission (the caller schedules the dequeue event),
-    /// or `None` if the packet was queued behind an in-flight one or
-    /// dropped.
+    /// Offers a parked packet to the channel. Returns the completion time
+    /// of a newly started transmission (the caller schedules the dequeue
+    /// event), or `None` if the packet was queued behind an in-flight one
+    /// or dropped.
     ///
     /// Impairments run in front of the queue in a fixed order — flap
     /// window (no draw), loss, corruption, duplication — and each draw
     /// happens only when its probability is non-zero, so an unimpaired
     /// channel never touches its impairment lane.
-    pub(crate) fn enqueue(&mut self, packet: Packet, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn enqueue(
+        &mut self,
+        packet: PacketRef,
+        arena: &mut PacketArena,
+        now: SimTime,
+    ) -> Option<SimTime> {
         let impair = self.spec.impair;
-        if let Some(flap) = &impair.flap {
-            if flap.is_down(now) {
-                self.stats.flap_dropped += 1;
-                return None;
-            }
-        }
-        if self.draw(impair.loss_ppm) {
-            self.stats.lost += 1;
-            return None;
-        }
-        if self.draw(impair.corrupt_ppm) {
+        let dropped = if impair.flap.is_some_and(|flap| flap.is_down(now)) {
+            Some(&mut self.stats.flap_dropped)
+        } else if self.draw(impair.loss_ppm) {
+            Some(&mut self.stats.lost)
+        } else if self.draw(impair.corrupt_ppm) {
             // Corrupted on the wire: the receiving side's frame check fails
             // and the frame is discarded, so corruption is loss with its
             // own counter and its own independent draw.
-            self.stats.corrupted += 1;
+            Some(&mut self.stats.corrupted)
+        } else {
+            None
+        };
+        if let Some(counter) = dropped {
+            *counter += 1;
+            arena.free(packet);
             return None;
         }
-        let copy = self.draw(impair.dup_ppm).then(|| packet.clone());
-        let started = self.admit(packet, now);
+        let parked = Parked {
+            packet,
+            wire_len: arena.get(packet).wire_len(),
+        };
+        let copy = self.draw(impair.dup_ppm).then(|| Parked {
+            packet: arena.duplicate(packet),
+            ..parked
+        });
+        let started = self.admit(parked, arena, now);
         if let Some(copy) = copy {
             self.stats.duplicated += 1;
             // The original is now in flight or queued (or tail-dropped with
             // the queue full), so the copy can never start a transmission.
-            let also = self.admit(copy, now);
+            let also = self.admit(copy, arena, now);
             debug_assert!(also.is_none(), "duplicate started a transmission");
         }
         started
     }
 
     /// Queue admission: the tail-drop/RED stage behind the impairments.
-    fn admit(&mut self, packet: Packet, now: SimTime) -> Option<SimTime> {
+    fn admit(&mut self, parked: Parked, arena: &mut PacketArena, now: SimTime) -> Option<SimTime> {
         if self.in_flight.is_none() {
             self.stats.enqueued += 1;
-            let done = now + self.tx_time(&packet);
-            self.in_flight = Some(packet);
-            return Some(done);
+            self.in_flight = Some(parked);
+            return Some(now + self.tx_time(parked));
         }
-        if self.queue.len() >= self.spec.queue_packets {
+        if self.queue.len() >= self.spec.queue_packets || self.red_drops() {
             self.stats.dropped += 1;
+            arena.free(parked.packet);
             return None;
         }
-        if self.spec.aqm == Aqm::Red {
-            let min_th = self.spec.queue_packets / 4;
-            if self.queue.len() >= min_th {
-                let span = (self.spec.queue_packets - min_th).max(1) as f64;
-                let p = 0.15 * (self.queue.len() - min_th) as f64 / span;
-                if self.aqm_rng.gen::<f64>() < p {
-                    self.stats.dropped += 1;
-                    return None;
-                }
-            }
-        }
         self.stats.enqueued += 1;
-        self.queue.push_back(packet);
+        self.queue.push_back(parked);
         None
     }
 
-    /// Completes the in-flight transmission. Returns the transmitted packet
-    /// and, if another packet was waiting, the completion time of its
-    /// freshly started transmission.
+    /// RED's early drop: once the queue passes a quarter of its capacity,
+    /// an arrival is dropped with probability ramping to 15 % at full.
+    /// Draws from the AQM lane only on a RED link past that threshold.
+    fn red_drops(&mut self) -> bool {
+        if self.spec.aqm != Aqm::Red {
+            return false;
+        }
+        let min_th = self.spec.queue_packets / 4;
+        if self.queue.len() < min_th {
+            return false;
+        }
+        let span = (self.spec.queue_packets - min_th).max(1) as f64;
+        let p = 0.15 * (self.queue.len() - min_th) as f64 / span;
+        self.aqm_rng.gen::<f64>() < p
+    }
+
+    /// Completes the in-flight transmission. Returns the transmitted
+    /// packet and, if another packet was waiting, the completion time of
+    /// its freshly started transmission.
     ///
     /// # Panics
     ///
     /// Panics if called with no transmission in flight (a scheduling bug).
-    pub(crate) fn dequeue(&mut self, now: SimTime) -> (Packet, Option<SimTime>) {
+    pub(crate) fn dequeue(&mut self, now: SimTime) -> (Parked, Option<SimTime>) {
         let done = self
             .in_flight
             .take()
             .expect("dequeue with no packet in flight");
         self.stats.transmitted += 1;
-        self.stats.bytes += done.wire_len() as u64;
+        self.stats.bytes += u64::from(done.wire_len);
         let next = self.queue.pop_front().map(|p| {
-            let t = now + self.tx_time(&p);
             self.in_flight = Some(p);
-            t
+            now + self.tx_time(p)
         });
         (done, next)
     }
@@ -315,16 +344,55 @@ impl Channel {
         self.queue.len()
     }
 
-    fn tx_time(&self, packet: &Packet) -> SimDuration {
-        tx_delay(packet.wire_len(), self.spec.bandwidth_bps)
+    fn tx_time(&self, parked: Parked) -> SimDuration {
+        tx_delay(parked.wire_len, self.spec.bandwidth_bps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Addr, Protocol};
+    use crate::packet::{Addr, Packet, Protocol};
     use crate::sim::NodeId;
+
+    /// A channel with the arena its packets park in, offering and
+    /// completing packets by value the way the simulator does by ref.
+    struct TestChan {
+        chan: Channel,
+        arena: PacketArena,
+    }
+
+    impl TestChan {
+        fn new(spec: LinkSpec, seed: u64) -> TestChan {
+            TestChan {
+                chan: Channel::new(spec, seed, 0),
+                arena: PacketArena::default(),
+            }
+        }
+
+        fn enqueue(&mut self, packet: Packet, now: SimTime) -> Option<SimTime> {
+            let packet = self.arena.insert(packet);
+            self.chan.enqueue(packet, &mut self.arena, now)
+        }
+
+        fn dequeue(&mut self, now: SimTime) -> (Packet, Option<SimTime>) {
+            let (done, next) = self.chan.dequeue(now);
+            (self.arena.take(done.packet), next)
+        }
+    }
+
+    impl std::ops::Deref for TestChan {
+        type Target = Channel;
+        fn deref(&self) -> &Channel {
+            &self.chan
+        }
+    }
+
+    impl std::ops::DerefMut for TestChan {
+        fn deref_mut(&mut self) -> &mut Channel {
+            &mut self.chan
+        }
+    }
 
     fn pkt(bytes: u32) -> Packet {
         // wire_len = 20 overhead + bytes payload (empty header).
@@ -337,20 +405,15 @@ mod tests {
         )
     }
 
-    fn chan() -> Channel {
+    fn chan() -> TestChan {
         // 8 Mbit/s => 1 byte per microsecond.
-        Channel::new(
-            LinkSpec::new(8_000_000, SimDuration::from_millis(1), 2),
-            7,
-            0,
-        )
+        TestChan::new(LinkSpec::new(8_000_000, SimDuration::from_millis(1), 2), 7)
     }
 
-    fn red_chan(seed: u64) -> Channel {
-        Channel::new(
+    fn red_chan(seed: u64) -> TestChan {
+        TestChan::new(
             LinkSpec::new(8_000_000, SimDuration::from_millis(1), 16).with_red(),
             seed,
-            0,
         )
     }
 
@@ -482,11 +545,10 @@ mod tests {
         assert!(differs, "every seed giving identical drops is implausible");
     }
 
-    fn impaired(impair: Impairment, seed: u64) -> Channel {
-        Channel::new(
+    fn impaired(impair: Impairment, seed: u64) -> TestChan {
+        TestChan::new(
             LinkSpec::new(8_000_000, SimDuration::from_millis(1), 64).with_impairment(impair),
             seed,
-            0,
         )
     }
 
@@ -511,6 +573,89 @@ mod tests {
             c.stats.lost
         );
         assert_eq!(c.stats.lost + c.stats.enqueued, 1_000);
+    }
+
+    /// Whether `count` lies within ±5σ of a Binomial(`trials`, ppm / 1e6)
+    /// mean.
+    fn within_5_sigma(count: u64, trials: u64, ppm: u32) -> bool {
+        let p = f64::from(ppm) / f64::from(PPM);
+        let mean = trials as f64 * p;
+        let sigma = (trials as f64 * p * (1.0 - p)).sqrt();
+        (count as f64 - mean).abs() <= 5.0 * sigma
+    }
+
+    /// Every impairment over 10^6 offers: each count within ±5σ of its
+    /// configured rate (each draw sees only the offers earlier stages
+    /// passed), every duplicate a byte-exact copy of its original's
+    /// header, every jitter in `(0, jitter]`, and no arena slot leaked.
+    #[test]
+    fn impairment_rates_hold_over_a_million_offers() {
+        const OFFERS: u32 = 1_000_000;
+        let jitter = SimDuration::from_micros(500);
+        let impair = Impairment {
+            loss_ppm: 30_000,
+            corrupt_ppm: 20_000,
+            dup_ppm: 50_000,
+            reorder_ppm: 100_000,
+            jitter,
+            ..Impairment::NONE
+        };
+        let mut c = impaired(impair, 13);
+        let base = c.spec.delay;
+        let mut sent = Vec::with_capacity(2);
+        for i in 0..OFFERS {
+            let header = i.to_be_bytes();
+            let pkt = Packet::new(
+                Addr::new(NodeId::from_index(0), 1),
+                Addr::new(NodeId::from_index(1), 1),
+                Protocol::Other(0),
+                header,
+                80,
+            );
+            let duplicated = c.stats.duplicated;
+            c.enqueue(pkt, SimTime::ZERO);
+            // Drain before the next offer, so the queue never tail-drops.
+            sent.clear();
+            while c.occupancy() > 0 {
+                let reordered = c.stats.reordered;
+                let extra = c.delivery_delay().as_nanos() - base.as_nanos();
+                if c.stats.reordered > reordered {
+                    assert!(
+                        (1..=jitter.as_nanos()).contains(&extra),
+                        "jitter {extra} ns"
+                    );
+                } else {
+                    assert_eq!(extra, 0);
+                }
+                sent.push(c.dequeue(SimTime::ZERO).0);
+            }
+            if c.stats.duplicated > duplicated {
+                assert_eq!(sent.len(), 2, "offer {i}: original and copy transmit");
+                assert_eq!(sent[0].header.as_slice(), header.as_slice());
+                assert_eq!(sent[1].header.as_slice(), header.as_slice());
+            }
+        }
+        let s = c.stats;
+        let offered = u64::from(OFFERS);
+        assert!(within_5_sigma(s.lost, offered, impair.loss_ppm), "{s:?}");
+        let survived = offered - s.lost;
+        assert!(
+            within_5_sigma(s.corrupted, survived, impair.corrupt_ppm),
+            "{s:?}"
+        );
+        let admitted = survived - s.corrupted;
+        assert!(
+            within_5_sigma(s.duplicated, admitted, impair.dup_ppm),
+            "{s:?}"
+        );
+        assert_eq!(s.dropped, 0);
+        assert_eq!(s.enqueued, admitted + s.duplicated);
+        assert_eq!(s.transmitted, s.enqueued);
+        assert!(
+            within_5_sigma(s.reordered, s.transmitted, impair.reorder_ppm),
+            "{s:?}"
+        );
+        assert_eq!(c.arena.live(), 0, "every slot freed or taken");
     }
 
     #[test]

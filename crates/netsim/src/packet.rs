@@ -97,20 +97,6 @@ impl Packet {
         }
     }
 
-    /// The inert placeholder left behind in a recycled arena slot (see
-    /// `PacketArena::take`): a zero-length packet from node 0 to node 0
-    /// that nothing ever routes or delivers.
-    pub(crate) fn tombstone() -> Packet {
-        Packet {
-            src: Addr::new(NodeId::from_index(0), 0),
-            dst: Addr::new(NodeId::from_index(0), 0),
-            protocol: Protocol::Other(0),
-            header: HeaderBuf::EMPTY,
-            payload_len: 0,
-            id: 0,
-        }
-    }
-
     /// Bytes this packet occupies on the wire, including simulated
     /// network-layer overhead.
     pub fn wire_len(&self) -> u32 {

@@ -1,15 +1,16 @@
 //! Event schedulers for the simulator's run loop.
 //!
-//! The production scheduler is a **two-tier hierarchical timer wheel**
-//! ([`Wheel`]): a near-horizon binary heap of imminent events fed by eight
-//! levels of 64 coarse far-horizon slots. Far events cost O(1) to insert
-//! and cancel; they cascade toward the near lane as simulated time reaches
+//! [`Queue`] pairs an ordering backend with the one cancel rule every
+//! backend shares. The production backend is a **two-tier hierarchical
+//! timer wheel** ([`Wheel`]): a near-horizon binary heap of imminent events
+//! fed by eight levels of 64 coarse far-horizon slots. Far events cost O(1)
+//! to insert; they cascade toward the near lane as simulated time reaches
 //! them, each event moving at most `LEVELS - 1` times over its lifetime.
-//! Dispatch order is total on `(at, seq)` — exactly the order the legacy
-//! binary-heap scheduler ([`HeapSched`], kept behind
-//! `#[cfg(any(test, feature = "heap-sched"))]` as the differential-test
-//! reference) produces, which the randomized oracle in this module and the
-//! whole-simulator differential tests in `sim.rs` assert.
+//! Dispatch order is total on `(at, seq)` — exactly the order one plain
+//! binary heap over every pending event pops. That heap is the reference
+//! backend (compiled into test builds and by the `heap-sched` feature),
+//! the ordering oracle the randomized test in this module and the
+//! whole-simulator differential tests in `sim.rs` hold the wheel to.
 //!
 //! ## Why dispatch order is preserved
 //!
@@ -20,22 +21,25 @@
 //! level, and every event in level `l` is strictly later than every event
 //! in level `l-1` (they differ from `elapsed_tick` in a higher 6-bit tick
 //! group), so the near heap's minimum is always the global minimum.
-//! Cancelled timers leave a [`Ghost`](Popped::Ghost) key behind so the run
-//! loop observes the same pending-event horizon (deadline and event-budget
-//! checks) as the reference heap, which keeps truncation flags and clock
-//! advancement byte-identical.
+//!
+//! ## Cancelled timers: tombstoned at pop
+//!
+//! A cancelled timer's entry stays where it is. [`Queue::cancel_timer`]
+//! records its handle with its fire time; when the entry pops, the record
+//! is consumed and the pop reports a [`Ghost`](Popped::Ghost) at the
+//! entry's own `(at, seq)` key, which advances the clock, dispatches
+//! nothing and consumes no event budget. Records whose fire time a run has
+//! passed — a cancel issued after the fire, or an entry a halt or a spent
+//! budget left queued for good — are purged when the run ends. Written
+//! once, above the backends, the rule cannot make their pending-event
+//! horizons — and with them deadline and budget checks — differ.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::arena::PacketRef;
 use crate::fxhash::FxHashMap;
 use crate::time::SimTime;
-
-/// Index of a packet parked in the simulator's
-/// [`PacketArena`](crate::arena::PacketArena). Events carry this 4-byte
-/// ref instead of a ~80-byte `Packet` so heap sifts and wheel cascades
-/// move small, `Copy` entries.
-pub(crate) type PacketRef = u32;
 
 /// What happens when a scheduled event's time arrives.
 ///
@@ -96,9 +100,8 @@ impl Ord for Scheduled {
 
 /// Result of popping the scheduler.
 pub(crate) enum Popped {
-    /// The key of a cancelled timer: advances the clock, dispatches
-    /// nothing, and is not counted against the event budget — identical to
-    /// the reference heap popping a tombstoned `TimerFire`.
+    /// A cancelled timer's entry: advances the clock, dispatches nothing,
+    /// and is not counted against the event budget.
     Ghost(SimTime),
     /// A live event to dispatch.
     Event(Scheduled),
@@ -118,17 +121,6 @@ fn tick_of(at: SimTime) -> u64 {
     at.tick(TICK_SHIFT)
 }
 
-/// Where a pending `TimerFire` currently lives, for O(1) cancellation.
-#[derive(Debug, Clone, Copy)]
-enum TimerLoc {
-    /// In the near heap (removal from a binary heap is not O(1); the entry
-    /// is tombstoned in `dead_near` and consumed when it pops).
-    Near,
-    /// In wheel slot `idx` (`level * SLOTS + slot`) at position `pos` of
-    /// the slot's vector — `swap_remove`-able in O(1).
-    Slot { idx: u16, pos: u32 },
-}
-
 /// The two-tier hierarchical timer wheel (see module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct Wheel {
@@ -143,16 +135,6 @@ pub(crate) struct Wheel {
     elapsed_tick: u64,
     /// Total events resident in wheel slots.
     far_len: usize,
-    /// `(at, seq)` keys of wheel-cancelled timers, min-first. They keep
-    /// the pending-event horizon identical to the reference heap's
-    /// tombstoned entries and self-purge as the clock passes them.
-    ghosts: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Pending-timer locations by handle, for O(1) cancellation.
-    timer_locs: FxHashMap<u64, TimerLoc>,
-    /// Handles cancelled while near-resident; consumed when the entry pops.
-    dead_near: FxHashMap<u64, ()>,
-    /// Timer entries physically removed from wheel slots at cancel time.
-    timers_removed: u64,
 }
 
 impl Wheel {
@@ -163,15 +145,11 @@ impl Wheel {
             occupancy: [0; LEVELS],
             elapsed_tick: 0,
             far_len: 0,
-            ghosts: BinaryHeap::new(),
-            timer_locs: FxHashMap::default(),
-            dead_near: FxHashMap::default(),
-            timers_removed: 0,
         }
     }
 
     fn len(&self) -> usize {
-        self.near.len() + self.far_len + self.ghosts.len()
+        self.near.len() + self.far_len
     }
 
     /// The wheel level and slot for a future tick, relative to
@@ -190,23 +168,10 @@ impl Wheel {
     fn push(&mut self, ev: Scheduled) {
         let tick = tick_of(ev.at);
         if tick <= self.elapsed_tick {
-            if let EventKind::TimerFire { handle, .. } = ev.kind {
-                self.timer_locs.insert(handle, TimerLoc::Near);
-            }
             self.near.push(ev);
         } else {
             let (level, slot) = self.bucket(tick);
-            let idx = level * SLOTS + slot;
-            if let EventKind::TimerFire { handle, .. } = ev.kind {
-                self.timer_locs.insert(
-                    handle,
-                    TimerLoc::Slot {
-                        idx: idx as u16,
-                        pos: self.slots[idx].len() as u32,
-                    },
-                );
-            }
-            self.slots[idx].push(ev);
+            self.slots[level * SLOTS + slot].push(ev);
             self.occupancy[level] |= 1u64 << slot;
             self.far_len += 1;
         }
@@ -233,12 +198,7 @@ impl Wheel {
             // A level-0 slot holds exactly one tick; jump to it and
             // promote everything into the near lane.
             self.elapsed_tick = (self.elapsed_tick & !63) | slot as u64;
-            for ev in entries.drain(..) {
-                if let EventKind::TimerFire { handle, .. } = ev.kind {
-                    self.timer_locs.insert(handle, TimerLoc::Near);
-                }
-                self.near.push(ev);
-            }
+            self.near.extend(entries.drain(..));
         } else {
             // Jump to the start of the slot's tick range (everything
             // between was unoccupied) and re-bucket its contents: each
@@ -262,52 +222,30 @@ impl Wheel {
         while self.near.is_empty() && self.far_len > 0 {
             self.advance();
         }
-        let near = self.near.peek().map(|ev| (ev.at, ev.seq));
-        let ghost = self.ghosts.peek().map(|Reverse(key)| *key);
-        match (near, ghost) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (near, ghost) => near.or(ghost),
-        }
+        self.near.peek().map(|ev| (ev.at, ev.seq))
     }
 
-    /// Pops the next entry if its key is at or before `deadline` — the run
-    /// loop's peek, deadline test and pop in one pass over the lanes.
-    fn pop_due(&mut self, deadline: SimTime) -> Option<Popped> {
+    /// Pops the next entry if it is due by `deadline` — the run loop's
+    /// peek, deadline test and pop in one pass over the lanes.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<Scheduled> {
         while self.near.is_empty() && self.far_len > 0 {
             if let Some(ev) = self.take_lone_due(deadline) {
-                return Some(Popped::Event(ev));
+                return Some(ev);
             }
             self.advance();
         }
-        let near = self.near.peek().map(|ev| (ev.at, ev.seq));
-        if let Some(&Reverse(ghost)) = self.ghosts.peek() {
-            if near.is_none_or(|n| ghost < n) {
-                if ghost.0 > deadline {
-                    return None;
-                }
-                self.ghosts.pop();
-                return Some(Popped::Ghost(ghost.0));
-            }
-        }
-        if near?.0 > deadline {
+        if self.near.peek()?.at > deadline {
             return None;
         }
-        let ev = self.near.pop().expect("peeked");
-        if let EventKind::TimerFire { handle, .. } = ev.kind {
-            self.timer_locs.remove(&handle);
-            if self.dead_near.remove(&handle).is_some() {
-                return Some(Popped::Ghost(ev.at));
-            }
-        }
-        Some(Popped::Event(ev))
+        self.near.pop()
     }
 
     /// The sparse-traffic fast path of [`pop_due`](Self::pop_due): with the
     /// near lane empty, the earliest pending event is the lowest occupied
-    /// level-0 slot's. When that slot holds a single entry that is due and
-    /// precedes every ghost, serve it straight from the slot instead of
-    /// promoting it into the near heap only to pop it again. Leaves the
-    /// wheel exactly as `advance` followed by the pop would.
+    /// level-0 slot's. When that slot holds a single entry that is due,
+    /// serve it straight from the slot instead of promoting it into the
+    /// near heap only to pop it again. Leaves the wheel exactly as
+    /// `advance` followed by the pop would.
     fn take_lone_due(&mut self, deadline: SimTime) -> Option<Scheduled> {
         if self.occupancy[0] == 0 {
             return None;
@@ -316,203 +254,124 @@ impl Wheel {
         let &[ev] = self.slots[slot].as_slice() else {
             return None;
         };
-        if ev.at > deadline
-            || self
-                .ghosts
-                .peek()
-                .is_some_and(|&Reverse(ghost)| ghost < (ev.at, ev.seq))
-        {
+        if ev.at > deadline {
             return None;
         }
         self.slots[slot].clear();
         self.occupancy[0] &= !(1u64 << slot);
         self.far_len -= 1;
         self.elapsed_tick = (self.elapsed_tick & !63) | slot as u64;
-        if let EventKind::TimerFire { handle, .. } = ev.kind {
-            self.timer_locs.remove(&handle);
-        }
         Some(ev)
     }
-
-    fn cancel_timer(&mut self, handle: u64) {
-        match self.timer_locs.remove(&handle) {
-            // Already fired (or never armed): nothing is pending, so —
-            // unlike the reference heap's tombstone map — no record
-            // lingers and nothing needs purging later.
-            None => {}
-            Some(TimerLoc::Near) => {
-                self.dead_near.insert(handle, ());
-            }
-            Some(TimerLoc::Slot { idx, pos }) => {
-                let vec = &mut self.slots[idx as usize];
-                let ev = vec.swap_remove(pos as usize);
-                debug_assert!(matches!(ev.kind, EventKind::TimerFire { .. }));
-                self.ghosts.push(Reverse((ev.at, ev.seq)));
-                if let Some(moved) = vec.get(pos as usize) {
-                    if let EventKind::TimerFire {
-                        handle: moved_h, ..
-                    } = moved.kind
-                    {
-                        self.timer_locs.insert(moved_h, TimerLoc::Slot { idx, pos });
-                    }
-                }
-                if vec.is_empty() {
-                    let level = idx as usize / SLOTS;
-                    let slot = idx as usize % SLOTS;
-                    self.occupancy[level] &= !(1u64 << slot);
-                }
-                self.far_len -= 1;
-                self.timers_removed += 1;
-            }
-        }
-    }
 }
 
-/// How many cancelled-timer records may accumulate before the reference
-/// heap compacts its event queue.
-#[cfg(any(test, feature = "heap-sched"))]
-const CANCELLED_COMPACT_THRESHOLD: usize = 256;
-
-/// The legacy scheduler: one binary heap over every pending event, with a
-/// cancelled-timer tombstone map consumed at pop time, compacted under
-/// pressure and purged once fire times pass. Kept verbatim as the
-/// dispatch-order reference for the differential oracle.
-#[cfg(any(test, feature = "heap-sched"))]
+/// The ordering backend behind a [`Queue`]. Release builds carry only the
+/// wheel; test and `heap-sched` builds can select the reference heap per
+/// simulator (`SNAKE_NETSIM_SCHED=heap`).
 #[derive(Debug, Clone)]
-pub(crate) struct HeapSched {
-    heap: BinaryHeap<Scheduled>,
-    /// Cancelled-but-not-yet-fired timers, by handle id, with the time the
-    /// timer would have fired.
-    cancelled: FxHashMap<u64, SimTime>,
-    timers_purged: u64,
-    compactions: u64,
-}
-
-#[cfg(any(test, feature = "heap-sched"))]
-impl HeapSched {
-    fn new() -> HeapSched {
-        HeapSched {
-            heap: BinaryHeap::new(),
-            cancelled: FxHashMap::default(),
-            timers_purged: 0,
-            compactions: 0,
-        }
-    }
-
-    /// Rebuilds the event queue without the `TimerFire` events of cancelled
-    /// timers, consuming their cancellation records. Event order is
-    /// unaffected: ordering is total on `(at, seq)`.
-    fn compact(&mut self) {
-        let mut events = std::mem::take(&mut self.heap).into_vec();
-        let before = events.len();
-        let cancelled = &mut self.cancelled;
-        events.retain(|ev| match ev.kind {
-            EventKind::TimerFire { handle, .. } => cancelled.remove(&handle).is_none(),
-            _ => true,
-        });
-        self.timers_purged += (before - events.len()) as u64;
-        self.compactions += 1;
-        self.heap = BinaryHeap::from(events);
-    }
-}
-
-/// The scheduler behind the simulator's event queue. Release builds carry
-/// only the wheel; test and `heap-sched` builds can select the reference
-/// heap per simulator (`SNAKE_NETSIM_SCHED=heap`).
-#[derive(Debug, Clone)]
-pub(crate) enum Queue {
+enum Order {
     Wheel(Wheel),
+    /// The reference: one binary heap over every pending event.
     #[cfg(any(test, feature = "heap-sched"))]
-    Heap(HeapSched),
+    Heap(BinaryHeap<Scheduled>),
+}
+
+/// The simulator's event queue: an ordering backend plus the cancel rule
+/// (see module docs) both backends share.
+#[derive(Debug, Clone)]
+pub(crate) struct Queue {
+    order: Order,
+    /// Cancelled timers by handle, with the time each would have fired.
+    cancelled: FxHashMap<u64, SimTime>,
+    /// Records purged after their fire time passed.
+    timers_purged: u64,
 }
 
 impl Queue {
+    fn with_order(order: Order) -> Queue {
+        Queue {
+            order,
+            cancelled: FxHashMap::default(),
+            timers_purged: 0,
+        }
+    }
+
     pub(crate) fn new_wheel() -> Queue {
-        Queue::Wheel(Wheel::new())
+        Queue::with_order(Order::Wheel(Wheel::new()))
     }
 
     #[cfg(any(test, feature = "heap-sched"))]
     pub(crate) fn new_heap() -> Queue {
-        Queue::Heap(HeapSched::new())
+        Queue::with_order(Order::Heap(BinaryHeap::new()))
+    }
+
+    /// Whether the wheel drives this queue; per-channel delivery batching
+    /// applies only then (the reference heap must reproduce the per-packet
+    /// event stream).
+    pub(crate) fn batches_deliveries(&self) -> bool {
+        matches!(self.order, Order::Wheel(_))
     }
 
     /// Human name, for bench/manifest labelling and the differential CI
     /// check.
     pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Queue::Wheel(_) => "wheel",
-            #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(_) => "heap",
+        if self.batches_deliveries() {
+            "wheel"
+        } else {
+            "heap"
         }
     }
 
-    /// Whether per-channel delivery batching applies (wheel only; the
-    /// reference heap must reproduce the legacy per-packet event stream).
-    pub(crate) fn batches_deliveries(&self) -> bool {
-        match self {
-            Queue::Wheel(_) => true,
-            #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(_) => false,
-        }
-    }
-
-    /// Pending entries (live events plus cancelled-timer ghosts).
+    /// Pending entries, cancelled timers' included.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(w) => w.len(),
+        match &self.order {
+            Order::Wheel(w) => w.len(),
             #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => h.heap.len(),
+            Order::Heap(h) => h.len(),
         }
     }
 
-    /// Tracked bookkeeping entries (timer locations / tombstones), for the
-    /// deterministic fork-cost estimate.
-    pub(crate) fn map_len(&self) -> usize {
-        match self {
-            Queue::Wheel(w) => w.timer_locs.len() + w.dead_near.len(),
-            #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => h.cancelled.len(),
-        }
+    /// Live cancellation records, for the deterministic fork-cost estimate.
+    pub(crate) fn cancelled_len(&self) -> usize {
+        self.cancelled.len()
     }
 
     pub(crate) fn push(&mut self, ev: Scheduled) {
-        match self {
-            Queue::Wheel(w) => w.push(ev),
+        match &mut self.order {
+            Order::Wheel(w) => w.push(ev),
             #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => h.heap.push(ev),
+            Order::Heap(h) => h.push(ev),
         }
     }
 
     /// The `(at, seq)` key the next pop will observe, advancing the wheel
     /// if its near lane ran dry.
     pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            Queue::Wheel(w) => w.peek_key(),
+        match &mut self.order {
+            Order::Wheel(w) => w.peek_key(),
             #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => h.heap.peek().map(|ev| (ev.at, ev.seq)),
+            Order::Heap(h) => h.peek().map(|ev| (ev.at, ev.seq)),
         }
     }
 
     /// Pops the next entry if its key is at or before `deadline`.
     pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<Popped> {
-        match self {
-            Queue::Wheel(w) => w.pop_due(deadline),
+        let ev = match &mut self.order {
+            Order::Wheel(w) => w.pop_due(deadline)?,
             #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => {
-                if h.heap.peek()?.at > deadline {
+            Order::Heap(h) => {
+                if h.peek()?.at > deadline {
                     return None;
                 }
-                let ev = h.heap.pop()?;
-                if let EventKind::TimerFire { handle, .. } = ev.kind {
-                    // A cancelled timer's event is dead: consume the
-                    // cancellation record and report a ghost.
-                    if h.cancelled.remove(&handle).is_some() {
-                        return Some(Popped::Ghost(ev.at));
-                    }
-                }
-                Some(Popped::Event(ev))
+                h.pop()?
+            }
+        };
+        if let EventKind::TimerFire { handle, .. } = ev.kind {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&handle).is_some() {
+                return Some(Popped::Ghost(ev.at));
             }
         }
+        Some(Popped::Event(ev))
     }
 
     #[cfg(test)]
@@ -520,81 +379,37 @@ impl Queue {
         self.pop_due(SimTime::MAX)
     }
 
-    /// Cancels a pending timer. The wheel removes the entry natively (or
-    /// tombstones a near-resident one); the reference heap records the
-    /// handle and fire time for pop-time/purge-time consumption.
+    /// Cancels a timer that fires at `at`: its entry pops as a ghost. A
+    /// cancel after the fire leaves a record the next purge drops.
     pub(crate) fn cancel_timer(&mut self, handle: u64, at: SimTime) {
-        match self {
-            Queue::Wheel(w) => w.cancel_timer(handle),
-            #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => {
-                let _ = at;
-                h.cancelled.insert(handle, at);
-            }
-        }
-        #[cfg(not(any(test, feature = "heap-sched")))]
-        let _ = at;
+        self.cancelled.insert(handle, at);
     }
 
-    /// Pre-run maintenance: the reference heap compacts dead timer events
-    /// out of the queue once enough cancellation records accumulate. The
-    /// wheel removed them at cancel time, so this is a no-op.
-    pub(crate) fn pre_run_maintenance(&mut self) {
-        match self {
-            Queue::Wheel(_) => {}
-            #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => {
-                if h.cancelled.len() >= CANCELLED_COMPACT_THRESHOLD {
-                    h.compact();
-                }
-            }
-        }
+    /// Drops the records of timers that fire at or before `now`, once no
+    /// pop can consume them: a record dropped while its entry can still
+    /// pop would let that entry fire.
+    pub(crate) fn purge_cancelled(&mut self, now: SimTime) {
+        let before = self.cancelled.len();
+        self.cancelled.retain(|_, at| *at > now);
+        self.timers_purged += (before - self.cancelled.len()) as u64;
     }
 
-    /// Post-run maintenance: the reference heap purges cancellation
-    /// records whose fire time has passed. Wheel ghosts self-purge by
-    /// popping, so only stale ghosts beyond the deadline remain — and
-    /// those still represent genuinely pending (dead) keys, exactly like
-    /// the heap's un-popped tombstoned events.
-    pub(crate) fn post_run_purge(&mut self, now: SimTime) {
-        match self {
-            Queue::Wheel(_) => {}
-            #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => {
-                let before = h.cancelled.len();
-                h.cancelled.retain(|_, at| *at > now);
-                h.timers_purged += (before - h.cancelled.len()) as u64;
-            }
-        }
-        #[cfg(not(any(test, feature = "heap-sched")))]
-        let _ = now;
-    }
-
-    /// Timer records discarded without their event dispatching: the
-    /// wheel's native slot removals, or the heap's purge/compaction drops.
+    /// Cancellation records purged without their entry popping.
     pub(crate) fn timers_purged(&self) -> u64 {
-        match self {
-            Queue::Wheel(w) => w.timers_removed,
-            #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => h.timers_purged,
-        }
+        self.timers_purged
     }
 
-    /// Times the queue was compacted (always zero for the wheel).
-    pub(crate) fn queue_compactions(&self) -> u64 {
-        match self {
-            Queue::Wheel(_) => 0,
-            #[cfg(any(test, feature = "heap-sched"))]
-            Queue::Heap(h) => h.compactions,
-        }
-    }
-
-    /// The reference heap's live cancellation records (tests only).
+    /// Every pending entry, in no particular order (tests only).
     #[cfg(test)]
-    pub(crate) fn heap_cancelled_len(&self) -> Option<usize> {
-        match self {
-            Queue::Wheel(_) => None,
-            Queue::Heap(h) => Some(h.cancelled.len()),
+    pub(crate) fn pending(&self) -> Vec<Scheduled> {
+        match &self.order {
+            Order::Wheel(w) => w
+                .near
+                .iter()
+                .chain(w.slots.iter().flatten())
+                .copied()
+                .collect(),
+            Order::Heap(h) => h.iter().copied().collect(),
         }
     }
 }
@@ -669,20 +484,25 @@ mod tests {
         assert_eq!(log.len(), times.len());
     }
 
+    /// A far-resident timer cancelled on the wheel: the cancel rule is the
+    /// queue's own, so the entry stays in its slot, cascades with it, and
+    /// pops as a ghost at its own key ahead of the live event after it.
     #[test]
     fn wheel_cancel_is_native_and_ghosts_preserve_keys() {
         let mut q = Queue::new_wheel();
-        // Far-resident timer: physically removed, ghost key remains.
         q.push(timer(5 << TICK_SHIFT, 0, 100));
         q.push(control(6 << TICK_SHIFT, 1));
         q.cancel_timer(100, SimTime::from_nanos(5 << TICK_SHIFT));
-        assert_eq!(q.timers_purged(), 1, "wheel removal counted");
+        assert_eq!(q.len(), 2, "the cancelled entry stays queued");
+        assert_eq!(q.cancelled_len(), 1);
         let log = drain(&mut q);
         assert_eq!(
             log,
             vec![(5 << TICK_SHIFT, 0, true), (6 << TICK_SHIFT, 1, false)],
             "ghost pops at the cancelled timer's key, then the live event"
         );
+        assert_eq!(q.cancelled_len(), 0, "the ghost pop consumed the record");
+        assert_eq!(q.timers_purged(), 0, "nothing left to purge");
     }
 
     #[test]
@@ -695,39 +515,27 @@ mod tests {
         assert_eq!(log, vec![(10, 0, true)]);
     }
 
+    /// Cancelling a timer that already fired changes nothing that pops:
+    /// its record only waits for the purge that follows its fire time.
     #[test]
     fn wheel_cancel_after_fire_is_a_noop() {
         let mut q = Queue::new_wheel();
         q.push(timer(10, 0, 7));
-        let _ = drain(&mut q);
+        assert_eq!(drain(&mut q), vec![(10, 0, false)]);
         q.cancel_timer(7, SimTime::from_nanos(10));
-        assert_eq!(q.len(), 0, "no lingering record for a fired timer");
-        assert_eq!(q.map_len(), 0);
-    }
-
-    #[test]
-    fn wheel_swap_remove_fixes_displaced_timer_location() {
-        let mut q = Queue::new_wheel();
-        // Three timers in the same far slot; cancelling the first
-        // swap-moves the last into its position.
-        let at = 40 << TICK_SHIFT;
-        q.push(timer(at, 0, 1));
-        q.push(timer(at + 1, 1, 2));
-        q.push(timer(at + 2, 2, 3));
-        q.cancel_timer(1, SimTime::from_nanos(at));
-        // Cancelling the displaced timer must find its fixed-up location.
-        q.cancel_timer(3, SimTime::from_nanos(at + 2));
-        let log = drain(&mut q);
-        assert_eq!(
-            log,
-            vec![(at, 0, true), (at + 1, 1, false), (at + 2, 2, true)]
-        );
+        assert_eq!(q.len(), 0, "no entry comes back for a fired timer");
+        assert!(q.peek_key().is_none());
+        q.push(timer(20, 1, 8));
+        assert_eq!(drain(&mut q), vec![(20, 1, false)], "other timers fire");
+        q.purge_cancelled(SimTime::from_nanos(20));
+        assert_eq!(q.cancelled_len(), 0, "the record is gone once purged");
+        assert_eq!(q.timers_purged(), 1);
     }
 
     /// The randomized differential oracle: the wheel must reproduce the
-    /// reference heap's pop stream — keys, ghosts, everything — under
-    /// schedules mixing same-tick bursts, far-future pushes, cancellations
-    /// and interleaved pops.
+    /// reference heap's pop stream — keys, ghost pops, everything — under
+    /// schedules mixing same-tick bursts, far-future pushes, cancellations,
+    /// purges and interleaved pops.
     #[test]
     fn differential_heap_vs_wheel_random_schedules() {
         for seed in 0..60u64 {
@@ -776,7 +584,8 @@ mod tests {
                             heap.cancel_timer(h, at);
                         }
                     }
-                    // Pop a few events, advancing the clock.
+                    // Pop a few events, advancing the clock, then purge
+                    // the records before it: every entry due then popped.
                     _ => {
                         for _ in 0..rng.gen_range(1..6) {
                             let wk = wheel.peek_key();
@@ -800,9 +609,13 @@ mod tests {
                                 }
                             }
                         }
+                        let passed = SimTime::from_nanos(now.saturating_sub(1));
+                        wheel.purge_cancelled(passed);
+                        heap.purge_cancelled(passed);
                     }
                 }
                 assert_eq!(wheel.len(), heap.len(), "seed {seed}: queue lengths");
+                assert_eq!(wheel.cancelled_len(), heap.cancelled_len());
             }
             // Drain the remainder in lockstep.
             loop {
@@ -820,14 +633,13 @@ mod tests {
                 }
             }
             assert_eq!(wheel_log, heap_log, "seed {seed}: pop streams diverged");
+            assert_eq!(wheel.timers_purged(), heap.timers_purged());
         }
     }
 
     #[test]
     fn drained_slots_keep_their_allocation() {
-        let Queue::Wheel(mut wheel) = Queue::new_wheel() else {
-            unreachable!("new_wheel builds a wheel");
-        };
+        let mut wheel = Wheel::new();
         // Two events in one level-0 slot, four in one level-1 slot.
         let near_tick = 5u64 << TICK_SHIFT;
         let far_tick = (3 * 64u64) << TICK_SHIFT;

@@ -6,9 +6,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::agent::{Agent, Ctx, TimerHandle};
-use crate::arena::PacketArena;
+use crate::arena::{PacketArena, PacketRef};
 use crate::fxhash::FxHashMap;
-use crate::link::{Channel, ChannelStats, LinkId, LinkSpec};
+use crate::link::{Channel, ChannelStats, LinkId, LinkSpec, Parked};
 use crate::packet::Packet;
 use crate::sched::{EventKind, Popped, Queue, Scheduled};
 use crate::tap::{Tap, TapCtx};
@@ -74,7 +74,7 @@ struct NodeSlot {
 struct FifoEntry {
     at: SimTime,
     seq: u64,
-    packet: u32,
+    packet: PacketRef,
 }
 
 #[derive(Debug, Clone)]
@@ -110,31 +110,29 @@ type ControlFn = Arc<dyn Fn(&mut dyn Agent, &mut Ctx<'_>) + Send + Sync>;
 /// These are plain totals kept on the simulator itself (not routed
 /// through an observer) so the hot loop stays free of virtual calls;
 /// callers that care read them once after a run. They are deliberately
-/// *not* part of any run-equality comparison: `timers_purged`,
-/// `queue_compactions` and `queue_depth_hwm` depend on which scheduler
-/// backend is driving the queue (the wheel removes cancelled timers
-/// natively and never compacts; the reference heap tombstones and purges),
-/// and the purge/compaction split additionally depends on how often
-/// `run_until` is re-entered. `events_processed`, `timers_cancelled` and
-/// the arena counters *are* identical across backends — that is what the
-/// differential tests prove — but equality comparisons should still go
-/// through run outcomes, not these internals.
+/// *not* part of any run-equality comparison: `timers_purged` depends on
+/// how often `run_until` is re-entered (a record consumed by its entry's
+/// pop is not a purge), and `queue_depth_hwm` on the scheduler backend
+/// (the wheel parks in-order deliveries in per-channel FIFOs behind one
+/// marker). For the same sequence of calls every other counter is
+/// identical across backends — the cancel rule and the arena are shared
+/// code — which the differential tests prove; equality comparisons should
+/// still go through run outcomes, not these internals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Events dispatched (dead timer fires excluded).
     pub events_processed: u64,
     /// `CancelTimer` commands issued.
     pub timers_cancelled: u64,
-    /// Timer records discarded without their event dispatching: wheel-native
-    /// slot removals, or the reference heap's stale-purge and compaction
-    /// drops.
+    /// Cancellation records dropped after their fire time passed without
+    /// their entry popping: a cancel issued after the timer fired, or an
+    /// entry a halt or a spent budget left queued.
     pub timers_purged: u64,
-    /// Times the event queue was compacted (always zero under the wheel).
-    pub queue_compactions: u64,
     /// High-water mark of pending entries (global queue plus per-channel
     /// delivery FIFOs) over the simulator's lifetime.
     pub queue_depth_hwm: u64,
-    /// Packet-arena slots created because the free list was empty.
+    /// Packet-arena slots created because the free list was empty (one
+    /// insert per send or tap emission, plus one per duplicate).
     pub arena_alloc: u64,
     /// Packet-arena slots recycled from the free list.
     pub arena_reuse: u64,
@@ -156,10 +154,11 @@ pub struct Simulator {
     /// adding draws in one subsystem never reshuffles another's sequence.
     seed: u64,
     queue: Queue,
-    /// Recycling store for every packet parked in a scheduled event or a
-    /// delivery FIFO; events carry 4-byte arena indices instead of inline
-    /// packets. Used identically by both scheduler backends, so the
-    /// allocation stream never depends on the backend.
+    /// Where every packet in the network is parked, from the send or tap
+    /// emission that hands it over until an agent or tap receives it:
+    /// channels, delivery FIFOs and events carry 4-byte refs. Used
+    /// identically by both scheduler backends, so the allocation stream
+    /// never depends on the backend.
     arena: PacketArena,
     nodes: Vec<NodeSlot>,
     chans: Vec<ChanSlot>,
@@ -307,14 +306,14 @@ impl Simulator {
         self.trace.as_ref()
     }
 
-    /// Accepts a packet onto a channel, recording it in the trace.
-    fn enqueue_on_chan(&mut self, chan: usize, packet: Packet) {
+    /// Offers a parked packet to a channel, recording it in the trace.
+    fn enqueue_on_chan(&mut self, chan: usize, packet: PacketRef) {
+        let slot = &mut self.chans[chan];
         if let Some(trace) = self.trace.as_mut() {
-            let slot = &self.chans[chan];
-            trace.record(self.now, LinkId(slot.link), slot.from, slot.to, &packet);
+            let record = self.arena.get(packet);
+            trace.record(self.now, LinkId(slot.link), slot.from, slot.to, record);
         }
-        let now = self.now;
-        if let Some(done) = self.chans[chan].chan.enqueue(packet, now) {
+        if let Some(done) = slot.chan.enqueue(packet, &mut self.arena, self.now) {
             self.push(done, EventKind::ChanDequeue { chan: chan as u32 });
         }
     }
@@ -394,7 +393,6 @@ impl Simulator {
             events_processed: self.events_processed,
             timers_cancelled: self.timers_cancelled,
             timers_purged: self.queue.timers_purged(),
-            queue_compactions: self.queue.queue_compactions(),
             queue_depth_hwm: self.queue_depth_hwm,
             arena_alloc: self.arena.allocs(),
             arena_reuse: self.arena.reuses(),
@@ -403,23 +401,24 @@ impl Simulator {
 
     /// Deterministic estimate of the heap bytes [`fork`](Simulator::fork)
     /// copies right now: the event queue and delivery FIFOs, the packet
-    /// arena, per-channel packet occupancy and bookkeeping maps. Agent/tap
-    /// internals are opaque boxes, so this is a lower bound — useful for
-    /// comparing fork costs, not for accounting exact allocations. The
-    /// estimate depends on the scheduler backend (the wheel tracks every
-    /// pending timer's location; the heap only tracks cancellations), so
-    /// equivalence comparisons must not include it.
+    /// arena (every parked packet, channel residents included), the
+    /// channels' packet refs and bookkeeping maps. Agent/tap internals are
+    /// opaque boxes, so this is a lower bound — useful for comparing fork
+    /// costs, not for accounting exact allocations. The estimate depends on
+    /// the scheduler backend (the wheel holds a batched channel's pending
+    /// deliveries as FIFO entries behind one queue marker), so equivalence
+    /// comparisons must not include it.
     pub fn approx_clone_bytes(&self) -> u64 {
         let queue = self.queue.len() * std::mem::size_of::<Scheduled>();
         let fifos = self.fifo_len * std::mem::size_of::<FifoEntry>();
         let arena = self.arena.capacity() * std::mem::size_of::<Packet>();
-        let packets: usize = self
+        let refs: usize = self
             .chans
             .iter()
-            .map(|c| c.chan.occupancy() * std::mem::size_of::<Packet>())
+            .map(|c| c.chan.occupancy() * std::mem::size_of::<Parked>())
             .sum();
-        let maps = self.queue.map_len() * 24 + self.controls.len() * 24;
-        (queue + fifos + arena + packets + maps) as u64
+        let maps = self.queue.cancelled_len() * 24 + self.controls.len() * 24;
+        (queue + fifos + arena + refs + maps) as u64
     }
 
     /// A node's name.
@@ -569,7 +568,6 @@ impl Simulator {
         if self.routes_dirty {
             self.compute_routes();
         }
-        self.queue.pre_run_maintenance();
         self.run_deadline = deadline;
         if !self.started {
             self.started = true;
@@ -603,9 +601,8 @@ impl Simulator {
                 break;
             };
             match popped {
-                // A cancelled timer's key: advance the clock and move on.
-                // Ghosts are not dispatched and not counted, exactly like
-                // the reference heap consuming a tombstoned event.
+                // A cancelled timer's entry: advance the clock and move
+                // on. Ghosts are not dispatched and not counted.
                 Popped::Ghost(at) => {
                     debug_assert!(at >= self.now, "time went backwards");
                     self.now = at;
@@ -619,10 +616,10 @@ impl Simulator {
             }
         }
         self.now = deadline;
-        // Reference-heap mode purges cancellation records whose fire time
-        // has passed; the wheel removed its entries at cancel time, so
-        // this is a no-op there.
-        self.queue.post_run_purge(deadline);
+        // A record that fires by the deadline can no longer be consumed:
+        // its entry popped as a ghost, or the cancel came after the fire,
+        // or a halt or spent budget ended dispatch for good.
+        self.queue.purge_cancelled(deadline);
         for li in 0..self.links.len() {
             if let Some(tap) = self.links[li].tap.as_deref_mut() {
                 tap.on_finish(deadline);
@@ -633,11 +630,10 @@ impl Simulator {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Deliver { node, packet } => {
-                let packet = self.arena.take(packet);
                 self.deliver(NodeId(node as usize), packet);
             }
             EventKind::TimerFire { node, tag, .. } => {
-                // Cancelled timers were consumed as ghosts in the run loop.
+                // A cancelled timer popped as `Popped::Ghost` instead.
                 self.with_agent(NodeId(node as usize), |agent, ctx| agent.on_timer(ctx, tag));
             }
             EventKind::ChanDequeue { chan } => {
@@ -649,15 +645,14 @@ impl Simulator {
                 // no reordering is configured).
                 let delay = slot.chan.delivery_delay();
                 let to = slot.to;
-                let (packet, next) = slot.chan.dequeue(now);
+                let (done, next) = slot.chan.dequeue(now);
                 if let Some(t) = next {
                     // The same channel's next completion: the same event.
                     self.push(t, kind);
                 }
-                self.push_delivery(chan, to, now + delay, packet);
+                self.push_delivery(chan, to, now + delay, done.packet);
             }
             EventKind::ChanEnqueue { chan, packet } => {
-                let packet = self.arena.take(packet);
                 self.enqueue_on_chan(chan as usize, packet);
             }
             EventKind::ChanDeliver { chan } => {
@@ -674,10 +669,12 @@ impl Simulator {
         }
     }
 
-    /// Hands an arrived packet to its destination agent, or forwards it
-    /// along the route from an intermediate hop.
-    fn deliver(&mut self, node: NodeId, packet: Packet) {
-        if packet.dst.node == node {
+    /// Hands an arrived packet to its destination agent — the one place
+    /// a packet leaves the arena besides a tap — or forwards it along the
+    /// route from an intermediate hop.
+    fn deliver(&mut self, node: NodeId, packet: PacketRef) {
+        if self.arena.get(packet).dst.node == node {
+            let packet = self.arena.take(packet);
             self.with_agent(node, |agent, ctx| agent.on_packet(ctx, packet));
         } else {
             self.route_send(node, packet);
@@ -695,8 +692,7 @@ impl Simulator {
     /// observe identical sequence streams and therefore identical total
     /// event order. Reorder-jittered channels are not FIFO and take the
     /// per-packet path unconditionally.
-    fn push_delivery(&mut self, chan: usize, to: NodeId, at: SimTime, packet: Packet) {
-        let packet = self.arena.insert(packet);
+    fn push_delivery(&mut self, chan: usize, to: NodeId, at: SimTime, packet: PacketRef) {
         if !(self.queue.batches_deliveries() && self.chans[chan].chan.delivers_in_order()) {
             self.push(
                 at,
@@ -743,8 +739,7 @@ impl Simulator {
         self.fifo_len -= 1;
         debug_assert_eq!(entry.at, self.now, "marker key must match FIFO head");
         let to = self.chans[chan].to;
-        let packet = self.arena.take(entry.packet);
-        self.deliver(to, packet);
+        self.deliver(to, entry.packet);
         loop {
             let Some(front) = self.chans[chan].fifo.front() else {
                 // FIFO drained; the next delivery will re-arm a marker.
@@ -774,8 +769,7 @@ impl Simulator {
             self.now = entry.at;
             self.events_processed += 1;
             let to = self.chans[chan].to;
-            let packet = self.arena.take(entry.packet);
-            self.deliver(to, packet);
+            self.deliver(to, entry.packet);
         }
     }
 
@@ -829,11 +823,8 @@ impl Simulator {
     fn apply(&mut self, mut commands: Vec<Command>, tap_link: Option<usize>) {
         for cmd in commands.drain(..) {
             match cmd {
-                Command::Send { from, mut packet } => {
-                    if packet.id == 0 {
-                        packet.id = self.next_packet_id;
-                        self.next_packet_id += 1;
-                    }
+                Command::Send { from, packet } => {
+                    let packet = self.park(packet);
                     self.route_send(from, packet);
                 }
                 Command::SetTimer { node, handle, tag } => {
@@ -847,28 +838,21 @@ impl Simulator {
                     );
                 }
                 Command::CancelTimer { handle } => {
-                    // The wheel removes the pending entry natively (O(1),
-                    // leaving a ghost key); the reference heap records a
-                    // tombstone consumed at pop time and purged once the
-                    // fire time passes.
+                    // The entry stays queued and pops as a ghost.
                     self.timers_cancelled += 1;
                     self.queue.cancel_timer(handle.id, handle.at);
                 }
                 Command::TapEmit {
-                    mut packet,
+                    packet,
                     toward_b,
                     delay,
                 } => {
                     let link = tap_link.expect("TapEmit outside a tap callback");
-                    if packet.id == 0 {
-                        packet.id = self.next_packet_id;
-                        self.next_packet_id += 1;
-                    }
+                    let packet = self.park(packet);
                     let chan = self.links[link].chans[if toward_b { 0 } else { 1 }];
                     if delay == SimDuration::ZERO {
                         self.enqueue_on_chan(chan, packet);
                     } else {
-                        let packet = self.arena.insert(packet);
                         self.push(
                             self.now + delay,
                             EventKind::ChanEnqueue {
@@ -899,18 +883,29 @@ impl Simulator {
         }
     }
 
-    /// Sends a packet from `from` toward its destination: looks up the next
-    /// hop, diverts through the link's tap if one is attached, otherwise
-    /// enqueues on the channel.
-    fn route_send(&mut self, from: NodeId, packet: Packet) {
+    /// Parks a packet an agent or tap handed over, assigning its id on
+    /// first send. It stays parked until an agent or tap receives it.
+    fn park(&mut self, mut packet: Packet) -> PacketRef {
+        if packet.id == 0 {
+            packet.id = self.next_packet_id;
+            self.next_packet_id += 1;
+        }
+        self.arena.insert(packet)
+    }
+
+    /// Sends a parked packet from `from` toward its destination: looks up
+    /// the next hop, hands it by value to the link's tap if one is
+    /// attached, otherwise enqueues it on the channel.
+    fn route_send(&mut self, from: NodeId, packet: PacketRef) {
         if self.halted {
             // A halted run is over; in-flight sends vanish like the queued
             // events the halt already cut off.
+            self.arena.free(packet);
             return;
         }
-        if packet.dst.node == from {
+        let dst = self.arena.get(packet).dst.node;
+        if dst == from {
             // Loopback: deliver immediately.
-            let packet = self.arena.insert(packet);
             self.push(
                 self.now,
                 EventKind::Deliver {
@@ -920,14 +915,16 @@ impl Simulator {
             );
             return;
         }
-        let Some(chan) = self.next_hop[from.0][packet.dst.node.0] else {
+        let Some(chan) = self.next_hop[from.0][dst.0] else {
             // Unroutable packets vanish, like a missing route in a real
             // network.
+            self.arena.free(packet);
             return;
         };
         let link = self.chans[chan].link;
         if self.links[link].tap.is_some() {
             let toward_b = self.chans[chan].from == self.links[link].a;
+            let packet = self.arena.take(packet);
             self.with_tap(link, |tap, ctx| tap.on_packet(ctx, packet, toward_b));
         } else {
             self.enqueue_on_chan(chan, packet);
@@ -1073,6 +1070,29 @@ mod tests {
         (sim, a, b, link)
     }
 
+    /// Asserts every parked packet is held by a channel, a delivery FIFO
+    /// or a pending `Deliver`/`ChanEnqueue` event: no path that drops or
+    /// hands out a packet left its arena slot behind.
+    fn assert_no_leaked_packets(sim: &Simulator) {
+        let channels: usize = sim.chans.iter().map(|c| c.chan.occupancy()).sum();
+        let events = sim
+            .queue
+            .pending()
+            .iter()
+            .filter(|ev| {
+                matches!(
+                    ev.kind,
+                    EventKind::Deliver { .. } | EventKind::ChanEnqueue { .. }
+                )
+            })
+            .count();
+        assert_eq!(
+            sim.arena.live(),
+            channels + sim.fifo_len + events,
+            "arena slots must match the refs still held"
+        );
+    }
+
     #[test]
     fn packet_roundtrip_timing() {
         let (mut sim, a, b, _) = two_node_sim(64);
@@ -1097,6 +1117,7 @@ mod tests {
         assert_eq!(ab.dropped, 7);
         assert_eq!(ab.transmitted, 3);
         assert_eq!(sim.agent::<Echo>(b).unwrap().received.len(), 3);
+        assert_no_leaked_packets(&sim);
     }
 
     #[test]
@@ -1212,6 +1233,8 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.agent::<Echo>(b).unwrap().received.len(), 0);
+        assert_eq!(sim.arena.live(), 0, "unroutable sends free their slots");
+        assert_no_leaked_packets(&sim);
     }
 
     struct DropAllTap {
@@ -1468,10 +1491,15 @@ mod tests {
         // Forwarded packets were enqueued but their delivery events never
         // dispatched — the run was already over.
         assert_eq!(sim.agent::<Echo>(b).unwrap().received.len(), 0);
+        // The three forwarded packets are still parked: one in flight and
+        // two queued on the channel.
+        assert_eq!(sim.arena.live(), 3);
+        assert_no_leaked_packets(&sim);
         let processed = sim.events_processed();
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.events_processed(), processed, "halt is sticky");
         assert_eq!(sim.now(), SimTime::from_secs(2), "clock still advances");
+        assert_no_leaked_packets(&sim);
     }
 
     struct Canceller;
@@ -1492,31 +1520,117 @@ mod tests {
         sim.set_agent(n, Canceller);
         sim.run_until(SimTime::from_millis(5));
         assert_eq!(
-            sim.queue.heap_cancelled_len(),
-            Some(10),
+            sim.queue.cancelled_len(),
+            10,
             "records live until fire time"
         );
         sim.run_until(SimTime::from_millis(50));
         // The dead TimerFire events popped during the second run and
         // consumed their records (uncounted); anything left over would
         // have been purged by fire time.
-        assert_eq!(sim.queue.heap_cancelled_len(), Some(0));
+        assert_eq!(sim.queue.cancelled_len(), 0);
+        assert_eq!(sim.stats().timers_purged, 0);
     }
 
+    /// The wheel removes cancelled timers by the rule the heap uses: each
+    /// dead entry pops as a ghost that consumes its record, dispatches
+    /// nothing and leaves nothing to purge.
     #[test]
     fn wheel_removes_cancelled_timers_natively() {
         let mut sim = Simulator::new(1);
         let n = sim.add_node("n");
         sim.set_agent(n, Canceller);
-        // The 10 ms timers are far-future at cancel time, so the wheel
-        // removes their slot entries immediately — before any run deadline
-        // passes — leaving only ghost keys.
         sim.run_until(SimTime::from_millis(5));
         assert_eq!(sim.scheduler_name(), "wheel");
-        assert_eq!(sim.stats().timers_purged, 10, "native removals counted");
-        assert_eq!(sim.stats().queue_compactions, 0, "the wheel never compacts");
+        assert_eq!(sim.queue.len(), 10, "dead entries stay queued");
+        assert_eq!(
+            sim.queue.cancelled_len(),
+            10,
+            "records live until fire time"
+        );
         sim.run_until(SimTime::from_millis(50));
+        assert_eq!(sim.queue.len(), 0);
+        assert_eq!(sim.queue.cancelled_len(), 0);
+        assert_eq!(sim.stats().timers_purged, 0);
         assert_eq!(sim.stats().events_processed, 0, "no dead timer dispatched");
+    }
+
+    /// Arms three timers, cancels the second before it fires and the first
+    /// after it fired.
+    #[derive(Default)]
+    struct CancelProbe {
+        first: Option<TimerHandle>,
+        fired: Vec<(u64, u64)>,
+    }
+    impl Agent for CancelProbe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.first = Some(ctx.set_timer(SimDuration::from_millis(10), 1));
+            let second = ctx.set_timer(SimDuration::from_millis(20), 2);
+            ctx.cancel_timer(second);
+            ctx.set_timer(SimDuration::from_millis(30), 3);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            self.fired.push((tag, ctx.now().as_nanos() / 1_000_000));
+            if tag == 1 {
+                ctx.cancel_timer(self.first.expect("armed at start"));
+            }
+        }
+    }
+
+    /// The cancel contract, one rule on both backends: a cancelled timer
+    /// pops as a ghost at its own key, consumes no event budget, and its
+    /// record is gone once its fire time passes — consumed by the pop, or
+    /// purged at the end of the run for a cancel issued after the fire.
+    #[test]
+    fn differential_cancel_contract_holds_on_both_backends() {
+        let run = |heap: bool| {
+            let mut sim = if heap {
+                Simulator::new_with_heap_scheduler(1)
+            } else {
+                Simulator::new(1)
+            };
+            let n = sim.add_node("n");
+            sim.set_agent(n, CancelProbe::default());
+            // Two live timers fit the budget only if the ghost is free.
+            sim.set_event_budget(2);
+            sim.run_until(SimTime::from_millis(15));
+            // Timer 1 fired and was cancelled afterwards: its record was
+            // purged as the run ended. The dead timer 2 is still queued
+            // under its own key (fire time, push sequence 1).
+            assert_eq!(sim.stats().timers_purged, 1);
+            assert_eq!(sim.queue.cancelled_len(), 1);
+            assert_eq!(sim.queue.peek_key(), Some((SimTime::from_millis(20), 1)));
+            let events = sim.events_processed();
+            sim.run_until(SimTime::from_millis(20));
+            // It popped as a ghost at its key: nothing dispatched, the
+            // record consumed, timer 3 next.
+            assert_eq!(sim.events_processed(), events);
+            assert_eq!(sim.queue.cancelled_len(), 0);
+            assert_eq!(sim.queue.peek_key(), Some((SimTime::from_millis(30), 2)));
+            sim.run_until(SimTime::from_millis(40));
+            assert!(!sim.budget_exhausted(), "the ghost must not spend budget");
+            let probe = sim.agent::<CancelProbe>(n).unwrap();
+            (probe.fired.clone(), sim.stats())
+        };
+        let (fired, wheel) = run(false);
+        assert_eq!(fired, vec![(1, 10), (3, 30)]);
+        assert_eq!(wheel.events_processed, 2);
+        assert_eq!(wheel.timers_cancelled, 2);
+        let (heap_fired, heap) = run(true);
+        assert_eq!(heap_fired, fired);
+        assert_eq!(
+            (
+                heap.events_processed,
+                heap.timers_cancelled,
+                heap.timers_purged
+            ),
+            (
+                wheel.events_processed,
+                wheel.timers_cancelled,
+                wheel.timers_purged
+            ),
+        );
     }
 
     /// A deliberately chaotic agent exercising every scheduler-visible
@@ -1650,12 +1764,19 @@ mod tests {
         sim.set_agent(b, Chaotic::new(a));
         let mut spec = LinkSpec::new(4_000_000, SimDuration::from_micros(700), 8);
         if impaired {
-            spec = spec.with_impairment(crate::impair::Impairment {
+            // Every drop path at once: flap, loss, corruption, RED and
+            // tail drop, plus duplication and reorder jitter.
+            spec = spec.with_red().with_impairment(crate::impair::Impairment {
                 loss_ppm: 60_000,
+                corrupt_ppm: 30_000,
                 dup_ppm: 40_000,
                 reorder_ppm: 150_000,
                 jitter: SimDuration::from_micros(900),
-                ..crate::impair::Impairment::NONE
+                flap: Some(crate::impair::FlapSpec {
+                    first_down: SimTime::from_millis(5),
+                    down_for: SimDuration::from_millis(2),
+                    period: SimDuration::from_millis(25),
+                }),
             });
         }
         let link = sim.add_link(a, b, spec);
@@ -1679,10 +1800,14 @@ mod tests {
                         // Staged deadlines force scheduler maintenance
                         // (purges, wheel advances) at identical points.
                         sim.run_until(SimTime::from_micros(300));
+                        assert_no_leaked_packets(&sim);
                         sim.run_until(SimTime::from_millis(7));
+                        assert_no_leaked_packets(&sim);
                         let mut fork = sim.fork().expect("chaotic agents clone");
                         sim.run_until(SimTime::from_millis(90));
                         fork.run_until(SimTime::from_millis(90));
+                        assert_no_leaked_packets(&sim);
+                        assert_no_leaked_packets(&fork);
                         let parent = chaos_observables(&sim, a, b, link);
                         let forked = chaos_observables(&fork, a, b, link);
                         assert_eq!(parent, forked, "fork must replay its parent");

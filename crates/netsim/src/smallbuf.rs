@@ -34,10 +34,6 @@ impl HeaderBuf {
     /// bytes) with room for option-carrying variants.
     pub const INLINE_CAP: usize = 32;
 
-    /// An empty buffer as a constant — what the packet arena's recycled
-    /// slots hold between occupants, so vacating a slot never allocates.
-    pub const EMPTY: HeaderBuf = HeaderBuf::new();
-
     /// An empty buffer (inline, zero length).
     pub const fn new() -> HeaderBuf {
         HeaderBuf::Inline {

@@ -76,9 +76,9 @@ impl TapCtx<'_> {
     }
 
     /// Forwards a packet after an extra delay (the *delay* and *batch*
-    /// basic attacks). Delayed emissions are parked in the simulator's
-    /// packet arena until their `ChanEnqueue` event fires; zero-delay
-    /// emissions reach the channel synchronously and never touch it.
+    /// basic attacks). Like every emission, the packet is parked in the
+    /// simulator's packet arena; a delayed one waits there for its
+    /// `ChanEnqueue` event, a zero-delay one reaches the channel at once.
     pub fn forward_delayed(&mut self, packet: Packet, toward_b: bool, delay: SimDuration) {
         self.commands.push(Command::TapEmit {
             packet,

@@ -5,17 +5,18 @@
 //! on every profile, forked and from-scratch, at worker counts 1 and 4.
 //!
 //! Why this holds by construction: both backends dispatch the identical
-//! total `(fire time, push sequence)` order. The wheel's ghost keys stand
-//! in for the heap's cancellation tombstones (so budget and clock
-//! semantics agree event for event), per-channel delivery batching
-//! consumes the exact sequence numbers the per-packet path would, and the
-//! packet arena is shared code on both sides. What legitimately differs
-//! is *internal bookkeeping*: the heap purges cancelled records lazily
-//! and counts compactions, while the wheel removes timers natively at
-//! cancel time — so `timers_purged` / `queue_compactions` /
+//! total `(fire time, push sequence)` order. Cancelled timers follow one
+//! rule written above both backends (the entry stays queued and pops as a
+//! ghost), so budget, clock and purge semantics agree event for event;
+//! per-channel delivery batching consumes the exact sequence numbers the
+//! per-packet path would; and the packet arena is shared code on both
+//! sides. Because shared code is invisible here, `tests/golden_runs.rs`
+//! pins outcome digests no backend comparison can move. What
+//! legitimately differs is *internal bookkeeping*: the wheel parks
+//! in-order deliveries in per-channel FIFOs behind one queue marker — so
 //! `queue_depth_hwm` and the approximate clone-cost gauges are stripped
-//! before manifests are compared, and everything else must match bit for
-//! bit.
+//! before manifests are compared, and everything else, `timers_purged`
+//! included, must match bit for bit.
 //!
 //! The backend is selected through the process-global `SNAKE_NETSIM_SCHED`
 //! environment variable (compiled in via the netsim `heap-sched` feature),
@@ -101,12 +102,9 @@ fn run_on_heap(
 }
 
 /// Manifest keys that are scheduler-backend bookkeeping, not campaign
-/// observables: the heap purges/compacts where the wheel cancels
-/// natively, queue-depth accounting counts FIFO residents differently,
+/// observables: queue-depth accounting counts FIFO residents differently,
 /// and clone-cost gauges approximate backend-specific structures.
 const BACKEND_INTERNAL_NETSIM_KEYS: &[&str] = &[
-    "timers_purged",
-    "queue_compactions",
     "queue_depth_hwm",
     "snapshot_clone_bytes",
     "fork_clone_bytes",
@@ -114,8 +112,9 @@ const BACKEND_INTERNAL_NETSIM_KEYS: &[&str] = &[
 
 /// The manifest with nondeterministic sections (`timing`, `shards`) and
 /// backend-internal netsim keys removed — the cross-backend bit-identity
-/// contract surface. `netsim.events`, `netsim.timers_cancelled`, and the
-/// arena alloc/reuse totals stay in: both backends must agree on them.
+/// contract surface. `netsim.events`, `netsim.timers_cancelled`,
+/// `netsim.timers_purged` and the arena alloc/reuse totals stay in: both
+/// backends must agree on them.
 fn stable_json(result: &CampaignResult, snapshot: &RecorderSnapshot) -> String {
     let manifest = build_run_manifest(result, snapshot, 0.0);
     match manifest.to_json() {
