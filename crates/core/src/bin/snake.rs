@@ -5,7 +5,7 @@
 //! snake baseline --impl linux-3.13        run the no-attack scenario
 //! snake campaign --impl linux-3.0.0       full state-based search
 //!               [--cap N] [--quick] [--manifest FILE] [--observe-summary] …
-//! snake shard-worker --connect ADDR       executor process for --shards
+//! snake shard-worker                      executor process spawned by --shards
 //! snake replay --attack close-wait        replay a named Table II attack
 //! snake tables                            regenerate the paper's evaluation tables
 //! ```
@@ -163,34 +163,16 @@ const COMMANDS: &[CommandSpec] = &[
                 "run strategies across N worker processes (0 = in-process)",
             ),
             value(
-                "--shard-listen",
-                "ADDR",
-                "listen on ADDR for externally launched shard workers",
-            ),
-            value(
                 "--shard-timeout",
                 "SECS",
-                "declare a shard dead after SECS of wire silence (default 10)",
-            ),
-            value(
-                "--heartbeat",
-                "SECS",
-                "worker keep-alive interval on the shard wire (default 2)",
-            ),
-            switch(
-                "--insecure-bind",
-                "allow --shard-listen on a non-loopback address",
+                "kill a shard that holds work SECS without an outcome (default 10)",
             ),
         ],
     },
     CommandSpec {
         name: "shard-worker",
-        summary: "connect to a campaign controller as a shard executor",
-        flags: &[value(
-            "--connect",
-            "ADDR",
-            "controller address printed by `snake campaign --shard-listen`",
-        )],
+        summary: "shard executor spawned by `campaign --shards`; frames on stdin/stdout",
+        flags: &[],
     },
     CommandSpec {
         name: "replay",
@@ -322,7 +304,7 @@ fn main() -> ExitCode {
                 "list" => cmd_list(),
                 "baseline" => cmd_baseline(spec, &flags),
                 "campaign" => cmd_campaign(spec, &flags),
-                "shard-worker" => cmd_shard_worker(&flags),
+                "shard-worker" => cmd_shard_worker(),
                 "replay" => cmd_replay(&flags),
                 "tables" => cmd_tables(),
                 other => unreachable!("command {other} declared but not dispatched"),
@@ -585,19 +567,8 @@ fn campaign_config(
     if let Some(shards) = flags.parsed(flag_spec(command, "--shards"))? {
         builder = builder.shards(shards);
     }
-    if let Some(addr) = flags.get("--shard-listen") {
-        builder = builder.shard_listen(addr);
-    }
-    // The two wire deadlines share --deadline's float handling: positive,
-    // finite seconds, converted to a Duration at parse time.
     if let Some(secs) = parse_finite_secs(flags, flag_spec(command, "--shard-timeout"))? {
         builder = builder.shard_timeout(Duration::from_secs_f64(secs));
-    }
-    if let Some(secs) = parse_finite_secs(flags, flag_spec(command, "--heartbeat"))? {
-        builder = builder.heartbeat(Duration::from_secs_f64(secs));
-    }
-    if flags.has("--insecure-bind") {
-        builder = builder.insecure_bind(true);
     }
     if let Some(recorder) = observer {
         builder = builder.observer(recorder);
@@ -606,8 +577,8 @@ fn campaign_config(
 }
 
 /// Parses a seconds-valued flag as a positive, *finite* float — the shared
-/// guard of `--deadline`, `--shard-timeout` and `--heartbeat`, keeping
-/// their message shape identical to [`ParsedFlags::parsed_positive`].
+/// guard of `--deadline` and `--shard-timeout`, keeping their message
+/// shape identical to [`ParsedFlags::parsed_positive`].
 fn parse_finite_secs(flags: &ParsedFlags<'_>, spec: &FlagSpec) -> Result<Option<f64>, String> {
     match flags.parsed_positive::<f64>(spec)? {
         Some(secs) if !secs.is_finite() => Err(format!(
@@ -620,12 +591,11 @@ fn parse_finite_secs(flags: &ParsedFlags<'_>, spec: &FlagSpec) -> Result<Option<
     }
 }
 
-/// `snake shard-worker --connect ADDR` — the executor half of the
-/// controller/executor split. Normally spawned by the controller itself
-/// (`--shards N`); invoked by hand only against `--shard-listen`.
-fn cmd_shard_worker(flags: &ParsedFlags<'_>) -> Result<(), String> {
-    let addr = flags.get("--connect").ok_or("missing --connect <ADDR>")?;
-    snake_core::run_shard_worker(addr).map_err(|e| format!("shard worker: {e}"))
+/// `snake shard-worker` — the executor half of the controller/executor
+/// split, spawned by the controller itself (`--shards N`) and spoken to
+/// over its stdin/stdout.
+fn cmd_shard_worker() -> Result<(), String> {
+    snake_core::run_shard_worker().map_err(|e| format!("shard worker: {e}"))
 }
 
 fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), String> {
@@ -777,11 +747,9 @@ fn print_observe_summary(snapshot: &snake_core::RecorderSnapshot, wall_secs: f64
             idle.map_or(0.0, |h| h.mean() as f64 / 1e9),
         );
         eprintln!(
-            "  shard recovery: {} heartbeat(s) sent / {} missed, {} reconnect(s), \
+            "  shard recovery: {} deadline(s) missed, \
              segments {} written / {} merged / {} discarded",
-            snapshot.counter("shard.heartbeat.sent"),
-            snapshot.counter("shard.heartbeat.missed"),
-            snapshot.counter("shard.reconnects"),
+            snapshot.counter("shard.deadline.missed"),
             snapshot.counter("shard.segments.written"),
             snapshot.counter("shard.segments.merged"),
             snapshot.counter("shard.segments.discarded"),
@@ -911,8 +879,6 @@ mod tests {
             (&["--deadline", "inf"][..], "--deadline"),
             (&["--shard-timeout", "0"][..], "--shard-timeout"),
             (&["--shard-timeout", "inf"][..], "--shard-timeout"),
-            (&["--heartbeat", "0"][..], "--heartbeat"),
-            (&["--heartbeat", "NaN"][..], "--heartbeat"),
         ] {
             let err = config_err(flags);
             assert!(
@@ -1030,50 +996,32 @@ mod tests {
     #[test]
     fn shard_flags_are_wired_and_validated() {
         let spec = campaign_spec();
-        // --shard-listen without --shards is a config-build error.
-        let err = config_err(&["--shard-listen", "127.0.0.1:0"]);
-        assert!(err.contains("require shards > 0"), "{err}");
         // Sharding cannot combine with *evaluation-side* fault injection…
         let err = config_err(&["--shards", "2", "--chaos", "panics"]);
         assert!(err.contains("fault injection"), "{err}");
         // …while wire chaos exists only for sharded runs.
         let err = config_err(&["--chaos", "wire-drop"]);
         assert!(err.contains("shards"), "{err}");
-        // The wire deadlines and the insecure-bind acknowledgment are
-        // meaningless without their counterpart flags.
+        // The progress deadline is meaningless without a pool.
         let err = config_err(&["--shard-timeout", "5"]);
         assert!(err.contains("require shards > 0"), "{err}");
-        let err = config_err(&["--shards", "2", "--heartbeat", "30"]);
-        assert!(err.contains("heartbeat"), "{err}");
-        let err = config_err(&["--insecure-bind"]);
-        assert!(err.contains("insecure_bind"), "{err}");
-        // A non-loopback listen address needs the explicit acknowledgment.
-        let err = config_err(&["--shards", "2", "--shard-listen", "0.0.0.0:0"]);
-        assert!(err.contains("--insecure-bind"), "{err}");
+        // Workers are only ever spawned, never listened for: there is no
+        // address to bind or connect to, and such flags are refused.
+        for flag in ["--shard-listen", "--insecure-bind"] {
+            let err = parse_flags(spec, &args(&[flag, "1"])).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        }
+        let worker = COMMANDS.iter().find(|c| c.name == "shard-worker").unwrap();
+        let err = parse_flags(worker, &args(&["--connect", "127.0.0.1:1"])).unwrap_err();
+        assert!(err.contains("unknown flag `--connect`"), "{err}");
         // --shards 0 is the explicit in-process default; a positive count
-        // with a listen address (loopback, or acknowledged non-loopback),
-        // wire chaos, or explicit deadlines builds cleanly.
+        // with wire chaos or an explicit deadline builds cleanly.
         for extra in [
             &["--shards", "0"][..],
             &["--shards", "4"][..],
-            &["--shards", "2", "--shard-listen", "127.0.0.1:0"][..],
-            &[
-                "--shards",
-                "2",
-                "--shard-listen",
-                "0.0.0.0:0",
-                "--insecure-bind",
-            ][..],
             &["--shards", "2", "--chaos", "wire-drop"][..],
             &["--shards", "2", "--chaos", "controller-kill"][..],
-            &[
-                "--shards",
-                "2",
-                "--shard-timeout",
-                "5",
-                "--heartbeat",
-                "0.5",
-            ][..],
+            &["--shards", "2", "--shard-timeout", "5"][..],
         ] {
             let mut all = vec!["--impl", "linux-3.13", "--quick"];
             all.extend_from_slice(extra);
@@ -1081,31 +1029,5 @@ mod tests {
             let flags = parse_flags(spec, &owned).unwrap();
             campaign_config(spec, &flags, None).expect("valid shard flags");
         }
-    }
-
-    #[test]
-    fn worker_connect_to_a_dead_controller_fails_with_the_stable_shape() {
-        // The bounded-retry connect path surfaces one stable message —
-        // address, attempt count, elapsed time, underlying cause — so
-        // scripts driving `snake shard-worker --connect` can match on it.
-        // Port reserved via a bound-then-dropped listener, so nothing is
-        // listening there.
-        let addr = {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap().to_string()
-        };
-        let started = Instant::now();
-        let err = snake_core::connect_with_backoff(&addr, 2, Duration::from_millis(5))
-            .expect_err("nothing is listening");
-        assert!(
-            started.elapsed() >= Duration::from_millis(5),
-            "must back off"
-        );
-        let msg = err.to_string();
-        assert!(
-            msg.contains(&format!("could not connect to controller at {addr}")),
-            "{msg}"
-        );
-        assert!(msg.contains("2 attempt(s) over"), "{msg}");
     }
 }

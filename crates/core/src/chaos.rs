@@ -13,8 +13,8 @@ use snake_proxy::Strategy;
 ///
 /// The `wire_*`, `hang_worker_after` and `kill_controller_at` fields are
 /// the distributed-campaign fault lane: they perturb the shard wire (by
-/// outcome-frame ordinal, heartbeats excluded so timing noise cannot
-/// change which frame is hit), hang a worker mid-campaign, or kill the
+/// outcome-frame ordinal, so timing noise cannot change which frame is
+/// hit), hang a worker mid-campaign, or kill the
 /// whole controller process at a chosen admission index. Wire faults
 /// require `shards > 0` and leave evaluation untouched, so memoization
 /// stays on and recovery must reproduce the unperturbed output exactly.
@@ -38,8 +38,9 @@ pub struct ChaosPlan {
     /// campaign's single bounded retry must absorb it).
     pub journal_fail_every: Option<u64>,
     /// Drop every Nth outcome frame on the controller's read path. The
-    /// shard then answers out of contract and is killed; its range is
-    /// re-dispatched.
+    /// shard's next frame is then out of contract — or, after its last
+    /// one, it misses the progress deadline — and it is killed; its range
+    /// is re-dispatched.
     pub wire_drop_every: Option<u64>,
     /// Truncate every Nth outcome frame (torn line: checksum missing).
     pub wire_truncate_every: Option<u64>,
@@ -51,9 +52,9 @@ pub struct ChaosPlan {
     pub wire_delay_every: Option<u64>,
     /// How long a delayed frame is held, in milliseconds.
     pub wire_delay_ms: u64,
-    /// Make shard 0's initial worker go silent (heartbeats stopped, wire
-    /// open, process alive) after sending this many outcomes — the shape
-    /// of a livelocked worker; the controller's read deadline must fire.
+    /// Make shard 0's worker go silent (wire open, process alive) after
+    /// sending this many outcomes — the shape of a livelocked worker; the
+    /// controller's progress deadline must fire.
     pub hang_worker_after: Option<u64>,
     /// Kill the whole controller process (exit code 23) immediately after
     /// admitting and journaling this many outcomes. A subsequent resume

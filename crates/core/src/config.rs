@@ -13,7 +13,7 @@ use snake_proxy::Strategy;
 use crate::chaos::ChaosPlan;
 use crate::detect::DEFAULT_THRESHOLD;
 use crate::scenario::ScenarioSpec;
-use crate::shard::{DEFAULT_HEARTBEAT, DEFAULT_SHARD_TIMEOUT};
+use crate::shard::DEFAULT_SHARD_TIMEOUT;
 use crate::strategen::GenerationParams;
 
 /// Configuration of one campaign: one implementation under test, searched
@@ -72,21 +72,12 @@ pub struct CampaignConfig {
     pub(crate) observer: Arc<dyn Observer>,
     // Worker processes to shard strategy execution across (0 = in-process).
     pub(crate) shards: usize,
-    // Listen address for externally launched shard workers (requires
-    // `shards > 0`; workers are not spawned, the controller waits).
-    pub(crate) shard_listen: Option<String>,
     // Worker binary override (defaults to the current executable).
     pub(crate) shard_worker_bin: Option<PathBuf>,
-    // Read deadline on the shard wire: a worker silent for longer than
-    // this (no outcome, no heartbeat) is declared dead — applies to the
-    // handshake and to mid-evaluation reads alike.
+    // Progress deadline on the shard wire: a worker holding dispatched
+    // work this long without delivering an outcome, or not ready this long
+    // after its spawn, is declared dead.
     pub(crate) shard_timeout: Duration,
-    // Interval at which shard workers send keep-alive heartbeats.
-    pub(crate) heartbeat: Duration,
-    // Explicit acknowledgment required to bind `shard_listen` to a
-    // non-loopback address (the wire is digest-checked, not
-    // authenticated).
-    pub(crate) insecure_bind: bool,
 }
 
 /// Fault-injection hook called before each strategy evaluation, inside the
@@ -114,11 +105,8 @@ impl fmt::Debug for CampaignConfig {
             .field("deadline", &self.deadline)
             .field("stall_retries", &self.stall_retries)
             .field("shards", &self.shards)
-            .field("shard_listen", &self.shard_listen)
             .field("shard_worker_bin", &self.shard_worker_bin)
             .field("shard_timeout", &self.shard_timeout)
-            .field("heartbeat", &self.heartbeat)
-            .field("insecure_bind", &self.insecure_bind)
             .field("observer_enabled", &self.observer.enabled())
             .finish()
     }
@@ -152,11 +140,8 @@ impl CampaignConfig {
             stall_backoff: Duration::from_millis(50),
             observer: observe::noop(),
             shards: 0,
-            shard_listen: None,
             shard_worker_bin: None,
             shard_timeout: None,
-            heartbeat: None,
-            insecure_bind: false,
         }
     }
 }
@@ -188,11 +173,8 @@ pub struct CampaignConfigBuilder {
     stall_backoff: Duration,
     observer: Arc<dyn Observer>,
     shards: usize,
-    shard_listen: Option<String>,
     shard_worker_bin: Option<PathBuf>,
     shard_timeout: Option<Duration>,
-    heartbeat: Option<Duration>,
-    insecure_bind: bool,
 }
 
 impl fmt::Debug for CampaignConfigBuilder {
@@ -360,14 +342,6 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Listen on `addr` for externally launched `snake shard-worker
-    /// --connect` processes instead of spawning children. Requires
-    /// [`shards`](Self::shards) to say how many to wait for.
-    pub fn shard_listen(mut self, addr: impl Into<String>) -> Self {
-        self.shard_listen = Some(addr.into());
-        self
-    }
-
     /// Binary to spawn shard workers from (default: the current
     /// executable). Lets test harnesses point at the real `snake` binary.
     pub fn shard_worker_bin(mut self, path: impl Into<PathBuf>) -> Self {
@@ -375,30 +349,12 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Read deadline on the shard wire (default 10 s): handshake *and*
-    /// mid-evaluation silence longer than this declares the worker dead
-    /// (hung or partitioned — heartbeats keep a merely slow worker
-    /// alive). Requires `shards > 0`; must exceed
-    /// [`heartbeat`](Self::heartbeat).
+    /// The shard pool's progress deadline (default 10 s): a worker that
+    /// holds dispatched work this long without delivering an outcome — or
+    /// has not answered its handshake this long after its spawn — is
+    /// killed and its work re-dispatched. Requires `shards > 0`.
     pub fn shard_timeout(mut self, timeout: Duration) -> Self {
         self.shard_timeout = Some(timeout);
-        self
-    }
-
-    /// Interval at which shard workers send keep-alive heartbeats
-    /// (default 2 s). Requires `shards > 0`; must be shorter than
-    /// [`shard_timeout`](Self::shard_timeout).
-    pub fn heartbeat(mut self, interval: Duration) -> Self {
-        self.heartbeat = Some(interval);
-        self
-    }
-
-    /// Acknowledges that [`shard_listen`](Self::shard_listen) may bind a
-    /// non-loopback address. The handshake is digest-checked (a worker
-    /// with a different scenario is refused) but not authenticated, so
-    /// exposing the controller beyond the host is an explicit opt-in.
-    pub fn insecure_bind(mut self, insecure: bool) -> Self {
-        self.insecure_bind = insecure;
         self
     }
 
@@ -454,41 +410,11 @@ impl CampaignConfigBuilder {
                 "wire chaos faults need a shard wire to act on: set shards > 0".to_owned(),
             );
         }
-        if self.shards == 0 && (self.shard_listen.is_some() || self.shard_worker_bin.is_some()) {
-            return invalid("shard_listen / shard_worker_bin require shards > 0".to_owned());
+        if self.shards == 0 && (self.shard_worker_bin.is_some() || self.shard_timeout.is_some()) {
+            return invalid("shard_worker_bin / shard_timeout require shards > 0".to_owned());
         }
-        if self.shards == 0 && (self.shard_timeout.is_some() || self.heartbeat.is_some()) {
-            return invalid("shard_timeout / heartbeat require shards > 0".to_owned());
-        }
-        if self.shard_timeout.is_some_and(|t| t.is_zero())
-            || self.heartbeat.is_some_and(|t| t.is_zero())
-        {
-            return invalid("shard_timeout and heartbeat must be longer than zero".to_owned());
-        }
-        let shard_timeout = self.shard_timeout.unwrap_or(DEFAULT_SHARD_TIMEOUT);
-        let heartbeat = self.heartbeat.unwrap_or(DEFAULT_HEARTBEAT);
-        if self.shards > 0 && heartbeat >= shard_timeout {
-            return invalid(format!(
-                "heartbeat ({heartbeat:?}) must be shorter than shard_timeout \
-                 ({shard_timeout:?}), or every worker is declared dead between beats"
-            ));
-        }
-        match &self.shard_listen {
-            Some(addr) if !listen_is_loopback(addr) && !self.insecure_bind => {
-                return invalid(format!(
-                    "shard_listen address {addr} is not loopback; binding it \
-                     exposes an unauthenticated control wire — pass \
-                     insecure_bind (--insecure-bind) to acknowledge"
-                ));
-            }
-            _ => {}
-        }
-        if self.insecure_bind && self.shard_listen.is_none() {
-            return invalid(
-                "insecure_bind acknowledges a non-loopback shard_listen; \
-                 there is nothing to acknowledge without one"
-                    .to_owned(),
-            );
+        if self.shard_timeout.is_some_and(|t| t.is_zero()) {
+            return invalid("shard_timeout must be longer than zero".to_owned());
         }
         Ok(CampaignConfig {
             scenario: self.scenario,
@@ -511,24 +437,9 @@ impl CampaignConfigBuilder {
             stall_backoff: self.stall_backoff,
             observer: self.observer,
             shards: self.shards,
-            shard_listen: self.shard_listen,
             shard_worker_bin: self.shard_worker_bin,
-            shard_timeout,
-            heartbeat,
-            insecure_bind: self.insecure_bind,
+            shard_timeout: self.shard_timeout.unwrap_or(DEFAULT_SHARD_TIMEOUT),
         })
-    }
-}
-
-/// Whether a `shard_listen` address names the loopback interface. An
-/// unparseable address is treated as non-loopback: the caller must
-/// acknowledge anything we cannot prove local.
-fn listen_is_loopback(addr: &str) -> bool {
-    match addr.parse::<std::net::SocketAddr>() {
-        Ok(sa) => sa.ip().is_loopback(),
-        Err(_) => addr
-            .rsplit_once(':')
-            .is_some_and(|(host, _)| host == "localhost"),
     }
 }
 

@@ -26,11 +26,9 @@ use crate::shard::{PoolWait, ShardEvent, ShardPool};
 /// unaffected either way: generation, admission and the journal never
 /// leave this process.
 ///
-/// Spawning workers costs a process launch and a handshake each, so a
-/// spawned pool waits for the first batch that actually has something to
-/// evaluate — a resume over a complete journal never pays it. A
-/// `--shard-listen` pool launches at once: external workers are waiting
-/// on its address.
+/// Spawning workers costs a process launch and a handshake each, so the
+/// pool waits for the first batch that actually has something to
+/// evaluate — a resume over a complete journal never pays it.
 pub(crate) struct Dispatcher {
     shared: Shared,
     /// Where shard workers write their journal segments, if anywhere.
@@ -41,23 +39,19 @@ pub(crate) struct Dispatcher {
 
 impl Dispatcher {
     pub(crate) fn new(shared: Shared, segments: Option<PathBuf>) -> Dispatcher {
-        let mut dispatcher = Dispatcher {
+        Dispatcher {
             launch_pending: shared.config.shards > 0,
             shared,
             segments,
             pool: None,
-        };
-        if dispatcher.launch_pending && dispatcher.shared.config.shard_listen.is_some() {
-            dispatcher.launch();
         }
-        dispatcher
     }
 
     fn launch(&mut self) {
         let config = &self.shared.config;
         let _span = observe::span(config.observer.as_ref(), "phase.shard_launch", 0);
         self.launch_pending = false;
-        match ShardPool::launch(config, self.shared.memoize, self.segments.clone()) {
+        match ShardPool::launch(config, self.shared.memoize, self.segments.as_deref()) {
             Ok(pool) => {
                 if pool.live() == 0 {
                     eprintln!(
@@ -232,10 +226,10 @@ fn requeue_outstanding(
 /// Dispatch is pull-ish: the work is cut into contiguous ranges of about
 /// a quarter of a shard's fair share, and each shard holds at most two
 /// ranges' worth of outstanding work, so a slow shard strands little.
-/// A shard that disconnects, breaks the framing, or answers out of
-/// contract (wrong index order, an index it was never given or already
-/// delivered, a strategy id that does not match) is killed and its
-/// unfinished indices are re-dispatched.
+/// A shard that disconnects, breaks the framing, answers out of contract
+/// (wrong index order, an index it was never given or already delivered,
+/// a strategy id that does not match), or misses its progress deadline is
+/// killed and its unfinished indices are re-dispatched.
 fn run_sharded(
     config: &CampaignConfig,
     admission: &Admission,
@@ -257,33 +251,35 @@ fn run_sharded(
     }
     let mut remaining = todo.len();
     let mut outstanding: Vec<VecDeque<usize>> = vec![VecDeque::new(); pool.len()];
-    // Kills a shard, puts its unfinished work back on the queue and tries
-    // to bring a replacement up in its slot.
+    // Kills a shard and puts its unfinished work back on the queue.
     let redispatch = |pool: &mut ShardPool,
                       queue: &mut VecDeque<(usize, usize)>,
                       outstanding: &mut VecDeque<usize>,
                       shard: usize| {
         pool.kill(shard);
         pool.ranges_redispatched += requeue_outstanding(queue, outstanding);
-        pool.try_reconnect(shard, config);
     };
 
-    // Per-shard progress deadline: heartbeats prove a worker *process* is
-    // alive (they feed the read deadline), but only outcomes prove it is
-    // *working*. A shard that holds outstanding work for a whole
-    // `shard_timeout` without delivering anything — a frame lost on the
-    // wire, an evaluation thread wedged behind a live heartbeat thread —
-    // is killed and its work re-dispatched. A worker that has gone
-    // silent altogether belongs to its reader's read deadline, which
-    // expires `shard_timeout` after its last byte; waiting one heartbeat
-    // longer here keeps the two from tying when the silent shard was also
-    // the last to deliver anything, so that case is always attributed to
-    // the read deadline.
-    let progress_window = config.shard_timeout + config.heartbeat;
+    // The progress deadline, the pool's one clock. EOF, a write error or
+    // a refused frame report a dead shard by themselves; what no byte can
+    // reveal — a worker hung mid-range, an outcome frame lost on the wire
+    // — shows only as a shard holding dispatched work for a whole
+    // `shard_timeout` without delivering an outcome.
+    let window = config.shard_timeout;
     let mut progress: Vec<Instant> = vec![Instant::now(); pool.len()];
-    while remaining > 0 {
-        if pool.live() == 0 {
-            break;
+    while remaining > 0 && pool.live() > 0 {
+        let mut wait = window;
+        for shard in 0..pool.len() {
+            if !pool.is_live(shard) || outstanding[shard].is_empty() {
+                continue;
+            }
+            let held = progress[shard].elapsed();
+            if held >= window {
+                pool.deadlines_missed += 1;
+                redispatch(pool, &mut queue, &mut outstanding[shard], shard);
+            } else {
+                wait = wait.min(window - held);
+            }
         }
         // Top-up: hand queued ranges to the least-loaded live shards.
         loop {
@@ -304,17 +300,9 @@ fn run_sharded(
         if pool.live() == 0 {
             break;
         }
-        match pool.next_event_timeout(progress_window) {
-            PoolWait::Idle => {
-                for shard in 0..pool.len() {
-                    if pool.is_live(shard)
-                        && !outstanding[shard].is_empty()
-                        && progress[shard].elapsed() >= progress_window
-                    {
-                        redispatch(pool, &mut queue, &mut outstanding[shard], shard);
-                    }
-                }
-            }
+        match pool.next_event_timeout(wait) {
+            // The next pass checks the deadlines.
+            PoolWait::Idle => {}
             PoolWait::Closed => {
                 // Every reader thread is gone; nothing further can arrive.
                 for shard in 0..pool.len() {
@@ -322,35 +310,25 @@ fn run_sharded(
                 }
                 break;
             }
-            PoolWait::Event(ShardEvent::Dead {
-                shard,
-                generation,
-                timed_out,
-            }) => {
-                // Gate on generation alone, NOT liveness: a failed
-                // `send_range` kills the link without draining its
-                // outstanding indices (the Dead event owns that), so a
-                // Dead for the *current* generation must still requeue
-                // even when the slot was already killed. Only a retired
-                // generation's reader winding down is stale.
-                if generation != pool.generation(shard) {
-                    continue;
-                }
-                if timed_out {
-                    pool.heartbeats_missed += 1;
-                }
+            // A worker that answered after the launch deadline was
+            // killed already.
+            PoolWait::Event(ShardEvent::Ready { .. }) => {}
+            PoolWait::Event(ShardEvent::Dead { shard }) => {
+                // Not gated on liveness: a failed `send_range` kills the
+                // link without draining its outstanding indices, and this
+                // event owns that. After any other kill the shard holds
+                // nothing and this requeues nothing.
                 redispatch(pool, &mut queue, &mut outstanding[shard], shard);
             }
             PoolWait::Event(ShardEvent::Outcome {
                 shard,
-                generation,
                 index,
                 busy_nanos,
                 counters,
                 outcome,
             }) => {
-                if generation != pool.generation(shard) || !pool.is_live(shard) {
-                    // Late traffic from a connection already declared dead;
+                if !pool.is_live(shard) {
+                    // Late traffic from a shard already declared dead;
                     // its indices were re-queued, so this result is stale.
                     continue;
                 }

@@ -99,7 +99,7 @@ pub use scenario::{
     scenario_digest, Executor, ExecutorOptions, FlowGroup, FlowRole, PlannedExecutor, ProtocolKind,
     RunInfo, ScenarioError, ScenarioSpec, ScenarioSpecBuilder, TestMetrics, TopologySpec,
 };
-pub use shard::{connect_with_backoff, run_shard_worker};
+pub use shard::run_shard_worker;
 pub use snake_netsim::{TopologyGenSpec, TopologyKind};
 pub use snake_observe::{NullObserver, Observer, Recorder, RecorderSnapshot, RunManifest};
 pub use strategen::{generate_strategies, is_on_path, is_self_denial, GenerationParams};

@@ -46,7 +46,7 @@ pub fn build_run_manifest(
 /// Per-shard execution and crash-recovery tallies, present only when the
 /// campaign ran with `--shards`. Like `timing`, this section is
 /// nondeterministic: busy/idle time, the dispatched/re-dispatched range
-/// split, heartbeat and reconnect counts, and segment activity all depend
+/// split, progress-deadline kills, and segment activity all depend
 /// on process scheduling, so manifest-comparing consumers strip it
 /// alongside `timing`. `workers` counts the shards that completed the
 /// handshake — or, when the run had nothing to dispatch and so never
@@ -74,16 +74,8 @@ fn shards_section(snapshot: &RecorderSnapshot) -> Value {
             Value::U64(snapshot.counter("shard.outcome_batches")),
         ),
         (
-            "heartbeats_sent",
-            Value::U64(snapshot.counter("shard.heartbeat.sent")),
-        ),
-        (
-            "heartbeats_missed",
-            Value::U64(snapshot.counter("shard.heartbeat.missed")),
-        ),
-        (
-            "reconnects",
-            Value::U64(snapshot.counter("shard.reconnects")),
+            "deadlines_missed",
+            Value::U64(snapshot.counter("shard.deadline.missed")),
         ),
         (
             "segments_written",

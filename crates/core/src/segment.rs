@@ -27,8 +27,8 @@
 //! campaign is discarded wholesale.
 //!
 //! Segment files live in `<journal>.segments/` and are named
-//! `shard-<nn>-g<gen>-p<pid>.seg`: the generation distinguishes a
-//! reconnected worker's fresh file from its predecessor's, and the
+//! `shard-<nn>-p<pid>.seg`: one file per shard slot (a dead worker is
+//! never replaced, so a slot never has a second writer), and the
 //! controller pid keeps a resumed run's segments from overwriting the
 //! crashed run's (which may still hold outcomes the resume has not yet
 //! replayed and re-journaled). The directory is cleared when a fresh
@@ -58,12 +58,11 @@ pub(crate) fn segment_dir(journal: &Path) -> PathBuf {
     PathBuf::from(s)
 }
 
-/// The segment file a given worker connection writes. `generation`
-/// increments when a shard slot reconnects; the controller pid isolates
-/// runs from each other (see the module docs).
-pub(crate) fn segment_file(dir: &Path, shard: usize, generation: u64) -> PathBuf {
+/// The segment file a given shard's worker writes; the controller pid
+/// isolates runs from each other (see the module docs).
+pub(crate) fn segment_file(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!(
-        "shard-{shard:02}-g{generation}-p{pid}.seg",
+        "shard-{shard:02}-p{pid}.seg",
         pid = std::process::id()
     ))
 }
@@ -316,8 +315,8 @@ mod tests {
         p
     }
 
-    fn write_segment(dir: &Path, shard: usize, generation: u64, ids: &[u64]) -> PathBuf {
-        let path = segment_file(dir, shard, generation);
+    fn write_segment(dir: &Path, shard: usize, ids: &[u64]) -> PathBuf {
+        let path = segment_file(dir, shard);
         let mut w = SegmentWriter::create(&path, shard as u64, 0xd1e5, true).unwrap();
         for (i, &id) in ids.iter().enumerate() {
             w.record(i as u64, 1_000, &counters(id), &outcome(id))
@@ -329,7 +328,7 @@ mod tests {
     #[test]
     fn write_then_merge_roundtrips_outcomes_and_counters() {
         let dir = temp_dir("roundtrip");
-        write_segment(&dir, 0, 0, &[3, 5]);
+        write_segment(&dir, 0, &[3, 5]);
         let merge = merge(&dir, 0xd1e5, true, |_| false).unwrap();
         assert_eq!(merge.merged, 2);
         assert_eq!(merge.discarded, 0);
@@ -341,7 +340,7 @@ mod tests {
     #[test]
     fn journal_covered_outcomes_are_discarded() {
         let dir = temp_dir("journal-wins");
-        write_segment(&dir, 0, 0, &[1, 2, 3]);
+        write_segment(&dir, 0, &[1, 2, 3]);
         let merge = merge(&dir, 0xd1e5, true, |id| id == 2).unwrap();
         assert_eq!(merge.merged, 2);
         assert_eq!(
@@ -355,7 +354,7 @@ mod tests {
     #[test]
     fn torn_segment_tail_is_skipped_not_fatal() {
         let dir = temp_dir("torn");
-        let path = write_segment(&dir, 0, 0, &[7]);
+        let path = write_segment(&dir, 0, &[7]);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"type\":\"eval\",\"index\":1,\"outco");
         std::fs::write(&path, text).unwrap();
@@ -368,7 +367,7 @@ mod tests {
     #[test]
     fn checksum_corrupted_line_is_discarded_not_trusted() {
         let dir = temp_dir("corrupt");
-        let path = write_segment(&dir, 0, 0, &[7, 8]);
+        let path = write_segment(&dir, 0, &[7, 8]);
         // Damage the payload of the last line without touching its
         // checksum: only the checksum can reveal the corruption.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -388,7 +387,7 @@ mod tests {
     #[test]
     fn line_that_is_no_longer_utf8_is_discarded_not_fatal() {
         let dir = temp_dir("high-bit");
-        let path = write_segment(&dir, 0, 0, &[7, 8, 9]);
+        let path = write_segment(&dir, 0, &[7, 8, 9]);
         // One flipped bit in the middle entry leaves a byte that is not
         // UTF-8 any more; reading the file as text would fail outright
         // and take the two intact entries down with it.
@@ -414,8 +413,8 @@ mod tests {
         // re-dispatched and a survivor wrote it again. Both copies are
         // identical (evaluation is deterministic); exactly one merges.
         let dir = temp_dir("duplicate");
-        write_segment(&dir, 0, 0, &[4, 5]);
-        write_segment(&dir, 1, 0, &[5, 6]);
+        write_segment(&dir, 0, &[4, 5]);
+        write_segment(&dir, 1, &[5, 6]);
         let merge = merge(&dir, 0xd1e5, true, |_| false).unwrap();
         assert_eq!(merge.merged, 3);
         assert_eq!(merge.discarded, 1, "the duplicated id must be counted once");
@@ -431,8 +430,8 @@ mod tests {
         // A worker that died before its first outcome leaves either a
         // zero-byte file (killed inside create) or a header-only one.
         let dir = temp_dir("empty");
-        std::fs::write(segment_file(&dir, 0, 0), "").unwrap();
-        SegmentWriter::create(&segment_file(&dir, 1, 0), 1, 0xd1e5, true).unwrap();
+        std::fs::write(segment_file(&dir, 0), "").unwrap();
+        SegmentWriter::create(&segment_file(&dir, 1), 1, 0xd1e5, true).unwrap();
         let merge = merge(&dir, 0xd1e5, true, |_| false).unwrap();
         assert_eq!(merge.merged, 0);
         assert_eq!(merge.discarded, 0);
@@ -442,7 +441,7 @@ mod tests {
     #[test]
     fn mismatched_header_discards_the_whole_file() {
         let dir = temp_dir("mismatch");
-        write_segment(&dir, 0, 0, &[1, 2]); // digest 0xd1e5
+        write_segment(&dir, 0, &[1, 2]); // digest 0xd1e5
         let merge = merge(&dir, 0xbeef, true, |_| false).unwrap();
         assert_eq!(merge.merged, 0);
         assert_eq!(merge.discarded, 3, "both lines plus the rejected header");

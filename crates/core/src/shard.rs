@@ -3,12 +3,14 @@
 //! The paper's harness was a controller machine driving five executor
 //! machines over TCP (§V): the controller owns strategy enumeration and
 //! verdicts, the executors own simulation. This module reproduces that
-//! division inside one host: `snake shard-worker` processes connect to the
-//! controller over a loopback socket, receive the scenario (by value, plus
-//! a digest they must independently recompute) and contiguous
-//! strategy-index ranges, evaluate them through their own
+//! division inside one host: the controller spawns `snake shard-worker`
+//! child processes and talks to each one over that child's own
+//! stdin/stdout (stderr stays inherited). No socket is opened, so a worker
+//! answers only the process that spawned it. A worker receives the
+//! scenario (by value, plus a digest it must independently recompute) and
+//! contiguous strategy-index ranges, evaluates them through its own
 //! [`PlannedExecutor`](crate::scenario::PlannedExecutor) — snapshot-fork,
-//! memoized halt-arming and the stall watchdog all intact — and stream
+//! memoized halt-arming and the stall watchdog all intact — and streams
 //! back one outcome message per strategy.
 //!
 //! # Wire format
@@ -49,30 +51,20 @@
 //!
 //! # Supervision and crash tolerance
 //!
-//! Three layers distinguish a slow worker from a dead one and keep a long
-//! campaign's results intact through the whole failure matrix:
-//!
-//! * **Heartbeats + read deadlines** — after the handshake each worker
-//!   runs a heartbeat thread that writes a `heartbeat` frame every
-//!   `--heartbeat` interval, even while its main thread is deep inside an
-//!   evaluation. The controller keeps a per-connection read deadline
-//!   (`--shard-timeout`) armed on every read, so a hung or partitioned
-//!   worker — one that stops producing *any* frames — is declared dead
-//!   within one deadline, while an arbitrarily slow evaluation stays alive
-//!   as long as heartbeats flow. A deadline death re-dispatches the
-//!   shard's outstanding indices exactly like a closed connection.
+//! * **One deadline** — EOF, a write error or a refused frame marks a
+//!   shard dead at once. What no byte can reveal — a worker hung
+//!   mid-range, an outcome frame lost on the wire — shows as a shard that
+//!   holds dispatched work for `--shard-timeout` without delivering an
+//!   outcome; the dispatcher's progress deadline kills it. Either way its
+//!   outstanding indices are re-dispatched to the survivors, or run
+//!   in-process once none is left. The same window bounds the wait for
+//!   each worker's `ready`. A dead worker is not replaced.
 //! * **Journal segments** — when the campaign has a journal, each worker
 //!   also appends every evaluated outcome to a private checksummed
 //!   segment file (see `segment.rs`). A *controller* crash therefore
 //!   resumes by merging segments instead of re-evaluating in-flight
 //!   ranges: the journal holds what was admitted, the segments hold what
 //!   was evaluated but still on the wire.
-//! * **Bounded reconnect** — a spawned worker that dies is replaced: the
-//!   controller re-spawns and re-handshakes the slot (fresh generation,
-//!   fresh segment file) with exponential backoff plus deterministic
-//!   jitter, a bounded number of times per slot. Events are
-//!   generation-tagged so a retired connection's stale traffic can never
-//!   reach admission.
 //!
 //! Wire-level chaos (dropped/truncated/corrupted/delayed outcome frames,
 //! worker hangs) is injected deterministically on the controller's read
@@ -82,10 +74,8 @@
 use std::collections::BTreeMap;
 use std::env;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,35 +102,19 @@ use crate::segment::{segment_file, SegmentWriter};
 use crate::strategen::GenerationParams;
 
 /// Wire protocol version; bumped whenever a message shape changes. A
-/// worker refuses a `hello` carrying any other version. Version 3 added
-/// heartbeats, journal-segment paths and the worker-hang chaos knob.
-pub(crate) const WIRE_VERSION: u64 = 3;
+/// worker refuses a `hello` carrying any other version. Version 4 dropped
+/// the worker's keep-alive frame with its `hello` field, and the TCP
+/// profile's `fast_retransmit` knob.
+pub(crate) const WIRE_VERSION: u64 = 4;
 
 /// Exit code a worker uses when the `SNAKE_SHARD_EXIT_AFTER` test hook
 /// fires (distinguishable from a panic's 101 in test assertions).
 const EXIT_AFTER_CODE: i32 = 17;
 
-/// Default `--shard-timeout`: the per-read deadline on every shard
-/// connection — worker connect/handshake *and* mid-evaluation reads. A
-/// healthy worker is never silent longer than its heartbeat interval, so
-/// this only fires for a hung, partitioned or dead peer.
+/// Default `--shard-timeout`, the pool's one clock: how long a shard may
+/// hold dispatched work without delivering an outcome, and how long the
+/// controller waits for a spawned worker's `ready`.
 pub(crate) const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Default `--heartbeat`: how often a worker proves liveness while its
-/// main thread is busy evaluating.
-pub(crate) const DEFAULT_HEARTBEAT: Duration = Duration::from_secs(2);
-
-/// Worker-side connect retry budget against a controller that is not up
-/// yet (or briefly unreachable): attempts and the first backoff, doubled
-/// per retry.
-const CONNECT_ATTEMPTS: u32 = 5;
-const CONNECT_BACKOFF: Duration = Duration::from_millis(200);
-
-/// Controller-side replacement budget per shard slot: how many times a
-/// dead spawned worker is re-spawned and re-handshaked, and the first
-/// backoff (doubled per attempt, plus deterministic jitter).
-const RECONNECT_ATTEMPTS: u64 = 2;
-const RECONNECT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// How long `finish` waits for a worker process to exit after the
 /// shutdown message before killing it.
@@ -171,7 +145,6 @@ const WORKER_COUNTERS: &[&str] = &[
     "netsim.impair.reordered",
     "netsim.impair.flap_dropped",
     "shard.outcome_batches",
-    "shard.heartbeat.sent",
     "shard.segments.written",
     "campaign.escalated",
     "campaign.stalls",
@@ -208,8 +181,8 @@ fn queue_line(writer: &mut impl Write, message: &Value) -> io::Result<()> {
     writer.write_all(line.as_bytes())
 }
 
-/// Reads the next message line. `Ok(None)` means the peer closed the
-/// connection; a failed checksum or unparseable payload is an error — on
+/// Reads the next message line. `Ok(None)` means the peer closed its end
+/// of the pipe; a failed checksum or unparseable payload is an error — on
 /// the wire (unlike on disk) there is no tolerant skip.
 fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Value>> {
     let mut line = Vec::new();
@@ -348,7 +321,6 @@ fn encode_tcp_profile(profile: &Profile) -> Value {
             "naive_ack_counting",
             Value::Bool(profile.naive_ack_counting),
         ),
-        ("fast_retransmit", Value::Bool(profile.fast_retransmit)),
         (
             "harsh_dupack_response",
             Value::Bool(profile.harsh_dupack_response),
@@ -409,7 +381,6 @@ fn decode_tcp_profile(value: &Value) -> Result<Profile, JsonError> {
         min_rto: decode_duration(value.req("min_rto")?, "min_rto")?,
         max_rto: decode_duration(value.req("max_rto")?, "max_rto")?,
         naive_ack_counting: value.req_bool("naive_ack_counting")?,
-        fast_retransmit: value.req_bool("fast_retransmit")?,
         harsh_dupack_response: value.req_bool("harsh_dupack_response")?,
         invalid_flags,
         abort_style,
@@ -614,13 +585,11 @@ struct WorkerJob {
     deadline: Option<Duration>,
     stall_retries: usize,
     stall_backoff: Duration,
-    /// How often the worker's heartbeat thread proves liveness.
-    heartbeat: Duration,
     /// Journal-segment file to append evaluated outcomes to, when the
     /// campaign has a journal (crash-tolerant resume; see `segment.rs`).
     segment: Option<PathBuf>,
-    /// Chaos: stop heartbeating and hang forever after this many
-    /// outcomes, so the controller's read deadline is exercised.
+    /// Chaos: hang forever after this many outcomes, so the controller's
+    /// progress deadline is exercised.
     hang_after: Option<u64>,
 }
 
@@ -654,10 +623,6 @@ fn encode_hello(
         (
             "stall_backoff_nanos",
             Value::U64(config.stall_backoff.as_nanos() as u64),
-        ),
-        (
-            "heartbeat_nanos",
-            Value::U64(config.heartbeat.as_nanos() as u64),
         ),
         (
             "segment",
@@ -714,7 +679,6 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
         deadline,
         stall_retries: decode_usize(message, "stall_retries")?,
         stall_backoff: Duration::from_nanos(message.req_u64("stall_backoff_nanos")?),
-        heartbeat: Duration::from_nanos(message.req_u64("heartbeat_nanos")?),
         segment,
         hang_after,
     })
@@ -765,63 +729,54 @@ fn exit_after_hook(shard: u64) -> Option<u64> {
     }
 }
 
-/// Connects to a shard controller with bounded retries and exponential
-/// backoff, so a worker started moments before (or moments after a
-/// controller restart) does not fail instantly on a transient refusal.
-/// The final error message is stable — `could not connect to controller
-/// at <addr> after <n> attempt(s) over <t>ms: <cause>` — and carries the
-/// last underlying error's kind, so scripts and tests can match on it.
-pub fn connect_with_backoff(
-    addr: &str,
-    attempts: u32,
-    first_backoff: Duration,
-) -> io::Result<TcpStream> {
-    let started = Instant::now();
-    let mut backoff = first_backoff;
-    let mut last: Option<io::Error> = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(backoff);
-            backoff = backoff.saturating_mul(2);
-        }
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(err) => last = Some(err),
-        }
-    }
-    let kind = last
-        .as_ref()
-        .map_or(io::ErrorKind::NotConnected, io::Error::kind);
-    let detail = last.map_or_else(|| "no attempt was made".to_owned(), |err| err.to_string());
-    Err(io::Error::new(
-        kind,
-        format!(
-            "could not connect to controller at {addr} after {attempts} attempt(s) over {}ms: {detail}",
-            started.elapsed().as_millis()
-        ),
-    ))
+fn ready_message(digest: u64) -> Value {
+    obj([
+        ("type", Value::Str("ready".to_owned())),
+        ("digest", Value::U64(digest)),
+    ])
 }
 
-/// Runs the `snake shard-worker` loop: connect to the controller at
-/// `addr` (with bounded retries), handshake, evaluate the strategy ranges
-/// it sends, and stream back one `outcome` message per strategy — while a
-/// heartbeat thread proves liveness and, when the campaign has a journal,
-/// every evaluated outcome is also appended to this worker's journal
-/// segment. Returns when the controller sends `shutdown` or closes the
-/// connection.
+/// Reads the controller's frames on a thread of their own and hands them
+/// over a channel. The evaluation loop reads its next range only after
+/// finishing the current one, and a range frame can outgrow a pipe's
+/// buffer, so without this the controller's next `range` write would
+/// wait out a whole range. The channel ends at EOF, or after the first
+/// refused frame, whose error is its last item. The thread is never
+/// joined: when the loop ends it may still be blocked on stdin, and the
+/// worker process exits right after.
+fn spawn_frame_reader() -> mpsc::Receiver<io::Result<Value>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::Builder::new()
+        .name("snake-shard-stdin".to_owned())
+        .spawn(move || {
+            let mut stdin = io::stdin().lock();
+            while let Some(frame) = read_message(&mut stdin).transpose() {
+                let refused = frame.is_err();
+                if tx.send(frame).is_err() || refused {
+                    break;
+                }
+            }
+        })
+        .expect("spawning the stdin reader thread cannot fail");
+    rx
+}
+
+/// Runs the `snake shard-worker` loop over this process's stdin/stdout:
+/// handshake, evaluate the strategy ranges the controller sends, and
+/// stream back one `outcome` message per strategy — and, when the
+/// campaign has a journal, append every evaluated outcome to this
+/// worker's journal segment too. Returns when the controller sends
+/// `shutdown` or closes stdin. Stdout carries frames only; diagnostics
+/// go to stderr.
 ///
 /// The worker is stateless between ranges and owns no campaign artifacts
 /// beyond its segment file: no journal, no verdict ledger.
 /// If it dies mid-range the controller re-dispatches the unfinished
 /// indices elsewhere, and already-admitted outcomes are never re-run.
-pub fn run_shard_worker(addr: &str) -> io::Result<()> {
-    let stream = connect_with_backoff(addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF)?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let writer = Arc::new(Mutex::new(BufWriter::new(stream)));
-
-    let hello = read_message(&mut reader)?
-        .ok_or_else(|| protocol_err("controller closed the connection before hello"))?;
+pub fn run_shard_worker() -> io::Result<()> {
+    let mut writer = BufWriter::new(io::stdout().lock());
+    let hello = read_message(&mut io::stdin().lock())?
+        .ok_or_else(|| protocol_err("controller closed the wire before hello"))?;
     if hello.req_str("type").map_err(decode_err)? != "hello" {
         return Err(protocol_err("expected hello as the first message"));
     }
@@ -830,11 +785,7 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
     if digest != job.digest {
         // Echo what we computed anyway: the controller reports the
         // mismatch and degrades to in-process execution.
-        let ready = obj([
-            ("type", Value::Str("ready".to_owned())),
-            ("digest", Value::U64(digest)),
-        ]);
-        write_line(&mut *writer.lock().unwrap(), &ready)?;
+        write_line(&mut writer, &ready_message(digest))?;
         return Err(protocol_err(format!(
             "scenario digest mismatch: controller sent {:016x}, decoded spec hashes to {digest:016x}",
             job.digest
@@ -868,11 +819,8 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
         stall_backoff: job.stall_backoff,
         observer,
         shards: 0,
-        shard_listen: None,
         shard_worker_bin: None,
         shard_timeout: DEFAULT_SHARD_TIMEOUT,
-        heartbeat: job.heartbeat,
-        insecure_bind: false,
     };
     let shared = Arc::new(
         SharedCtx::prepare(config, job.memoize)
@@ -883,7 +831,7 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
     // rather than double-reporting.
     accumulator.drain();
 
-    // Open this connection's journal segment (best effort: a worker that
+    // Open this worker's journal segment (best effort: a worker that
     // cannot write segments still evaluates correctly; only
     // controller-crash recovery loses precision, never correctness).
     let mut segment = job.segment.as_ref().and_then(|path| {
@@ -899,161 +847,125 @@ pub fn run_shard_worker(addr: &str) -> io::Result<()> {
         }
     });
 
-    let ready = obj([
-        ("type", Value::Str("ready".to_owned())),
-        ("digest", Value::U64(digest)),
-    ]);
-    write_line(&mut *writer.lock().unwrap(), &ready)?;
-
-    // Heartbeat thread: proves liveness to the controller's read deadline
-    // while the main thread is deep inside an evaluation. It shares the
-    // framed writer under the mutex, so a heartbeat can never tear an
-    // outcome frame.
-    let stop_heartbeats = Arc::new(AtomicBool::new(false));
-    {
-        let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop_heartbeats);
-        let accumulator = Arc::clone(&accumulator);
-        let interval = job.heartbeat.max(Duration::from_millis(1));
-        std::thread::Builder::new()
-            .name(format!("snake-shard-hb-{}", job.shard))
-            .spawn(move || loop {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let beat = obj([("type", Value::Str("heartbeat".to_owned()))]);
-                if write_line(&mut *writer.lock().unwrap(), &beat).is_err() {
-                    break;
-                }
-                accumulator.counter_add("shard.heartbeat.sent", 1);
-            })
-            .expect("spawning the heartbeat thread cannot fail");
-    }
-
+    write_line(&mut writer, &ready_message(digest))?;
     let mut sent: u64 = 0;
     if exit_after == Some(sent) {
         std::process::exit(EXIT_AFTER_CODE);
     }
 
     // When the controller dies mid-campaign, range messages it already
-    // sent are still readable from the socket buffer. Those strategies
-    // are exactly what segments exist to preserve, so a broken wire stops
-    // *sending* but not evaluating-and-segment-writing; the loop then
-    // runs to EOF. Without a segment there is nothing to preserve and
-    // wire death ends the worker immediately.
+    // sent are still readable from the pipe. Those strategies are exactly
+    // what segments exist to preserve, so a broken wire stops *sending*
+    // but not evaluating-and-segment-writing; the loop then runs to EOF.
+    // Without a segment there is nothing to preserve and wire death ends
+    // the worker immediately.
     let mut wire_ok = true;
-    let result = (|| -> io::Result<()> {
-        while let Some(message) = read_message(&mut reader)? {
-            match message.req_str("type").map_err(decode_err)? {
-                "range" => {
-                    accumulator.counter_add("shard.outcome_batches", 1);
-                    let start = message.req_u64("start").map_err(decode_err)?;
-                    let strategies = message
-                        .req("strategies")
-                        .map_err(decode_err)?
-                        .as_arr()
-                        .ok_or_else(|| protocol_err("range.strategies: expected array"))?;
-                    for (offset, encoded) in strategies.iter().enumerate() {
-                        let strategy = Strategy::from_json(encoded).map_err(decode_err)?;
-                        let began = Instant::now();
-                        let outcome = evaluate_watched(&shared, strategy);
-                        let busy_nanos = began.elapsed().as_nanos() as u64;
-                        let index = start + offset as u64;
-                        let counters: Vec<(String, u64)> = accumulator
-                            .drain()
-                            .into_iter()
-                            .map(|(name, delta)| (name.to_owned(), delta))
-                            .collect();
-                        // Segment first, wire second: an outcome that
-                        // reached the controller is always recoverable
-                        // from disk, never the other way around.
-                        match segment
-                            .as_mut()
-                            .map(|seg| seg.record(index, busy_nanos, &counters, &outcome))
-                        {
-                            Some(Ok(())) => {
-                                accumulator.counter_add("shard.segments.written", 1);
-                            }
-                            Some(Err(err)) => {
-                                eprintln!(
-                                    "snake: shard {} stopped writing its journal segment: {err}",
-                                    job.shard
-                                );
-                                segment = None;
-                            }
-                            None => {}
+    for message in spawn_frame_reader() {
+        let message = message?;
+        match message.req_str("type").map_err(decode_err)? {
+            "range" => {
+                accumulator.counter_add("shard.outcome_batches", 1);
+                let start = message.req_u64("start").map_err(decode_err)?;
+                let strategies = message
+                    .req("strategies")
+                    .map_err(decode_err)?
+                    .as_arr()
+                    .ok_or_else(|| protocol_err("range.strategies: expected array"))?;
+                for (offset, encoded) in strategies.iter().enumerate() {
+                    let strategy = Strategy::from_json(encoded).map_err(decode_err)?;
+                    let began = Instant::now();
+                    let outcome = evaluate_watched(&shared, strategy);
+                    let busy_nanos = began.elapsed().as_nanos() as u64;
+                    let index = start + offset as u64;
+                    let counters: Vec<(String, u64)> = accumulator
+                        .drain()
+                        .into_iter()
+                        .map(|(name, delta)| (name.to_owned(), delta))
+                        .collect();
+                    // Segment first, wire second: an outcome that
+                    // reached the controller is always recoverable
+                    // from disk, never the other way around.
+                    match segment
+                        .as_mut()
+                        .map(|seg| seg.record(index, busy_nanos, &counters, &outcome))
+                    {
+                        Some(Ok(())) => {
+                            accumulator.counter_add("shard.segments.written", 1);
                         }
-                        if wire_ok {
-                            let reply = obj([
-                                ("type", Value::Str("outcome".to_owned())),
-                                ("index", Value::U64(index)),
-                                ("busy_nanos", Value::U64(busy_nanos)),
-                                ("counters", counters_json(&counters)),
-                                ("outcome", outcome.to_json()),
-                            ]);
-                            if let Err(err) = queue_line(&mut *writer.lock().unwrap(), &reply) {
-                                if segment.is_none() {
-                                    return Err(err);
-                                }
-                                wire_ok = false;
-                            }
+                        Some(Err(err)) => {
+                            eprintln!(
+                                "snake: shard {} stopped writing its journal segment: {err}",
+                                job.shard
+                            );
+                            segment = None;
                         }
-                        sent += 1;
-                        if exit_after == Some(sent) {
-                            // The hook simulates a worker dying *after*
-                            // this outcome reached the wire, so drain the
-                            // batch buffer before exiting.
-                            writer.lock().unwrap().flush()?;
-                            std::process::exit(EXIT_AFTER_CODE);
-                        }
-                        if job.hang_after == Some(sent) {
-                            // Chaos: go silent without closing anything.
-                            // Heartbeats stop, the current batch stays
-                            // buffered — exactly the shape of a
-                            // livelocked worker. The controller's read
-                            // deadline must declare this shard dead; the
-                            // process is killed from outside.
-                            stop_heartbeats.store(true, Ordering::Relaxed);
-                            loop {
-                                std::thread::sleep(Duration::from_secs(60));
-                            }
-                        }
+                        None => {}
                     }
                     if wire_ok {
-                        if let Err(err) = writer.lock().unwrap().flush() {
+                        let reply = obj([
+                            ("type", Value::Str("outcome".to_owned())),
+                            ("index", Value::U64(index)),
+                            ("busy_nanos", Value::U64(busy_nanos)),
+                            ("counters", counters_json(&counters)),
+                            ("outcome", outcome.to_json()),
+                        ]);
+                        if let Err(err) = queue_line(&mut writer, &reply) {
                             if segment.is_none() {
                                 return Err(err);
                             }
                             wire_ok = false;
                         }
                     }
+                    sent += 1;
+                    if exit_after == Some(sent) {
+                        // The hook simulates a worker dying *after*
+                        // this outcome reached the wire, so drain the
+                        // batch buffer before exiting.
+                        writer.flush()?;
+                        std::process::exit(EXIT_AFTER_CODE);
+                    }
+                    if job.hang_after == Some(sent) {
+                        // Chaos: go silent without closing anything.
+                        // The current batch stays buffered — exactly the
+                        // shape of a livelocked worker. The controller's
+                        // progress deadline must declare this shard
+                        // dead; the process is killed from outside.
+                        loop {
+                            std::thread::sleep(Duration::from_secs(60));
+                        }
+                    }
                 }
-                "shutdown" => break,
-                other => return Err(protocol_err(format!("unexpected message type `{other}`"))),
+                if wire_ok {
+                    if let Err(err) = writer.flush() {
+                        if segment.is_none() {
+                            return Err(err);
+                        }
+                        wire_ok = false;
+                    }
+                }
             }
+            "shutdown" => break,
+            other => return Err(protocol_err(format!("unexpected message type `{other}`"))),
         }
-        Ok(())
-    })();
-    stop_heartbeats.store(true, Ordering::Relaxed);
-    result
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Controller
 // ---------------------------------------------------------------------------
 
-/// One message from a shard's reader thread to the dispatcher. Every
-/// event carries the connection *generation* it came from: a reconnected
-/// slot bumps its generation, so traffic from a retired connection —
-/// including its terminal `Dead` — is recognisably stale and discarded.
+/// One message from a shard's reader thread to the dispatcher.
 pub(crate) enum ShardEvent {
+    /// The worker answered `hello` with the controller's digest.
+    Ready {
+        /// Which shard is ready.
+        shard: usize,
+    },
     /// A worker finished one strategy.
     Outcome {
         /// Which shard produced it.
         shard: usize,
-        /// The connection generation that produced it.
-        generation: u64,
         /// Global strategy index within the batch.
         index: usize,
         /// Worker wall-clock spent evaluating, for busy/idle accounting.
@@ -1063,16 +975,11 @@ pub(crate) enum ShardEvent {
         /// The evaluated outcome, in journal encoding.
         outcome: Box<StrategyOutcome>,
     },
-    /// The shard's connection is unusable: closed, undecodable, or silent
-    /// past the read deadline.
+    /// The shard's wire is unusable: closed, undecodable, or refused
+    /// (including a failed handshake). Always its reader's last event.
     Dead {
         /// Which shard died.
         shard: usize,
-        /// The connection generation that died.
-        generation: u64,
-        /// Whether death was a read-deadline expiry (a hung or
-        /// partitioned worker) rather than a closed/corrupt connection.
-        timed_out: bool,
     },
 }
 
@@ -1080,20 +987,14 @@ pub(crate) enum ShardEvent {
 pub(crate) enum PoolWait {
     /// An event arrived within the deadline.
     Event(ShardEvent),
-    /// Nothing arrived: no shard made outcome progress for the whole
-    /// window (heartbeats never reach this channel). The dispatcher
-    /// checks its per-shard progress deadlines.
+    /// Nothing arrived in time; the dispatcher checks its progress
+    /// deadlines.
     Idle,
-    /// Every sender is gone — all reader threads exited and the pool's
-    /// own clone was dropped; nothing further can arrive.
+    /// Every reader thread has exited; nothing further can arrive.
     Closed,
 }
 
-fn decode_outcome_event(
-    shard: usize,
-    generation: u64,
-    message: &Value,
-) -> Result<ShardEvent, JsonError> {
+fn decode_outcome_event(shard: usize, message: &Value) -> Result<ShardEvent, JsonError> {
     if message.req_str("type")? != "outcome" {
         return Err(JsonError::decode("expected an outcome message"));
     }
@@ -1114,7 +1015,6 @@ fn decode_outcome_event(
     };
     Ok(ShardEvent::Outcome {
         shard,
-        generation,
         index,
         busy_nanos: message.req_u64("busy_nanos")?,
         counters,
@@ -1123,9 +1023,8 @@ fn decode_outcome_event(
 }
 
 /// The deterministic wire-fault lane of a [`ChaosPlan`], applied on the
-/// controller's read path by outcome-frame ordinal (heartbeats are not
-/// counted — their timing is wall-clock-dependent, and chaos must stay
-/// reproducible under seed control).
+/// controller's read path by outcome-frame ordinal, so the same plan
+/// perturbs the same frames every run.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WireFaults {
     drop_every: Option<u64>,
@@ -1175,66 +1074,150 @@ fn reap(child: &mut Child) {
     }
 }
 
-/// One connected (or once-connected) worker process, controller side.
+/// Reads a worker's answer to `hello`: a `ready` echoing `digest`.
+fn read_ready(reader: &mut impl BufRead, digest: u64) -> io::Result<()> {
+    let ready =
+        read_message(reader)?.ok_or_else(|| protocol_err("worker closed the wire before ready"))?;
+    if ready.req_str("type").map_err(decode_err)? != "ready" {
+        return Err(protocol_err("expected a ready message"));
+    }
+    let echoed = ready.req_u64("digest").map_err(decode_err)?;
+    if echoed != digest {
+        return Err(protocol_err(format!(
+            "scenario digest mismatch: sent {digest:016x}, worker decoded {echoed:016x}"
+        )));
+    }
+    Ok(())
+}
+
+/// Drains one worker's stdout: first its `ready` (a pipe has no read
+/// timeout, so the handshake result travels over the event channel and
+/// the controller bounds the wait there), then its outcome frames. Ends
+/// with exactly one `Dead`.
+fn spawn_reader(
+    shard: usize,
+    digest: u64,
+    mut reader: BufReader<ChildStdout>,
+    tx: mpsc::Sender<ShardEvent>,
+    wire: WireFaults,
+) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("snake-shard-rx-{shard}"))
+        .spawn(move || {
+            if let Err(err) = read_ready(&mut reader, digest) {
+                eprintln!("snake: shard {shard} failed its handshake and was dropped: {err}");
+                tx.send(ShardEvent::Dead { shard }).ok();
+                return;
+            }
+            if tx.send(ShardEvent::Ready { shard }).is_err() {
+                return;
+            }
+            let mut outcomes: u64 = 0;
+            loop {
+                let event = match read_message(&mut reader) {
+                    Ok(Some(message)) => match decode_outcome_event(shard, &message) {
+                        Ok(event) => {
+                            outcomes += 1;
+                            // Wire chaos, by outcome ordinal: a truncated
+                            // or corrupted frame would have failed its
+                            // checksum, which on the wire is a protocol
+                            // death; a dropped frame simply never
+                            // happened; a delayed frame arrives late but
+                            // intact.
+                            if fault_hits(wire.truncate_every, outcomes)
+                                || fault_hits(wire.corrupt_every, outcomes)
+                            {
+                                ShardEvent::Dead { shard }
+                            } else if fault_hits(wire.drop_every, outcomes) {
+                                continue;
+                            } else {
+                                if fault_hits(wire.delay_every, outcomes) {
+                                    std::thread::sleep(wire.delay);
+                                }
+                                event
+                            }
+                        }
+                        Err(_) => ShardEvent::Dead { shard },
+                    },
+                    Ok(None) | Err(_) => ShardEvent::Dead { shard },
+                };
+                let is_dead = matches!(event, ShardEvent::Dead { .. });
+                if tx.send(event).is_err() || is_dead {
+                    break;
+                }
+            }
+        })
+        .expect("spawning a shard reader thread cannot fail")
+}
+
+/// One spawned worker process, controller side. The link owns the child's
+/// stdio, so killing a link always kills the worker it talks to.
 struct ShardLink {
-    /// A clone of the connection, kept for `shutdown(2)` even after the
-    /// writer is dropped.
-    socket: TcpStream,
-    /// Send half; `None` once the shard is declared dead.
-    writer: Option<BufWriter<TcpStream>>,
-    /// The spawned worker process (absent for `--connect` workers).
-    child: Option<Child>,
-    /// The reader thread draining this shard's outcome stream.
+    child: Child,
+    /// Send half, the child's stdin; `None` once the shard is declared
+    /// dead.
+    writer: Option<BufWriter<ChildStdin>>,
+    /// The reader thread draining the child's stdout.
     reader: Option<JoinHandle<()>>,
-    /// Whether the handshake (ready + digest match) succeeded.
+    /// Whether the worker answered `ready` with the right digest in time.
     handshaked: bool,
     /// Total worker-reported evaluation time.
     busy_nanos: u64,
-    /// Outcomes received from this shard.
-    outcomes: u64,
-    /// Connection generation for this slot; bumped per reconnect so
-    /// retired connections' events are recognisably stale.
-    generation: u64,
-    /// Replacement attempts consumed by this slot (bounded by
-    /// [`RECONNECT_ATTEMPTS`]).
-    reconnect_attempts: u64,
+}
+
+impl ShardLink {
+    /// Spawns one `snake shard-worker` on piped stdin/stdout, sends it
+    /// `hello`, and starts the reader thread that waits for its `ready`.
+    fn spawn(
+        worker_bin: &Path,
+        shard: usize,
+        hello: &Value,
+        digest: u64,
+        tx: &mpsc::Sender<ShardEvent>,
+        wire: WireFaults,
+    ) -> io::Result<ShardLink> {
+        let mut child = Command::new(worker_bin)
+            .arg("shard-worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()?;
+        let stdout = child.stdout.take().expect("stdout is piped");
+        let reader = spawn_reader(shard, digest, BufReader::new(stdout), tx.clone(), wire);
+        let mut writer = BufWriter::new(child.stdin.take().expect("stdin is piped"));
+        // A worker that cannot take its hello is gone already; killing it
+        // closes its stdout, and its reader reports it dead.
+        let writer = match write_line(&mut writer, hello) {
+            Ok(()) => Some(writer),
+            Err(_) => {
+                child.kill().ok();
+                None
+            }
+        };
+        Ok(ShardLink {
+            child,
+            writer,
+            reader: Some(reader),
+            handshaked: false,
+            busy_nanos: 0,
+        })
+    }
 }
 
 /// The controller's set of worker processes for one campaign, plus the
 /// merged event stream their reader threads feed.
 pub(crate) struct ShardPool {
     links: Vec<ShardLink>,
-    /// Links replaced by reconnects (or that failed a reconnect
-    /// handshake), kept so their reader threads are joined and their
-    /// children reaped at teardown, and their busy tallies reported.
-    retired: Vec<ShardLink>,
     events: mpsc::Receiver<ShardEvent>,
-    /// Sender handed to reader threads; kept so reconnected readers can
-    /// be spawned after launch.
-    tx: mpsc::Sender<ShardEvent>,
     started: Instant,
     /// Shards that completed the handshake (the `shard.workers` counter).
     workers: usize,
-    /// The campaign's scenario digest (reconnect handshakes re-use it).
-    digest: u64,
-    /// The effective memoize flag the workers were handshaked with.
-    memoize: bool,
-    /// Wire-fault lane applied on every reader.
-    wire: WireFaults,
-    /// Segment directory, when the campaign journals.
-    segments: Option<PathBuf>,
-    /// Respawn context for spawned-children mode: the retained listener
-    /// and the worker binary. `None` under `--shard-listen`, where
-    /// workers are started externally and cannot be respawned.
-    respawn: Option<(TcpListener, PathBuf)>,
     /// Ranges handed to workers, including re-dispatches.
     pub(crate) ranges_dispatched: u64,
     /// Ranges re-dispatched after a shard death or protocol violation.
     pub(crate) ranges_redispatched: u64,
-    /// Shards declared dead by read-deadline expiry (hung/partitioned).
-    pub(crate) heartbeats_missed: u64,
-    /// Successful slot replacements.
-    pub(crate) reconnects: u64,
+    /// Shards killed by the progress deadline (hung, or an outcome lost).
+    pub(crate) deadlines_missed: u64,
 }
 
 impl std::fmt::Debug for ShardPool {
@@ -1248,147 +1231,20 @@ impl std::fmt::Debug for ShardPool {
     }
 }
 
-fn spawn_reader(
-    shard: usize,
-    generation: u64,
-    mut reader: BufReader<TcpStream>,
-    tx: mpsc::Sender<ShardEvent>,
-    wire: WireFaults,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("snake-shard-rx-{shard}-g{generation}"))
-        .spawn(move || {
-            let dead = |timed_out| ShardEvent::Dead {
-                shard,
-                generation,
-                timed_out,
-            };
-            let mut outcomes: u64 = 0;
-            loop {
-                let event = match read_message(&mut reader) {
-                    Ok(Some(message)) => {
-                        if message.get("type").and_then(Value::as_str) == Some("heartbeat") {
-                            // Liveness proven simply by arriving before
-                            // the read deadline; nothing to dispatch.
-                            continue;
-                        }
-                        match decode_outcome_event(shard, generation, &message) {
-                            Ok(event) => {
-                                outcomes += 1;
-                                // Wire chaos, by outcome ordinal: a
-                                // truncated or corrupted frame would have
-                                // failed its checksum, which on the wire
-                                // is a protocol death; a dropped frame
-                                // simply never happened; a delayed frame
-                                // arrives late but intact.
-                                if fault_hits(wire.truncate_every, outcomes)
-                                    || fault_hits(wire.corrupt_every, outcomes)
-                                {
-                                    dead(false)
-                                } else if fault_hits(wire.drop_every, outcomes) {
-                                    continue;
-                                } else {
-                                    if fault_hits(wire.delay_every, outcomes) {
-                                        std::thread::sleep(wire.delay);
-                                    }
-                                    event
-                                }
-                            }
-                            Err(_) => dead(false),
-                        }
-                    }
-                    Ok(None) => dead(false),
-                    Err(err) => dead(matches!(
-                        err.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    )),
-                };
-                let is_dead = matches!(event, ShardEvent::Dead { .. });
-                if tx.send(event).is_err() || is_dead {
-                    break;
-                }
-            }
-        })
-        .expect("spawning a shard reader thread cannot fail")
-}
-
-/// Accepts up to `want` connections from spawned children, polling so a
-/// child that died on startup does not hang the controller forever.
-fn accept_children(
-    listener: &TcpListener,
-    want: usize,
-    children: &mut [Child],
-    timeout: Duration,
-) -> Vec<TcpStream> {
-    listener
-        .set_nonblocking(true)
-        .expect("listener supports nonblocking");
-    let deadline = Instant::now() + timeout;
-    let mut accepted = Vec::new();
-    while accepted.len() < want && Instant::now() < deadline {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream
-                    .set_nonblocking(false)
-                    .expect("accepted stream supports blocking");
-                accepted.push(stream);
-            }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                // A connected worker blocks on its socket, so an exited
-                // child is one that failed before connecting. Once every
-                // still-running child is accounted for by an accepted
-                // stream, no further connection can arrive.
-                let exited = children
-                    .iter_mut()
-                    .filter_map(|child| child.try_wait().ok().flatten())
-                    .count();
-                if children.len() - exited <= accepted.len() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => break,
-        }
-    }
-    accepted
-}
-
-/// Spawns one `shard-worker --connect` child pointed at `addr`.
-fn spawn_worker(worker_bin: &Path, addr: &str) -> io::Result<Child> {
-    Command::new(worker_bin)
-        .args(["shard-worker", "--connect", addr])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
-}
-
-/// Deterministic sub-100ms reconnect jitter: a splitmix64 finalizer over
-/// the (digest, shard, attempt) triple, so two controllers racing to
-/// replace shards of the same campaign stagger identically run-to-run.
-fn reconnect_jitter(digest: u64, shard: usize, attempt: u64) -> Duration {
-    let mut z = digest ^ ((shard as u64) << 8) ^ attempt;
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    Duration::from_millis((z ^ (z >> 31)) % 100)
-}
-
 impl ShardPool {
-    /// Spawns (or accepts) the configured worker processes, handshakes
-    /// each one, and starts their reader threads. Shards that fail to
-    /// connect, echo a wrong digest, or die during the handshake are
-    /// simply absent from the live set; the caller degrades to in-process
-    /// execution when `live()` comes back zero.
+    /// Spawns the configured worker processes, handshakes each one, and
+    /// leaves their reader threads running. Shards that fail to spawn,
+    /// echo a wrong digest, die, or stay silent past `shard_timeout`
+    /// during the handshake are simply absent from the live set; the
+    /// caller degrades to in-process execution when `live()` comes back
+    /// zero.
     ///
     /// `segments` is the journal-segment directory workers should write
-    /// their evaluated-outcome segments into (shared filesystem assumed
-    /// for spawned children; `--connect` workers on other machines simply
-    /// skip segment writing when the path is not creatable).
+    /// their evaluated-outcome segments into.
     pub(crate) fn launch(
         config: &CampaignConfig,
         memoize: bool,
-        segments: Option<PathBuf>,
+        segments: Option<&Path>,
     ) -> io::Result<ShardPool> {
         let digest = scenario_digest(&config.scenario, config.threshold, config.baseline_reps);
         let wire = WireFaults::from_chaos(config.chaos.as_ref());
@@ -1396,258 +1252,69 @@ impl ShardPool {
             .chaos
             .as_ref()
             .and_then(|plan| plan.hang_worker_after);
-        let (tx, rx) = mpsc::channel();
-        let mut streams: Vec<(TcpStream, Option<Child>)> = Vec::new();
-        let mut respawn = None;
-
-        if let Some(listen) = &config.shard_listen {
-            let listener = TcpListener::bind(listen.as_str())?;
-            let addr = listener.local_addr()?;
-            eprintln!(
-                "snake: shard controller listening on {addr} — start {} `snake shard-worker --connect {addr}` process(es)",
-                config.shards
-            );
-            for _ in 0..config.shards {
-                let (stream, _) = listener.accept()?;
-                streams.push((stream, None));
+        let worker_bin = match &config.shard_worker_bin {
+            Some(path) => path.clone(),
+            None => env::current_exe()?,
+        };
+        let (tx, events) = mpsc::channel();
+        let mut links = Vec::new();
+        for _ in 0..config.shards {
+            let shard = links.len();
+            // The hang knob targets shard 0 only, so a hang-chaos
+            // campaign still has live shards to finish on.
+            let hang = if shard == 0 { hang_after } else { None };
+            let segment = segments.map(|dir| segment_file(dir, shard));
+            let hello = encode_hello(shard, digest, config, memoize, segment.as_deref(), hang);
+            match ShardLink::spawn(&worker_bin, shard, &hello, digest, &tx, wire) {
+                Ok(link) => links.push(link),
+                Err(err) => eprintln!("snake: failed to spawn shard worker {worker_bin:?}: {err}"),
             }
-        } else {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            let addr = listener.local_addr()?;
-            let worker_bin = match &config.shard_worker_bin {
-                Some(path) => path.clone(),
-                None => env::current_exe()?,
-            };
-            let mut children = Vec::new();
-            for _ in 0..config.shards {
-                match spawn_worker(&worker_bin, &addr.to_string()) {
-                    Ok(child) => children.push(child),
-                    Err(err) => {
-                        eprintln!("snake: failed to spawn shard worker {worker_bin:?}: {err}");
-                    }
-                }
-            }
-            let accepted = accept_children(
-                &listener,
-                children.len(),
-                &mut children,
-                config.shard_timeout,
-            );
-            // Pair accepted streams with children positionally for
-            // reaping only — shard identity comes from the hello message,
-            // so the pairing does not need to match spawn order.
-            let mut children = children.into_iter();
-            for stream in accepted {
-                streams.push((stream, children.next()));
-            }
-            // Children beyond the accepted count never connected; reap
-            // them now rather than leaking processes.
-            for mut orphan in children {
-                orphan.kill().ok();
-                orphan.wait().ok();
-            }
-            // Keep the listener and binary path so a dead shard can be
-            // replaced by a fresh child mid-campaign.
-            respawn = Some((listener, worker_bin));
         }
-
+        // Only reader threads hold senders from here on, so the stream
+        // closes once every one of them has exited.
+        drop(tx);
         let mut pool = ShardPool {
-            links: Vec::new(),
-            retired: Vec::new(),
-            events: rx,
-            tx,
+            links,
+            events,
             started: Instant::now(),
             workers: 0,
-            digest,
-            memoize,
-            wire,
-            segments,
-            respawn,
             ranges_dispatched: 0,
             ranges_redispatched: 0,
-            heartbeats_missed: 0,
-            reconnects: 0,
+            deadlines_missed: 0,
         };
-        for (shard, (stream, child)) in streams.into_iter().enumerate() {
-            stream.set_nodelay(true).ok();
-            // The hang knob targets shard 0's initial connection only, so
-            // a hang-chaos campaign still has live shards to finish on.
-            let hang = if shard == 0 { hang_after } else { None };
-            let segment = pool.segment_path(shard, 0);
-            let link = Self::handshake(
-                shard,
-                0,
-                stream,
-                child,
-                digest,
-                config,
-                memoize,
-                segment.as_deref(),
-                hang,
-                &pool.tx,
-                wire,
-            );
-            pool.workers += usize::from(link.handshaked);
-            pool.links.push(link);
-        }
+        pool.await_ready(config.shard_timeout);
         Ok(pool)
     }
 
-    /// The segment file a given `(shard, generation)` connection should
-    /// write, when the campaign journals.
-    fn segment_path(&self, shard: usize, generation: u64) -> Option<PathBuf> {
-        self.segments
-            .as_deref()
-            .map(|dir| segment_file(dir, shard, generation))
-    }
-
-    /// Runs the hello/ready handshake on one accepted stream. Any failure
-    /// produces a dead link (kept only so its child is reaped later).
-    ///
-    /// The read deadline stays armed after the handshake: a worker that
-    /// goes silent for longer than `config.shard_timeout` mid-evaluation
-    /// (no outcome, no heartbeat) is declared dead by its reader thread
-    /// rather than hanging the controller forever.
-    #[allow(clippy::too_many_arguments)]
-    fn handshake(
-        shard: usize,
-        generation: u64,
-        stream: TcpStream,
-        child: Option<Child>,
-        digest: u64,
-        config: &CampaignConfig,
-        memoize: bool,
-        segment: Option<&Path>,
-        hang_after: Option<u64>,
-        tx: &mpsc::Sender<ShardEvent>,
-        wire: WireFaults,
-    ) -> ShardLink {
-        let mut link = ShardLink {
-            socket: stream.try_clone().unwrap_or(stream),
-            writer: None,
-            child,
-            reader: None,
-            handshaked: false,
-            busy_nanos: 0,
-            outcomes: 0,
-            generation,
-            reconnect_attempts: 0,
-        };
-        let attempt = (|| -> io::Result<(BufWriter<TcpStream>, BufReader<TcpStream>)> {
-            let mut writer = BufWriter::new(link.socket.try_clone()?);
-            write_line(
-                &mut writer,
-                &encode_hello(shard, digest, config, memoize, segment, hang_after),
-            )?;
-            let read_half = link.socket.try_clone()?;
-            read_half.set_read_timeout(Some(config.shard_timeout))?;
-            let mut reader = BufReader::new(read_half);
-            let ready = read_message(&mut reader)?
-                .ok_or_else(|| protocol_err("worker closed the connection before ready"))?;
-            if ready.req_str("type").map_err(decode_err)? != "ready" {
-                return Err(protocol_err("expected a ready message"));
-            }
-            let echoed = ready.req_u64("digest").map_err(decode_err)?;
-            if echoed != digest {
-                return Err(protocol_err(format!(
-                    "scenario digest mismatch: sent {digest:016x}, worker decoded {echoed:016x}"
-                )));
-            }
-            Ok((writer, reader))
-        })();
-        match attempt {
-            Ok((writer, reader)) => {
-                link.writer = Some(writer);
-                link.reader = Some(spawn_reader(shard, generation, reader, tx.clone(), wire));
-                link.handshaked = true;
-            }
-            Err(err) => {
-                eprintln!("snake: shard {shard} failed its handshake and was dropped: {err}");
-                link.socket.shutdown(Shutdown::Both).ok();
+    /// Collects every worker's handshake result, waiting at most
+    /// `timeout`; a worker still silent then is killed.
+    fn await_ready(&mut self, timeout: Duration) {
+        let deadline = Instant::now() + timeout;
+        let mut pending = self.links.len();
+        while pending > 0 {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match self.events.recv_timeout(wait) {
+                Ok(ShardEvent::Ready { shard }) => {
+                    self.links[shard].handshaked = true;
+                    self.workers += 1;
+                    pending -= 1;
+                }
+                Ok(ShardEvent::Dead { shard }) => {
+                    if !self.links[shard].handshaked {
+                        pending -= 1;
+                    }
+                    self.kill(shard);
+                }
+                // No range has been sent yet.
+                Ok(ShardEvent::Outcome { .. }) => {}
+                Err(_) => break,
             }
         }
-        link
-    }
-
-    /// Attempts to replace a dead shard slot with a freshly spawned
-    /// worker. Only spawned-children mode can respawn (`--shard-listen`
-    /// workers are started externally); each slot gets at most
-    /// [`RECONNECT_ATTEMPTS`] replacements, with exponential backoff plus
-    /// deterministic jitter between tries. Returns `true` when the slot
-    /// is live again (at a bumped generation, writing a fresh segment
-    /// file so the dead connection's segment is never appended to).
-    pub(crate) fn try_reconnect(&mut self, shard: usize, config: &CampaignConfig) -> bool {
-        let Some(link) = self.links.get_mut(shard) else {
-            return false;
-        };
-        if link.writer.is_some() || link.reconnect_attempts >= RECONNECT_ATTEMPTS {
-            return false;
-        }
-        let Some((listener, worker_bin)) = self.respawn.as_ref() else {
-            return false;
-        };
-        let attempt = link.reconnect_attempts;
-        link.reconnect_attempts += 1;
-        let backoff = RECONNECT_BACKOFF * 2u32.saturating_pow(attempt as u32)
-            + reconnect_jitter(self.digest, shard, attempt);
-        std::thread::sleep(backoff);
-
-        let addr = match listener.local_addr() {
-            Ok(addr) => addr.to_string(),
-            Err(_) => return false,
-        };
-        let mut child = match spawn_worker(worker_bin, &addr) {
-            Ok(child) => child,
-            Err(err) => {
-                eprintln!("snake: shard {shard} respawn failed: {err}");
-                return false;
+        for shard in 0..self.links.len() {
+            if !self.links[shard].handshaked {
+                self.kill(shard);
             }
-        };
-        let accepted = accept_children(
-            listener,
-            1,
-            std::slice::from_mut(&mut child),
-            config.shard_timeout,
-        );
-        let Some(stream) = accepted.into_iter().next() else {
-            child.kill().ok();
-            child.wait().ok();
-            return false;
-        };
-        stream.set_nodelay(true).ok();
-
-        let generation = self.links[shard].generation + 1;
-        let segment = self.segment_path(shard, generation);
-        let mut fresh = Self::handshake(
-            shard,
-            generation,
-            stream,
-            Some(child),
-            self.digest,
-            config,
-            self.memoize,
-            segment.as_deref(),
-            None,
-            &self.tx,
-            self.wire,
-        );
-        fresh.reconnect_attempts = self.links[shard].reconnect_attempts;
-        let live = fresh.handshaked;
-        // Retire the old link whichever way the handshake went: its
-        // reader thread and child still need joining/reaping at teardown,
-        // and its busy tally still counts toward the shard histograms.
-        let old = std::mem::replace(&mut self.links[shard], fresh);
-        self.retired.push(old);
-        if live {
-            self.reconnects += 1;
         }
-        live
-    }
-
-    /// The current connection generation for a shard slot; events tagged
-    /// with an older generation are stale traffic from a retired link.
-    pub(crate) fn generation(&self, shard: usize) -> u64 {
-        self.links.get(shard).map_or(0, |link| link.generation)
     }
 
     /// Shards currently accepting work.
@@ -1701,18 +1368,13 @@ impl ShardPool {
         true
     }
 
-    /// Declares a shard dead: drops its writer, shuts the socket down
-    /// (which also unblocks its reader thread into an EOF), and kills the
-    /// spawned child outright — a worker declared dead for missing its
-    /// read deadline may be hung in an evaluation and would otherwise
-    /// stall teardown until the reap timeout.
+    /// Declares a shard dead: kills the worker outright — one that missed
+    /// its progress deadline may be hung inside an evaluation — and closes
+    /// its stdin. Its reader thread then reads EOF and winds down.
     pub(crate) fn kill(&mut self, shard: usize) {
         if let Some(link) = self.links.get_mut(shard) {
+            link.child.kill().ok();
             link.writer = None;
-            link.socket.shutdown(Shutdown::Both).ok();
-            if let Some(child) = link.child.as_mut() {
-                child.kill().ok();
-            }
         }
     }
 
@@ -1720,18 +1382,10 @@ impl ShardPool {
     pub(crate) fn record_busy(&mut self, shard: usize, busy_nanos: u64) {
         if let Some(link) = self.links.get_mut(shard) {
             link.busy_nanos += busy_nanos;
-            link.outcomes += 1;
         }
     }
 
-    /// Waits up to `timeout` for the next event from any shard. Every
-    /// dead reader sends a `Dead` event before exiting and the armed read
-    /// deadlines bound how long a broken wire stays quiet, but neither
-    /// covers a worker whose heartbeats keep flowing while an outcome
-    /// never arrives (a frame lost to wire chaos, an evaluation thread
-    /// wedged behind a live heartbeat thread) — heartbeats are swallowed
-    /// by the readers, so [`PoolWait::Idle`] means no *outcome* progress
-    /// anywhere, and the caller applies its progress deadline.
+    /// Waits up to `timeout` for the next event from any shard.
     pub(crate) fn next_event_timeout(&self, timeout: Duration) -> PoolWait {
         match self.events.recv_timeout(timeout) {
             Ok(event) => PoolWait::Event(event),
@@ -1740,24 +1394,22 @@ impl ShardPool {
         }
     }
 
-    /// Shuts every worker down, joins the reader threads, reaps spawned
+    /// Shuts every worker down, joins the reader threads, reaps the
     /// children, and reports per-shard tallies to `observer`: the
     /// `shard.workers` / `shard.ranges_dispatched` /
-    /// `shard.ranges_redispatched` counters and one `shard.busy_nanos` /
-    /// `shard.idle_nanos` histogram sample per handshaked shard.
+    /// `shard.ranges_redispatched` / `shard.deadline.missed` counters and
+    /// one `shard.busy_nanos` / `shard.idle_nanos` histogram sample per
+    /// handshaked shard.
     pub(crate) fn finish(&mut self, observer: &dyn Observer) {
         let lifetime = self.started.elapsed().as_nanos() as u64;
         self.teardown();
         observer.counter_add("shard.workers", self.workers as u64);
         observer.counter_add("shard.ranges_dispatched", self.ranges_dispatched);
         observer.counter_add("shard.ranges_redispatched", self.ranges_redispatched);
-        observer.counter_add("shard.heartbeat.missed", self.heartbeats_missed);
-        observer.counter_add("shard.reconnects", self.reconnects);
-        for link in self.links.iter().chain(self.retired.iter()) {
-            if link.handshaked {
-                observer.record("shard.busy_nanos", link.busy_nanos);
-                observer.record("shard.idle_nanos", lifetime.saturating_sub(link.busy_nanos));
-            }
+        observer.counter_add("shard.deadline.missed", self.deadlines_missed);
+        for link in self.links.iter().filter(|link| link.handshaked) {
+            observer.record("shard.busy_nanos", link.busy_nanos);
+            observer.record("shard.idle_nanos", lifetime.saturating_sub(link.busy_nanos));
         }
     }
 
@@ -1772,26 +1424,24 @@ impl ShardPool {
         for tally in [
             "shard.ranges_dispatched",
             "shard.ranges_redispatched",
-            "shard.heartbeat.missed",
-            "shard.reconnects",
+            "shard.deadline.missed",
         ] {
             observer.counter_add(tally, 0);
         }
     }
 
     fn teardown(&mut self) {
-        for link in self.links.iter_mut().chain(self.retired.iter_mut()) {
+        // `shutdown`, then EOF as the writer drops: a worker exits on
+        // either, and its reader thread on the EOF that follows.
+        for link in &mut self.links {
             if let Some(mut writer) = link.writer.take() {
                 write_line(&mut writer, &shutdown_message()).ok();
             }
-            link.socket.shutdown(Shutdown::Both).ok();
         }
-        for link in self.links.iter_mut().chain(self.retired.iter_mut()) {
+        for link in &mut self.links {
+            reap(&mut link.child);
             if let Some(handle) = link.reader.take() {
                 handle.join().ok();
-            }
-            if let Some(mut child) = link.child.take() {
-                reap(&mut child);
             }
         }
     }
@@ -1820,7 +1470,7 @@ mod tests {
     #[test]
     fn well_framed_garbage_is_a_protocol_error() {
         let too_deep = format!("{}{}", "[".repeat(129), "]".repeat(129));
-        let mut not_utf8 = br#"{"type":"heartbeat"}"#.to_vec();
+        let mut not_utf8 = br#"{"type":"shutdown"}"#.to_vec();
         not_utf8[3] |= 0x80;
         for payload in [too_deep.as_bytes(), &not_utf8] {
             let err = read_message(&mut frame(payload).as_slice()).expect_err("must be refused");
@@ -1829,10 +1479,10 @@ mod tests {
         // The same framing around a sound payload goes through, blank
         // lines before it or not.
         let mut wire = b"\n".to_vec();
-        wire.extend(frame(br#"{"type":"heartbeat"}"#));
+        wire.extend(frame(br#"{"type":"shutdown"}"#));
         let mut wire = wire.as_slice();
         let message = read_message(&mut wire).unwrap().expect("one message");
-        assert_eq!(message.req_str("type").unwrap(), "heartbeat");
+        assert_eq!(message.req_str("type").unwrap(), "shutdown");
         assert!(
             read_message(&mut wire).unwrap().is_none(),
             "then end of stream"

@@ -723,15 +723,13 @@ impl Connection {
                     self.try_send(now, out);
                 }
                 // RFC 6675 stacks only treat a duplicate as a loss
-                // indication when it reports a genuine reception hole; a
-                // pre-RFC-2581 stack has no duplicate-ack loss response
-                // at all.
-                let counts = self.profile.fast_retransmit
-                    && if self.profile.sack_loss_evidence {
-                        marker == SACK_MARKER
-                    } else {
-                        marker != DSACK_MARKER
-                    };
+                // indication when it reports a genuine reception hole; the
+                // others count every duplicate not marked as a DSACK.
+                let counts = if self.profile.sack_loss_evidence {
+                    marker == SACK_MARKER
+                } else {
+                    marker != DSACK_MARKER
+                };
                 if counts {
                     self.dupacks += 1;
                     if self.dupacks == 3 && !self.in_recovery {

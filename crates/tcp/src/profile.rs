@@ -53,9 +53,6 @@ pub struct Profile {
     /// for duplicates or how much data is outstanding — the naïve behaviour
     /// Savage et al. exploited, present in Windows 95 (paper §VI-A.3).
     pub naive_ack_counting: bool,
-    /// Whether the stack implements fast retransmit / fast recovery
-    /// (all four test profiles do; the knob exists for ablation benches).
-    pub fast_retransmit: bool,
     /// The stack's duplicate-ACK rate limiter treats a burst of duplicates
     /// as severe loss and collapses the window to two segments instead of
     /// entering standard inflation-based recovery. The Windows 8.1
@@ -111,7 +108,6 @@ impl Profile {
             min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(120),
             naive_ack_counting: false,
-            fast_retransmit: true,
             harsh_dupack_response: false,
             invalid_flags: InvalidFlagPolicy::BestEffort,
             abort_style: AbortStyle::FinThenRst,
@@ -142,7 +138,6 @@ impl Profile {
             min_rto: SimDuration::from_millis(300),
             max_rto: SimDuration::from_secs(60),
             naive_ack_counting: false,
-            fast_retransmit: true,
             harsh_dupack_response: true,
             invalid_flags: InvalidFlagPolicy::RstAlwaysWins,
             abort_style: AbortStyle::RstOnly,
@@ -164,7 +159,6 @@ impl Profile {
             min_rto: SimDuration::from_millis(500),
             max_rto: SimDuration::from_secs(60),
             naive_ack_counting: true,
-            fast_retransmit: true,
             harsh_dupack_response: false,
             invalid_flags: InvalidFlagPolicy::BestEffort,
             abort_style: AbortStyle::RstOnly,
