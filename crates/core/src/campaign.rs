@@ -82,7 +82,12 @@ impl Campaign {
         let mut next_id = 0u64;
         let mut seen = BTreeSet::new();
         let mut outcomes: Vec<StrategyOutcome> = Vec::new();
-        let mut reports = vec![shared.exec.baseline().proxy.clone()];
+        // Feedback reports, each distinct one once: memo hits and elided
+        // runs share their representative's report, and generation reads
+        // only which triples occur, so neither a repeat nor the set's
+        // iteration order changes what it generates.
+        let mut reports: HashSet<Arc<ProxyReport>> =
+            HashSet::from([shared.exec.baseline().proxy.clone()]);
         for _round in 0..config.feedback_rounds {
             // The cap is re-checked at the top of every round: feedback
             // rounds keep generating strategies, so a cap satisfied in
@@ -130,7 +135,7 @@ impl Campaign {
                 // zeroed metrics from a panic or a half-finished truncated
                 // run would poison the generator's view of the state space.
                 if o.outcome_kind == OutcomeKind::Ok {
-                    reports.push(o.metrics.proxy.clone());
+                    reports.insert(o.metrics.proxy.clone());
                 }
                 outcomes.push(o);
             }

@@ -1085,15 +1085,13 @@ impl SnapshotPlan {
                     ..
                 } => self
                     .timeline
-                    .packets
-                    .get(&(*endpoint, state.clone(), packet_type.clone()))
+                    .packet_seen(*endpoint, state, packet_type)
                     .map(|seen| seen.first_at),
                 StrategyKind::OnState {
                     endpoint, state, ..
                 } => self
                     .timeline
-                    .states
-                    .get(&(*endpoint, state.clone()))
+                    .state_seen(*endpoint, state)
                     .map(|seen| seen.first_at),
             };
             // A rule whose key is absent from the baseline can never be the
@@ -1340,11 +1338,7 @@ impl PlannedExecutor {
         else {
             return false;
         };
-        let Some(seen) =
-            plan.timeline
-                .packets
-                .get(&(*endpoint, state.clone(), packet_type.clone()))
-        else {
+        let Some(seen) = plan.timeline.packet_seen(*endpoint, state, packet_type) else {
             // Key absent from the baseline: `decide` elides it already.
             return false;
         };
@@ -1381,7 +1375,7 @@ impl PlannedExecutor {
         else {
             return None;
         };
-        let seen = plan.timeline.states.get(&(*endpoint, state.clone()))?;
+        let seen = plan.timeline.state_seen(*endpoint, state)?;
         Some(format!(
             "{}@{}:{}",
             seen.first_at.as_nanos(),

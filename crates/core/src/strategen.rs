@@ -5,6 +5,7 @@ use snake_proxy::{
     BasicAttack, Endpoint, InjectDirection, InjectionAttack, ProxyReport, SeqChoice, Strategy,
     StrategyKind,
 };
+use snake_statemachine::{Dir, Label};
 
 use crate::detect::Verdict;
 use crate::scenario::ProtocolKind;
@@ -81,13 +82,15 @@ pub fn generate_strategies(
     };
 
     // Collect send-direction pairs and visited states from the reports.
-    let mut pairs: BTreeSet<(String, String, String)> = BTreeSet::new();
-    let mut states: BTreeSet<(String, String)> = BTreeSet::new();
+    // Both sets iterate in text order (endpoint, then state, then type),
+    // which fixes the strategy ids.
+    let mut pairs: BTreeSet<(Endpoint, Label, Label)> = BTreeSet::new();
+    let mut states: BTreeSet<(Endpoint, Label)> = BTreeSet::new();
     for report in reports {
-        for (endpoint, state, ptype, dir, _count) in &report.observed {
-            states.insert((endpoint.clone(), state.clone()));
-            if dir == "send" {
-                pairs.insert((endpoint.clone(), state.clone(), ptype.clone()));
+        for o in &report.observed {
+            states.insert((o.endpoint, o.state));
+            if o.dir == Dir::Send {
+                pairs.insert((o.endpoint, o.state, o.packet_type));
             }
         }
     }
@@ -107,13 +110,12 @@ pub fn generate_strategies(
         if !already.insert(key) {
             continue;
         }
-        let endpoint = parse_endpoint(&endpoint);
         let mut bucket = Vec::new();
         let mut on_packet = |attack: BasicAttack| {
             bucket.push(StrategyKind::OnPacket {
                 endpoint,
-                state: state.clone(),
-                packet_type: ptype.clone(),
+                state: state.as_str().to_owned(),
+                packet_type: ptype.as_str().to_owned(),
                 attack,
             });
         };
@@ -168,7 +170,6 @@ pub fn generate_strategies(
         if !already.insert(key) {
             continue;
         }
-        let endpoint = parse_endpoint(&endpoint);
         let mut bucket = Vec::new();
         let mut push = |kind: StrategyKind| bucket.push(kind);
         for &ptype in injectable {
@@ -176,7 +177,7 @@ pub fn generate_strategies(
                 for direction in [InjectDirection::ToClient, InjectDirection::ToServer] {
                     push(StrategyKind::OnState {
                         endpoint,
-                        state: state.clone(),
+                        state: state.as_str().to_owned(),
                         attack: InjectionAttack::Inject {
                             packet_type: ptype.to_owned(),
                             seq,
@@ -199,7 +200,7 @@ pub fn generate_strategies(
                     .min(params.hitseq_max_count);
                 push(StrategyKind::OnState {
                     endpoint,
-                    state: state.clone(),
+                    state: state.as_str().to_owned(),
                     attack: InjectionAttack::HitSeqWindow {
                         packet_type: ptype.to_owned(),
                         direction,
@@ -232,14 +233,6 @@ pub fn generate_strategies(
         }
     }
     out
-}
-
-fn parse_endpoint(s: &str) -> Endpoint {
-    if s == "client" {
-        Endpoint::Client
-    } else {
-        Endpoint::Server
-    }
 }
 
 /// Header fields whose in-transit modification is impossible for both a
@@ -329,20 +322,36 @@ pub fn is_self_denial(strategy: &Strategy, verdict: &Verdict) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snake_proxy::Observation;
     use snake_tcp::Profile;
+
+    fn observation(
+        endpoint: Endpoint,
+        state: &str,
+        ptype: &str,
+        dir: Dir,
+        count: u64,
+    ) -> Observation {
+        Observation {
+            endpoint,
+            state: Label::seeded(state),
+            packet_type: Label::seeded(ptype),
+            dir,
+            count,
+        }
+    }
 
     fn fake_report() -> ProxyReport {
         let mut r = ProxyReport::default();
         for (e, s, p, d) in [
-            ("client", "CLOSED", "SYN", "send"),
-            ("client", "SYN_SENT", "SYN+ACK", "recv"),
-            ("client", "ESTABLISHED", "ACK", "send"),
-            ("server", "LISTEN", "SYN", "recv"),
-            ("server", "SYN_RECEIVED", "SYN+ACK", "send"),
-            ("server", "ESTABLISHED", "DATA", "send"),
+            (Endpoint::Client, "CLOSED", "SYN", Dir::Send),
+            (Endpoint::Client, "SYN_SENT", "SYN+ACK", Dir::Recv),
+            (Endpoint::Client, "ESTABLISHED", "ACK", Dir::Send),
+            (Endpoint::Server, "LISTEN", "SYN", Dir::Recv),
+            (Endpoint::Server, "SYN_RECEIVED", "SYN+ACK", Dir::Send),
+            (Endpoint::Server, "ESTABLISHED", "DATA", Dir::Send),
         ] {
-            r.observed
-                .push((e.into(), s.into(), p.into(), d.into(), 10));
+            r.observed.push(observation(e, s, p, d, 10));
         }
         r
     }
@@ -384,17 +393,46 @@ mod tests {
 
         // A new state appearing under attack yields only its increment.
         let mut r2 = fake_report();
-        r2.observed.push((
-            "server".into(),
-            "CLOSE_WAIT".into(),
-            "DATA".into(),
-            "send".into(),
+        r2.observed.push(observation(
+            Endpoint::Server,
+            "CLOSE_WAIT",
+            "DATA",
+            Dir::Send,
             5,
         ));
         let more = generate_strategies(&protocol, &[&r2], &params, &mut next_id, &mut seen);
         let per_pair = 3 + 3 + 3 + 2 + 1 + 9 * 8 + 6 * 2;
         let per_state = 5 * 3 * 2 + 2 * 2;
         assert_eq!(more.len(), per_pair + per_state);
+    }
+
+    #[test]
+    fn repeated_reports_generate_what_their_distinct_set_does() {
+        let a = fake_report();
+        let mut b = fake_report();
+        b.observed.push(observation(
+            Endpoint::Server,
+            "CLOSE_WAIT",
+            "DATA",
+            Dir::Send,
+            5,
+        ));
+        let protocol = ProtocolKind::Tcp(Profile::linux_3_13());
+        let params = GenerationParams::default();
+        let generate = |reports: &[&ProxyReport]| {
+            let mut next_id = 0;
+            let strategies = generate_strategies(
+                &protocol,
+                reports,
+                &params,
+                &mut next_id,
+                &mut BTreeSet::new(),
+            );
+            (strategies, next_id)
+        };
+        let repeated = generate(&[&a, &b, &a, &b, &b, &a]);
+        assert_eq!(repeated, generate(&[&a, &b]));
+        assert_eq!(repeated, generate(&[&b, &a]));
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl DccpPacketType {
     }
 
     /// All types in wire-code order (used by strategy generation).
-    pub fn all() -> &'static [DccpPacketType] {
+    pub const fn all() -> &'static [DccpPacketType] {
         &[
             DccpPacketType::Request,
             DccpPacketType::Response,
@@ -146,7 +146,7 @@ impl DccpPacketType {
     }
 
     /// A stable label used in strategies and reports.
-    pub fn label(&self) -> &'static str {
+    pub const fn label(&self) -> &'static str {
         match self {
             DccpPacketType::Request => "REQUEST",
             DccpPacketType::Response => "RESPONSE",

@@ -275,7 +275,7 @@ impl TcpPacketType {
     }
 
     /// All classifications, in a stable order (used by strategy generation).
-    pub fn all() -> &'static [TcpPacketType] {
+    pub const fn all() -> &'static [TcpPacketType] {
         &[
             TcpPacketType::Syn,
             TcpPacketType::SynAck,
@@ -289,7 +289,7 @@ impl TcpPacketType {
     }
 
     /// A stable label used in strategies and reports.
-    pub fn label(&self) -> &'static str {
+    pub const fn label(&self) -> &'static str {
         match self {
             TcpPacketType::Syn => "SYN",
             TcpPacketType::SynAck => "SYN+ACK",

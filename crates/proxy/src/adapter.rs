@@ -4,7 +4,7 @@ use snake_netsim::{Addr, Packet, Protocol};
 use snake_packet::dccp::{dccp_spec, DccpBuilder, DccpPacketType, DccpView};
 use snake_packet::tcp::{tcp_spec, TcpBuilder, TcpFlags, TcpPacketType, TcpView};
 use snake_packet::FormatSpec;
-use snake_statemachine::{dccp_state_machine, tcp_state_machine, StateMachine};
+use snake_statemachine::{dccp_state_machine, tcp_state_machine, Label, StateMachine};
 
 /// Everything the proxy knows when fabricating a spoofed packet: the
 /// (observed or guessed) connection endpoints and the chosen sequence
@@ -49,9 +49,10 @@ pub trait ProtocolAdapter: std::fmt::Debug + Send + Sync + 'static {
     fn server_initial(&self) -> &'static str;
 
     /// Classifies a packet into a type label (`None` for unparseable
-    /// headers, which are forwarded untouched and untracked). Labels are
-    /// `&'static str` so the per-packet hot path never allocates.
-    fn classify(&self, header: &[u8], payload_len: u32) -> Option<&'static str>;
+    /// headers, which are forwarded untouched and untracked). Labels come
+    /// from the label vocabulary, so the per-packet hot path never
+    /// allocates and never looks a name up.
+    fn classify(&self, header: &[u8], payload_len: u32) -> Option<Label>;
 
     /// Packet types worth injecting, by label.
     fn injectable_types(&self) -> &'static [&'static str];
@@ -78,6 +79,34 @@ pub fn swap_endpoints(spec: &Arc<FormatSpec>, packet: &mut Packet) {
         let _ = spec.set(&mut packet.header, dp, s);
     }
 }
+
+/// Each TCP packet type's [`TcpPacketType::label`] as a vocabulary label,
+/// indexed by variant and resolved at compile time.
+const TCP_TYPE_LABELS: [Label; TcpPacketType::all().len()] = {
+    let types = TcpPacketType::all();
+    let mut labels = [Label::EMPTY; TcpPacketType::all().len()];
+    let mut i = 0;
+    while i < types.len() {
+        assert!(types[i] as usize == i, "listed in declaration order");
+        labels[i] = Label::seeded(types[i].label());
+        i += 1;
+    }
+    labels
+};
+
+/// Each DCCP packet type's [`DccpPacketType::label`] as a vocabulary
+/// label, indexed by variant and resolved at compile time.
+const DCCP_TYPE_LABELS: [Label; DccpPacketType::all().len()] = {
+    let types = DccpPacketType::all();
+    let mut labels = [Label::EMPTY; DccpPacketType::all().len()];
+    let mut i = 0;
+    while i < types.len() {
+        assert!(types[i] as usize == i, "listed in declaration order");
+        labels[i] = Label::seeded(types[i].label());
+        i += 1;
+    }
+    labels
+};
 
 /// The TCP adapter.
 #[derive(Debug, Default, Clone, Copy)]
@@ -108,9 +137,10 @@ impl ProtocolAdapter for TcpAdapter {
         "LISTEN"
     }
 
-    fn classify(&self, header: &[u8], payload_len: u32) -> Option<&'static str> {
+    fn classify(&self, header: &[u8], payload_len: u32) -> Option<Label> {
         let view = TcpView::new(header).ok()?;
-        Some(TcpPacketType::classify(view.flags(), payload_len).label())
+        let ty = TcpPacketType::classify(view.flags(), payload_len);
+        Some(TCP_TYPE_LABELS[ty as usize])
     }
 
     fn injectable_types(&self) -> &'static [&'static str] {
@@ -178,9 +208,9 @@ impl ProtocolAdapter for DccpAdapter {
         "LISTEN"
     }
 
-    fn classify(&self, header: &[u8], _payload_len: u32) -> Option<&'static str> {
+    fn classify(&self, header: &[u8], _payload_len: u32) -> Option<Label> {
         let view = DccpView::new(header).ok()?;
-        Some(view.packet_type()?.label())
+        Some(DCCP_TYPE_LABELS[view.packet_type()? as usize])
     }
 
     fn injectable_types(&self) -> &'static [&'static str] {

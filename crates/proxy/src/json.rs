@@ -4,8 +4,9 @@
 
 use snake_json::{obj, FromJson, JsonError, ObjExt, ToJson, Value};
 use snake_packet::FieldMutation;
+use snake_statemachine::{Dir, Label};
 
-use crate::proxy::ProxyReport;
+use crate::proxy::{Observation, ProxyReport};
 use crate::strategy::{
     BasicAttack, Endpoint, InjectDirection, InjectionAttack, SeqChoice, Strategy, StrategyKind,
 };
@@ -25,6 +26,59 @@ impl FromJson for Endpoint {
                 "endpoint must be \"client\" or \"server\"",
             )),
         }
+    }
+}
+
+/// A state or packet-type name, mapped into the label vocabulary. A known
+/// name allocates nothing; a new one is admitted, and past the
+/// vocabulary's bound the value does not decode.
+fn label_from_json(value: &Value, what: &str) -> Result<Label, JsonError> {
+    let text = value
+        .as_str()
+        .ok_or_else(|| JsonError::decode(format!("{what} must be a string")))?;
+    Label::intern(text).map_err(|e| JsonError::decode(format!("{what}: {e}")))
+}
+
+fn label_to_json(label: Label) -> Value {
+    Value::Str(label.as_str().to_owned())
+}
+
+impl ToJson for Observation {
+    fn to_json(&self) -> Value {
+        Value::Arr(vec![
+            self.endpoint.to_json(),
+            label_to_json(self.state),
+            label_to_json(self.packet_type),
+            Value::Str(self.dir.as_str().to_owned()),
+            Value::U64(self.count),
+        ])
+    }
+}
+
+impl FromJson for Observation {
+    fn from_json(value: &Value) -> Result<Observation, JsonError> {
+        let tuple = value
+            .as_arr()
+            .filter(|t| t.len() == 5)
+            .ok_or_else(|| JsonError::decode("observation must be a 5-element array"))?;
+        let dir = match tuple[3].as_str() {
+            Some("send") => Dir::Send,
+            Some("recv") => Dir::Recv,
+            _ => {
+                return Err(JsonError::decode(
+                    "observation direction must be \"send\" or \"recv\"",
+                ))
+            }
+        };
+        Ok(Observation {
+            endpoint: Endpoint::from_json(&tuple[0])?,
+            state: label_from_json(&tuple[1], "observation state")?,
+            packet_type: label_from_json(&tuple[2], "observation packet type")?,
+            dir,
+            count: tuple[4]
+                .as_u64()
+                .ok_or_else(|| JsonError::decode("observation count must be an integer"))?,
+        })
     }
 }
 
@@ -294,19 +348,6 @@ impl FromJson for Strategy {
 
 impl ToJson for ProxyReport {
     fn to_json(&self) -> Value {
-        let observed: Vec<Value> = self
-            .observed
-            .iter()
-            .map(|(endpoint, state, ptype, direction, n)| {
-                Value::Arr(vec![
-                    Value::Str(endpoint.clone()),
-                    Value::Str(state.clone()),
-                    Value::Str(ptype.clone()),
-                    Value::Str(direction.clone()),
-                    Value::U64(*n),
-                ])
-            })
-            .collect();
         obj([
             ("packets_seen", Value::U64(self.packets_seen)),
             ("matched", Value::U64(self.matched)),
@@ -328,42 +369,25 @@ impl ToJson for ProxyReport {
                         .collect(),
                 ),
             ),
-            ("observed", Value::Arr(observed)),
             (
-                "client_final_state",
-                Value::Str(self.client_final_state.clone()),
+                "observed",
+                Value::Arr(self.observed.iter().map(ToJson::to_json).collect()),
             ),
-            (
-                "server_final_state",
-                Value::Str(self.server_final_state.clone()),
-            ),
+            ("client_final_state", label_to_json(self.client_final_state)),
+            ("server_final_state", label_to_json(self.server_final_state)),
         ])
     }
 }
 
 impl FromJson for ProxyReport {
     fn from_json(value: &Value) -> Result<ProxyReport, JsonError> {
-        let observed_raw = value
+        let observed = value
             .req("observed")?
             .as_arr()
-            .ok_or_else(|| JsonError::decode("`observed` must be an array"))?;
-        let mut observed = Vec::with_capacity(observed_raw.len());
-        for entry in observed_raw {
-            let tuple = entry
-                .as_arr()
-                .filter(|t| t.len() == 5)
-                .ok_or_else(|| JsonError::decode("observation must be a 5-element array"))?;
-            let text = |i: usize| -> Result<String, JsonError> {
-                tuple[i]
-                    .as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| JsonError::decode("observation label must be a string"))
-            };
-            let count = tuple[4]
-                .as_u64()
-                .ok_or_else(|| JsonError::decode("observation count must be an integer"))?;
-            observed.push((text(0)?, text(1)?, text(2)?, text(3)?, count));
-        }
+            .ok_or_else(|| JsonError::decode("`observed` must be an array"))?
+            .iter()
+            .map(Observation::from_json)
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(ProxyReport {
             packets_seen: value.req_u64("packets_seen")?,
             matched: value.req_u64("matched")?,
@@ -412,8 +436,14 @@ impl FromJson for ProxyReport {
                 None => Vec::new(),
             },
             observed,
-            client_final_state: value.req_str("client_final_state")?.to_owned(),
-            server_final_state: value.req_str("server_final_state")?.to_owned(),
+            client_final_state: label_from_json(
+                value.req("client_final_state")?,
+                "client_final_state",
+            )?,
+            server_final_state: label_from_json(
+                value.req("server_final_state")?,
+                "server_final_state",
+            )?,
         })
     }
 }
@@ -494,15 +524,15 @@ mod tests {
             effect_fp_a: 0x1234_5678_9abc_def0,
             effect_fp_b: 0x0fed_cba9_8765_4321,
             rule_hits: vec![(0, 3), (2, 5)],
-            observed: vec![(
-                "client".into(),
-                "ESTABLISHED".into(),
-                "ACK".into(),
-                "out".into(),
-                7,
-            )],
-            client_final_state: "CLOSED".into(),
-            server_final_state: "CLOSE_WAIT".into(),
+            observed: vec![Observation {
+                endpoint: Endpoint::Client,
+                state: Label::seeded("ESTABLISHED"),
+                packet_type: Label::seeded("ACK"),
+                dir: Dir::Send,
+                count: 7,
+            }],
+            client_final_state: Label::seeded("CLOSED"),
+            server_final_state: Label::seeded("CLOSE_WAIT"),
         };
         let text = report.to_json().to_string_compact();
         let back = ProxyReport::from_json(&snake_json::parse(&text).unwrap()).unwrap();

@@ -33,7 +33,8 @@ mod strategy;
 
 pub use adapter::{DccpAdapter, InjectContext, ProtocolAdapter, TcpAdapter};
 pub use proxy::{
-    AttackProxy, PacketFirstSeen, ProxyConfig, ProxyReport, StateFirstSeen, StateTimeline,
+    AttackProxy, Observation, PacketFirstSeen, ProxyConfig, ProxyReport, StateFirstSeen,
+    StateTimeline,
 };
 pub use strategy::{
     BasicAttack, Endpoint, InjectDirection, InjectionAttack, SeqChoice, Strategy, StrategyKind,

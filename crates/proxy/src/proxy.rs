@@ -4,7 +4,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use snake_netsim::{Addr, FxHashMap, NodeId, Packet, SimDuration, SimTime, Tap, TapCtx};
 use snake_packet::FormatSpec;
-use snake_statemachine::{Dir, PairTracker};
+use snake_statemachine::{Dir, Label, PairTracker};
 
 use crate::adapter::{swap_endpoints, InjectContext, ProtocolAdapter};
 use crate::strategy::{
@@ -33,6 +33,53 @@ pub struct ProxyConfig {
     pub client_port_guess: u16,
     /// RNG seed for probabilistic attacks.
     pub seed: u64,
+}
+
+/// One `(endpoint, state, packet type, direction)` observation count from
+/// a run's state trackers — the feedback strategy generation reads.
+///
+/// Every field is `Copy`, so an observation holds no heap memory. Ordered
+/// as the journal spells it: by endpoint, state and packet-type text, then
+/// direction text (`"recv"` before `"send"`, whatever order [`Dir`]
+/// declares), then count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Observation {
+    /// The tracked endpoint.
+    pub endpoint: Endpoint,
+    /// The endpoint's state when the packets were observed.
+    pub state: Label,
+    /// The packets' type.
+    pub packet_type: Label,
+    /// Whether the endpoint sent or received the packets.
+    pub dir: Dir,
+    /// How many packets.
+    pub count: u64,
+}
+
+impl Observation {
+    /// Everything but the count, in sort order.
+    fn key(&self) -> (Endpoint, Label, Label, &'static str) {
+        (
+            self.endpoint,
+            self.state,
+            self.packet_type,
+            self.dir.as_str(),
+        )
+    }
+}
+
+impl Ord for Observation {
+    fn cmp(&self, other: &Observation) -> std::cmp::Ordering {
+        self.key()
+            .cmp(&other.key())
+            .then(self.count.cmp(&other.count))
+    }
+}
+
+impl PartialOrd for Observation {
+    fn partial_cmp(&self, other: &Observation) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Counters and state observations the executor extracts after a test and
@@ -77,22 +124,22 @@ pub struct ProxyReport {
     /// provably effect-free runs). The campaign manifest aggregates these
     /// into per-`(state, packet type)` histograms.
     pub rule_hits: Vec<(u32, u64)>,
-    /// Per-(endpoint, state, packet type, direction) observation counts.
-    pub observed: Vec<(String, String, String, String, u64)>,
+    /// Observation counts summed over every tracked connection, sorted.
+    pub observed: Vec<Observation>,
     /// Final tracked client state.
-    pub client_final_state: String,
+    pub client_final_state: Label,
     /// Final tracked server state.
-    pub server_final_state: String,
+    pub server_final_state: Label,
 }
 
-/// Hashes the counters and the two fingerprint lanes and skips the label
-/// vectors. Equal reports agree on all of them, which is all `Hash` owes
-/// the derived `Eq`; and runs that agree on them put the same packets on
-/// the wire, which is what the labels describe, so nothing is lost in
-/// spread (796, 889 and 1 268 distinct reports in the quick TCP, DCCP and
-/// `star:64` journals hash to as many values). Hashing every label
-/// instead costs a resume that interns its reports 7 µs per journal line
-/// on `star:64` — a quarter of the whole load.
+/// Hashes the counters and the two fingerprint lanes and skips the
+/// observation list. Equal reports agree on all of them, which is all
+/// `Hash` owes the derived `Eq`; and runs that agree on them put the same
+/// packets on the wire, which is what the observations describe, so
+/// nothing is lost in spread (796, 889 and 1 268 distinct reports in the
+/// quick TCP, DCCP and `star:64` journals hash to as many values). Even
+/// with two-byte labels, a derived `Hash` over every observation costs a
+/// `star:64` resume that interns its reports about 25 ms of 0.16 s.
 impl std::hash::Hash for ProxyReport {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         [
@@ -125,11 +172,63 @@ impl std::hash::Hash for ProxyReport {
 pub struct StateTimeline {
     /// First visibility of each `(endpoint, state)` pair to the `OnState`
     /// trigger check (which runs after every observed packet).
-    pub states: FxHashMap<(Endpoint, String), StateFirstSeen>,
+    pub states: FxHashMap<(Endpoint, Label), StateFirstSeen>,
     /// Per `(sender endpoint, sender pre-transition state, packet type)`
     /// triple: first sighting by the `OnPacket` match, plus which header
     /// fields held the same value in every packet seen under the triple.
-    pub packets: FxHashMap<(Endpoint, String, String), PacketFirstSeen>,
+    pub packets: FxHashMap<(Endpoint, Label, Label), PacketFirstSeen>,
+}
+
+impl StateTimeline {
+    /// First sighting of a `(sender, state, packet type)` triple, by name.
+    /// Names are looked up, never admitted: one the vocabulary does not
+    /// know cannot have been recorded.
+    pub fn packet_seen(
+        &self,
+        sender: Endpoint,
+        state: &str,
+        packet_type: &str,
+    ) -> Option<&PacketFirstSeen> {
+        let key = (sender, Label::lookup(state)?, Label::lookup(packet_type)?);
+        self.packets.get(&key)
+    }
+
+    /// First visibility of an `(endpoint, state)` pair, by name (looked
+    /// up, never admitted).
+    pub fn state_seen(&self, endpoint: Endpoint, state: &str) -> Option<&StateFirstSeen> {
+        self.states.get(&(endpoint, Label::lookup(state)?))
+    }
+
+    /// Records one packet of `key`'s triple, seen at `now` as the proxy's
+    /// `index`-th packet, whose header is `header`. Allocates only the
+    /// first time a triple is seen.
+    pub fn record_packet(
+        &mut self,
+        key: (Endpoint, Label, Label),
+        now: SimTime,
+        index: u64,
+        spec: &FormatSpec,
+        header: &[u8],
+    ) {
+        self.packets
+            .entry(key)
+            .or_insert_with(|| PacketFirstSeen {
+                first_at: now,
+                first_index: index,
+                fields: Vec::new(),
+            })
+            .update_constancy(spec, header);
+    }
+
+    /// Records that `key`'s endpoint was visible in its state at `now`,
+    /// after the proxy's `index`-th packet. Allocates only the first time
+    /// a pair is seen.
+    pub fn record_state(&mut self, key: (Endpoint, Label), now: SimTime, index: u64) {
+        self.states.entry(key).or_insert(StateFirstSeen {
+            first_at: now,
+            first_index: index,
+        });
+    }
 }
 
 /// When an `(endpoint, state)` pair first became trigger-visible in the
@@ -745,26 +844,23 @@ impl Tap for AttackProxy {
         } else {
             Endpoint::Server
         };
-        // Rule matching is pure, so it runs against the borrowed state name
-        // before the observe step — no per-packet String clone; the match
-        // yields the rule's index, not a clone of its attack.
+        // Rule matching is pure, so it runs against the sender's state
+        // before the observe step; the match yields the rule's index, not a
+        // clone of its attack.
         let matched = {
             let tracker = &self.trackers[idx].1;
             let sender_state = match sender {
-                Endpoint::Client => tracker.client().current_name(),
-                Endpoint::Server => tracker.server().current_name(),
+                Endpoint::Client => tracker.client().current_label(),
+                Endpoint::Server => tracker.server().current_label(),
             };
             if let Some(tl) = self.timeline.as_mut() {
-                let now = ctx.now();
-                let index = self.report.packets_seen;
-                tl.packets
-                    .entry((sender, sender_state.to_owned(), ptype.to_owned()))
-                    .or_insert_with(|| PacketFirstSeen {
-                        first_at: now,
-                        first_index: index,
-                        fields: Vec::new(),
-                    })
-                    .update_constancy(&self.spec, &packet.header);
+                tl.record_packet(
+                    (sender, sender_state, ptype),
+                    ctx.now(),
+                    self.report.packets_seen,
+                    &self.spec,
+                    &packet.header,
+                );
             }
             self.rules.iter().position(|rule| match &rule.kind {
                 StrategyKind::OnPacket {
@@ -772,11 +868,7 @@ impl Tap for AttackProxy {
                     state,
                     packet_type,
                     ..
-                } => {
-                    *endpoint == sender
-                        && state.as_str() == sender_state
-                        && packet_type.as_str() == ptype
-                }
+                } => *endpoint == sender && sender_state == **state && ptype == **packet_type,
                 StrategyKind::OnNthPacket { endpoint, n, .. } => {
                     *endpoint == sender && *n == sender_count
                 }
@@ -785,7 +877,7 @@ impl Tap for AttackProxy {
         };
         self.trackers[idx]
             .1
-            .observe_packet(from_client, ptype, ctx.now().as_nanos());
+            .observe_packet_label(from_client, ptype, ctx.now().as_nanos());
         self.maybe_trigger_injection(ctx);
         if let Some(tl) = self.timeline.as_mut() {
             // The OnState trigger check sees post-transition states; record
@@ -797,12 +889,7 @@ impl Tap for AttackProxy {
                 (Endpoint::Client, tracker.client()),
                 (Endpoint::Server, tracker.server()),
             ] {
-                tl.states
-                    .entry((endpoint, t.current_name().to_owned()))
-                    .or_insert(StateFirstSeen {
-                        first_at: now,
-                        first_index: index,
-                    });
+                tl.record_state((endpoint, t.current_label()), now, index);
             }
         }
         match matched {
@@ -867,36 +954,40 @@ impl Tap for AttackProxy {
     }
 
     fn on_finish(&mut self, now: SimTime) {
-        // Aggregate observations across every tracked connection.
-        let mut totals: FxHashMap<(String, String, String, &'static str), u64> =
-            FxHashMap::default();
+        // Aggregate observations across every tracked connection: sort,
+        // then sum the counts of entries that differ only in count.
         for (_, tracker) in &mut self.trackers {
             tracker.finish(now.as_nanos());
         }
+        let observed = &mut self.report.observed;
+        observed.clear();
         for (_, tracker) in &self.trackers {
-            for (endpoint, t) in [("client", tracker.client()), ("server", tracker.server())] {
-                for (state, ptype, dir, count) in t.observed_pairs() {
-                    let dir = match dir {
-                        Dir::Send => "send",
-                        Dir::Recv => "recv",
-                    };
-                    *totals
-                        .entry((endpoint.to_owned(), state, ptype, dir))
-                        .or_insert(0) += count;
-                }
+            for (endpoint, t) in [
+                (Endpoint::Client, tracker.client()),
+                (Endpoint::Server, tracker.server()),
+            ] {
+                observed.extend(t.observed_pairs().into_iter().map(
+                    |(state, packet_type, dir, count)| Observation {
+                        endpoint,
+                        state,
+                        packet_type,
+                        dir,
+                        count,
+                    },
+                ));
             }
         }
-        self.report.observed.clear();
-        let mut entries: Vec<_> = totals.into_iter().collect();
-        entries.sort();
-        for ((endpoint, state, ptype, dir), count) in entries {
-            self.report
-                .observed
-                .push((endpoint, state, ptype, dir.to_owned(), count));
-        }
+        observed.sort_unstable();
+        observed.dedup_by(|later, kept| {
+            let same = later.key() == kept.key();
+            if same {
+                kept.count += later.count;
+            }
+            same
+        });
         if let Some((_, tracker)) = self.trackers.first() {
-            self.report.client_final_state = tracker.client().current_name().to_owned();
-            self.report.server_final_state = tracker.server().current_name().to_owned();
+            self.report.client_final_state = tracker.client().current_label();
+            self.report.server_final_state = tracker.server().current_label();
         }
     }
 }
@@ -954,14 +1045,20 @@ mod tests {
         let (sim, d) = tcp_download(None, 3);
         let proxy = sim.tap::<AttackProxy>(d.proxy_link).unwrap();
         let report = proxy.report();
-        assert!(report.observed.iter().any(|(e, s, p, dir, _)| e == "client"
-            && s == "CLOSED"
-            && p == "SYN"
-            && dir == "send"));
         assert!(report
             .observed
             .iter()
-            .any(|(e, s, p, _, n)| e == "server" && s == "ESTABLISHED" && p == "DATA" && *n > 100));
+            .any(|o| o.endpoint == Endpoint::Client
+                && o.state == "CLOSED"
+                && o.packet_type == "SYN"
+                && o.dir == Dir::Send));
+        assert!(report
+            .observed
+            .iter()
+            .any(|o| o.endpoint == Endpoint::Server
+                && o.state == "ESTABLISHED"
+                && o.packet_type == "DATA"
+                && o.count > 100));
         assert_eq!(report.client_final_state, "ESTABLISHED");
     }
 

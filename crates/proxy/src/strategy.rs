@@ -1,7 +1,8 @@
 use snake_packet::FieldMutation;
 
 /// Which endpoint of the target connection a strategy element refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Ordered as the names sort: client before server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Endpoint {
     /// The client (the proxied host — in the paper's topology, client 1).
     Client,

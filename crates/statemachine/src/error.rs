@@ -24,6 +24,12 @@ pub enum StateMachineError {
         /// The offending label.
         label: String,
     },
+    /// A new state or packet-type name arrived after the process had
+    /// admitted its bound of names outside the seeded vocabulary.
+    VocabularyFull {
+        /// How many names the process admits.
+        bound: usize,
+    },
 }
 
 impl fmt::Display for StateMachineError {
@@ -40,6 +46,10 @@ impl fmt::Display for StateMachineError {
                     "bad transition label `{label}`: expected `send:TYPE` or `recv:TYPE`"
                 )
             }
+            StateMachineError::VocabularyFull { bound } => write!(
+                f,
+                "label vocabulary is full: {bound} names beyond the built-in ones already admitted"
+            ),
         }
     }
 }

@@ -16,6 +16,10 @@
 //! Built-in machines are provided for TCP (RFC 793's 11-state diagram) and
 //! DCCP (RFC 4340 §8), the protocols evaluated in the paper.
 //!
+//! State and packet-type names travel as [`Label`]s: two-byte handles into
+//! one process-wide vocabulary, seeded with the built-in names and bounded
+//! by [`LABEL_BOUND`] for any others.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,6 +41,7 @@ mod builtin;
 mod dot;
 mod error;
 mod infer;
+mod label;
 mod machine;
 mod tracker;
 
@@ -44,5 +49,6 @@ pub use builtin::{dccp_state_machine, tcp_state_machine, DCCP_DOT, TCP_DOT};
 pub use dot::parse_dot;
 pub use error::StateMachineError;
 pub use infer::{infer_machine, InferenceConfig};
+pub use label::{Label, LABEL_BOUND};
 pub use machine::{Dir, Event, StateId, StateMachine, Transition};
 pub use tracker::{PairTracker, StateStats, Tracker};

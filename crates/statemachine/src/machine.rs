@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::StateMachineError;
+use crate::{Label, StateMachineError};
 
 /// Index of a state within its [`StateMachine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,6 +25,14 @@ pub enum Dir {
 }
 
 impl Dir {
+    /// The direction's name as journals spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Dir::Send => "send",
+            Dir::Recv => "recv",
+        }
+    }
+
     /// The opposite direction (a send for one endpoint is a receive for the
     /// peer).
     pub fn flip(self) -> Dir {
@@ -37,10 +45,7 @@ impl Dir {
 
 impl fmt::Display for Dir {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Dir::Send => f.write_str("send"),
-            Dir::Recv => f.write_str("recv"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -92,14 +97,16 @@ pub struct Transition {
 pub struct StateMachine {
     name: String,
     states: Vec<String>,
+    /// Each state's name in the label vocabulary, by state index.
+    labels: Vec<Label>,
     by_name: HashMap<String, StateId>,
     transitions: Vec<Transition>,
     /// Per-state, per-direction transition index: `step_table[state][dir]`
-    /// lists `(packet type, destination)`. `step` is called for every
+    /// lists `(packet type, destination)`. Stepping runs for every
     /// tracker on every proxied packet, so it must not scan `transitions`;
     /// a state has a handful of outgoing edges per direction, which a
-    /// linear scan resolves faster than hashing the label.
-    step_table: Vec<[Vec<(String, StateId)>; 2]>,
+    /// linear scan of two-byte labels resolves faster than any hashing.
+    step_table: Vec<[Vec<(Label, StateId)>; 2]>,
 }
 
 impl StateMachine {
@@ -110,7 +117,12 @@ impl StateMachine {
     /// # Errors
     ///
     /// Returns [`StateMachineError::EmptyMachine`] if no transitions are
-    /// given.
+    /// given, and [`StateMachineError::VocabularyFull`] if a state or
+    /// packet-type name cannot join the label vocabulary. The vocabulary
+    /// is shared by the whole process and admits at most
+    /// [`LABEL_BOUND`](crate::LABEL_BOUND) names beyond the built-in TCP
+    /// and DCCP ones (decoded journals included), so a machine with new
+    /// names can fail to build once earlier input has filled it.
     pub fn new(
         name: impl Into<String>,
         edges: Vec<(String, String, Event)>,
@@ -140,15 +152,24 @@ impl StateMachine {
                 event,
             });
         }
-        let mut step_table: Vec<[Vec<(String, StateId)>; 2]> =
+        let labels = states
+            .iter()
+            .map(|s| Label::intern(s))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut step_table: Vec<[Vec<(Label, StateId)>; 2]> =
             states.iter().map(|_| [Vec::new(), Vec::new()]).collect();
         for t in &transitions {
+            if is_sentinel(&t.event) {
+                continue;
+            }
             // Declaration order, so the first matching transition wins.
-            step_table[t.from.0][t.event.dir as usize].push((t.event.packet_type.clone(), t.to));
+            let label = Label::intern(&t.event.packet_type)?;
+            step_table[t.from.0][t.event.dir as usize].push((label, t.to));
         }
         Ok(Arc::new(StateMachine {
             name: name.into(),
             states,
+            labels,
             by_name,
             transitions,
             step_table,
@@ -198,12 +219,35 @@ impl StateMachine {
         &self.states[id.0]
     }
 
+    /// The name of a state as a label.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from this machine.
+    pub(crate) fn state_label(&self, id: StateId) -> Label {
+        self.labels[id.0]
+    }
+
     /// Finds the destination of the first transition out of `from` matching
     /// the event, or `None` (implicit self-loop).
+    ///
+    /// Every packet type in the machine's transitions is in the label
+    /// vocabulary, so a name [`Label::lookup`] does not know matches none.
     pub fn step(&self, from: StateId, dir: Dir, packet_type: &str) -> Option<StateId> {
+        Label::lookup(packet_type).and_then(|label| self.step_label(from, dir, label))
+    }
+
+    /// [`StateMachine::step`] for a packet type already in the label
+    /// vocabulary — the tracker's per-packet path.
+    pub(crate) fn step_label(
+        &self,
+        from: StateId,
+        dir: Dir,
+        packet_type: Label,
+    ) -> Option<StateId> {
         self.step_table[from.0][dir as usize]
             .iter()
-            .find(|(label, _)| label == packet_type)
+            .find(|(label, _)| *label == packet_type)
             .map(|&(_, to)| to)
     }
 
@@ -212,7 +256,7 @@ impl StateMachine {
     pub fn to_dot(&self) -> String {
         let mut out = format!("digraph {} {{\n", self.name);
         for t in &self.transitions {
-            if t.event.packet_type.starts_with('\u{0}') {
+            if is_sentinel(&t.event) {
                 continue;
             }
             out.push_str(&format!(
@@ -223,6 +267,12 @@ impl StateMachine {
         out.push_str("}\n");
         out
     }
+}
+
+/// Whether `event` is a state-interning sentinel: a never-matching
+/// pseudo event the dot parser and inference use to declare a state.
+fn is_sentinel(event: &Event) -> bool {
+    event.packet_type.starts_with('\u{0}')
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::{Dir, StateId, StateMachine, StateMachineError};
+use crate::{Dir, Label, StateId, StateMachine, StateMachineError};
 
 /// Statistics SNAKE's state tracker collects about one state of one endpoint
 /// (paper §V-C): packet types sent/received while in the state, time spent,
@@ -14,9 +14,9 @@ pub struct StateStats {
     /// Total simulated time spent in this state, nanoseconds.
     pub total_time_nanos: u64,
     /// Packets sent while in this state, by packet-type label.
-    pub sent: BTreeMap<String, u64>,
+    pub sent: BTreeMap<Label, u64>,
     /// Packets received while in this state, by packet-type label.
-    pub recv: BTreeMap<String, u64>,
+    pub recv: BTreeMap<Label, u64>,
 }
 
 impl StateStats {
@@ -74,6 +74,11 @@ impl Tracker {
         self.machine.state_name(self.current)
     }
 
+    /// The inferred current state's name as a label.
+    pub fn current_label(&self) -> Label {
+        self.machine.state_label(self.current)
+    }
+
     /// Number of transitions the tracker has followed.
     pub fn transitions_taken(&self) -> u64 {
         self.transitions_taken
@@ -84,21 +89,35 @@ impl Tracker {
     ///
     /// The packet is accounted to the state the endpoint was in *when the
     /// packet was observed*; the transition (if any) happens after.
+    ///
+    /// A new name the process-wide label vocabulary can no longer admit
+    /// (see [`Label::intern`]) matches no transition, since every machine's
+    /// packet types are in the vocabulary: such a packet is not counted and
+    /// leaves the state unchanged.
     pub fn observe(&mut self, dir: Dir, packet_type: &str, now_nanos: u64) -> StateId {
+        match Label::intern(packet_type) {
+            Ok(label) => self.observe_label(dir, label, now_nanos),
+            Err(_) => self.current,
+        }
+    }
+
+    /// [`Tracker::observe`] for a packet type already in the label
+    /// vocabulary. Allocates only the first time a state sees a packet
+    /// type in a direction.
+    pub(crate) fn observe_label(
+        &mut self,
+        dir: Dir,
+        packet_type: Label,
+        now_nanos: u64,
+    ) -> StateId {
         let stats = &mut self.stats[self.current.index()];
         let bucket = match dir {
             Dir::Send => &mut stats.sent,
             Dir::Recv => &mut stats.recv,
         };
-        // get_mut first: after the first packet of each type the count
-        // bumps without allocating a key String (this runs per packet).
-        if let Some(count) = bucket.get_mut(packet_type) {
-            *count += 1;
-        } else {
-            bucket.insert(packet_type.to_owned(), 1);
-        }
+        *bucket.entry(packet_type).or_insert(0) += 1;
 
-        if let Some(next) = self.machine.step(self.current, dir, packet_type) {
+        if let Some(next) = self.machine.step_label(self.current, dir, packet_type) {
             if next != self.current {
                 let dwell = now_nanos.saturating_sub(self.entered_at);
                 self.stats[self.current.index()].total_time_nanos += dwell;
@@ -133,17 +152,14 @@ impl Tracker {
             .map(|(i, n)| (n.as_str(), &self.stats[i]))
     }
 
-    /// Every `(state, packet type, direction)` pair observed, with counts —
-    /// the feedback that seeds SNAKE's strategy generation.
-    pub fn observed_pairs(&self) -> Vec<(String, String, Dir, u64)> {
+    /// Every `(state, packet type, direction)` triple observed, with
+    /// counts — the feedback that seeds SNAKE's strategy generation.
+    pub fn observed_pairs(&self) -> Vec<(Label, Label, Dir, u64)> {
         let mut out = Vec::new();
-        for (i, name) in self.machine.states().iter().enumerate() {
-            for (ty, &n) in &self.stats[i].sent {
-                out.push((name.clone(), ty.clone(), Dir::Send, n));
-            }
-            for (ty, &n) in &self.stats[i].recv {
-                out.push((name.clone(), ty.clone(), Dir::Recv, n));
-            }
+        for (i, stats) in self.stats.iter().enumerate() {
+            let state = self.machine.state_label(StateId(i));
+            out.extend(stats.sent.iter().map(|(&ty, &n)| (state, ty, Dir::Send, n)));
+            out.extend(stats.recv.iter().map(|(&ty, &n)| (state, ty, Dir::Recv, n)));
         }
         out
     }
@@ -181,14 +197,25 @@ impl PairTracker {
     /// Observes one packet crossing the proxy.
     ///
     /// `from_client` is true for packets travelling client → server.
+    ///
+    /// A packet type the label vocabulary can no longer admit is skipped,
+    /// as in [`Tracker::observe`].
     pub fn observe_packet(&mut self, from_client: bool, packet_type: &str, now_nanos: u64) {
-        if from_client {
-            self.client.observe(Dir::Send, packet_type, now_nanos);
-            self.server.observe(Dir::Recv, packet_type, now_nanos);
-        } else {
-            self.server.observe(Dir::Send, packet_type, now_nanos);
-            self.client.observe(Dir::Recv, packet_type, now_nanos);
+        if let Ok(label) = Label::intern(packet_type) {
+            self.observe_packet_label(from_client, label, now_nanos);
         }
+    }
+
+    /// [`PairTracker::observe_packet`] for a packet type already in the
+    /// label vocabulary — the proxy's per-packet path.
+    pub fn observe_packet_label(&mut self, from_client: bool, packet_type: Label, now_nanos: u64) {
+        let (sender, receiver) = if from_client {
+            (&mut self.client, &mut self.server)
+        } else {
+            (&mut self.server, &mut self.client)
+        };
+        sender.observe_label(Dir::Send, packet_type, now_nanos);
+        receiver.observe_label(Dir::Recv, packet_type, now_nanos);
     }
 
     /// Closes time accounting on both trackers.
@@ -238,7 +265,7 @@ mod tests {
         t.observe(Dir::Send, "SYN", 0);
         // The SYN was observed while still in CLOSED.
         let closed = m.state("CLOSED").unwrap();
-        assert_eq!(t.stats(closed).sent.get("SYN"), Some(&1));
+        assert_eq!(t.stats(closed).sent.get(&Label::seeded("SYN")), Some(&1));
         let syn_sent = m.state("SYN_SENT").unwrap();
         assert_eq!(t.stats(syn_sent).visits, 1);
     }

@@ -53,7 +53,7 @@ fn record_trace(seed: u64, bytes: u64) -> Vec<Event> {
         } else {
             Dir::Recv
         };
-        events.push(Event::new(dir, ptype));
+        events.push(Event::new(dir, ptype.as_str()));
     }
     events
 }

@@ -1,0 +1,106 @@
+//! Journal bytes pinned: the FNV-1a 64 of whole journal files written by
+//! capped campaigns.
+//!
+//! The journal is the one artifact a later build must read back, so its
+//! bytes — key order, label spelling, the order of each report's
+//! `observed` arrays, the checksum suffixes — are part of the format. Each
+//! constant was recorded from a known-good build; a change to how
+//! observations or reports are held in memory must leave every one of
+//! them where it is. Fork, memoization and re-tests are on (the default
+//! campaign), so the memo markers, elided outcomes and the per-outcome
+//! counters are covered too.
+
+use std::path::PathBuf;
+
+use snake_core::{
+    Campaign, CampaignConfig, FlowGroup, FlowRole, ProtocolKind, ScenarioSpec, TopologyKind,
+};
+use snake_dccp::DccpProfile;
+use snake_tcp::Profile;
+
+/// Strategies per pinned campaign.
+const CAP: usize = 60;
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+fn temp_journal(name: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!(
+        "snake-journal-bytes-{}-{name}.jsonl",
+        std::process::id()
+    ));
+    std::fs::remove_file(&p).ok();
+    p
+}
+
+fn assert_journal(name: &str, spec: ScenarioSpec, expected: u64) {
+    let path = temp_journal(name);
+    let config = CampaignConfig::builder(spec)
+        .cap(CAP)
+        .parallelism(2)
+        .journal(path.clone())
+        .build()
+        .expect("valid config");
+    let result = Campaign::run(config).expect("valid baseline");
+    assert_eq!(result.strategies_tried(), CAP);
+    let bytes = std::fs::read(&path).expect("journal written");
+    std::fs::remove_file(&path).ok();
+    let digest = fnv64(&bytes);
+    assert_eq!(
+        digest,
+        expected,
+        "{name}: journal digest {digest:016x} ({} bytes), pinned {expected:016x}",
+        bytes.len()
+    );
+}
+
+#[test]
+fn tcp_journal_bytes_are_pinned() {
+    let spec = ScenarioSpec::builder(ProtocolKind::Tcp(Profile::linux_3_13()))
+        .quick()
+        .seed(7)
+        .build()
+        .expect("valid scenario");
+    assert_journal("tcp", spec, 0x2562_66a3_f66f_bcb4);
+}
+
+#[test]
+fn dccp_journal_bytes_are_pinned() {
+    let spec = ScenarioSpec::builder(ProtocolKind::Dccp(DccpProfile::linux_3_13()))
+        .quick()
+        .seed(7)
+        .build()
+        .expect("valid scenario");
+    assert_journal("dccp", spec, 0x4f29_7d2f_9bc1_7ef0);
+}
+
+/// The benchmark's `star:64` flow mix, whose reports carry the most
+/// observations per outcome.
+#[test]
+fn star64_journal_bytes_are_pinned() {
+    let flows = [
+        (FlowRole::Attacked, 16),
+        (FlowRole::Bulk, 8),
+        (FlowRole::RequestResponse, 8),
+        (FlowRole::SynPressure, 8),
+    ]
+    .into_iter()
+    .map(|(role, count)| FlowGroup { role, count })
+    .collect();
+    let spec = ScenarioSpec::builder(ProtocolKind::Tcp(Profile::linux_3_13()))
+        .data_secs(2)
+        .grace_secs(6)
+        .topology(TopologyKind::Star, 64)
+        .flows(flows)
+        .seed(7)
+        .build()
+        .expect("valid scenario");
+    assert_journal("star64", spec, 0x51c7_8e52_7543_1880);
+}
