@@ -675,11 +675,12 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
 fn print_observe_summary(snapshot: &snake_core::RecorderSnapshot, wall_secs: f64) {
     eprintln!("observability summary ({wall_secs:.2}s wall clock):");
     eprintln!(
-        "  runs: {} from scratch, {} forked, {} elided, {} halted",
+        "  runs: {} from scratch, {} forked, {} elided, {} halted, {} plan guards tripped",
         snapshot.counter("exec.runs.from_scratch"),
         snapshot.counter("exec.runs.forked"),
         snapshot.counter("exec.runs.elided"),
         snapshot.counter("exec.runs.halted"),
+        snapshot.counter("exec.plan.guard_tripped"),
     );
     eprintln!(
         "  netsim: {} events, {} timers cancelled, {} purged",

@@ -6,8 +6,9 @@
 //! outcome, [`dispatch`](crate::dispatch) spreads a batch over threads or
 //! shard processes, and [`admission`](crate::admission) is the one place
 //! an outcome becomes part of the campaign. What stays here is start-up —
-//! the plans built while the journal is read, then the journal opened for
-//! writing — and the round loop with its phases.
+//! the baseline run while the journal is read, then the journal opened for
+//! writing — and the round loop with its phases, the first of which to
+//! need a snapshot plan builds it.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::PathBuf;
@@ -55,13 +56,15 @@ impl Campaign {
         let memoize = config.memoize
             && config.fault_hook.is_none()
             && !config.chaos.is_some_and(|c| c.has_eval_faults());
-        // Start-up is three jobs, none of which reads what another
-        // produces: the two plan builds inside `prepare` and the read half
-        // of the journal. The journal is read on *this* thread because its
-        // entries are the allocation that outlives start-up: here they sit
-        // in the main allocator arena as they always did, while decoded on
-        // a spawned thread they land in a fresh one and peak RSS starts to
-        // depend on which arena later threads inherit (DESIGN §12).
+        // Start-up is two jobs, neither of which reads what the other
+        // produces: the baseline run inside `prepare` and the read half of
+        // the journal (the snapshot plans wait for the first round with
+        // something left to run). The journal is read on *this* thread
+        // because its entries are the allocation that outlives start-up:
+        // here they sit in the main allocator arena as they always did,
+        // while decoded on a spawned thread they land in a fresh one and
+        // peak RSS starts to depend on which arena later threads inherit
+        // (DESIGN §12).
         let (prepared, loaded) = std::thread::scope(|scope| {
             let prepare = scope.spawn(|| SharedCtx::prepare(config.clone(), memoize));
             let loaded = load_inherited(&config, memoize);
@@ -344,7 +347,9 @@ struct RoundPlan {
 }
 
 /// Splits a round into journaled outcomes to reuse, strategies
-/// memoization answers, and strategies that still need a run.
+/// memoization answers, and strategies that still need a run. The first
+/// round with a strategy the journal does not answer builds the snapshot
+/// plans; a round the journal answers in full touches no plan at all.
 fn plan_round(
     shared: &Shared,
     admission: &Admission,
@@ -359,7 +364,8 @@ fn plan_round(
     // the same memo decisions (and markers) as an uninterrupted one.
     let mut round: Vec<Option<StrategyOutcome>> = fresh.iter().map(|_| None).collect();
     let mut pending: Vec<(usize, Strategy)> = Vec::new();
-    let mut class_reps: BTreeMap<String, usize> = BTreeMap::new();
+    // Reused strategies that may represent a class, in index order.
+    let mut reused: Vec<(usize, Strategy)> = Vec::new();
     for (i, s) in fresh.into_iter().enumerate() {
         match inherited.reusable.remove(&s.id) {
             Some(prev) if prev.outcome.strategy == s => {
@@ -369,13 +375,21 @@ fn plan_round(
                 // grouping in the original run, so it must not become a
                 // representative now.
                 if prev.outcome.memo.as_deref() != Some("inert") {
-                    if let Some(key) = class_key(shared, &s) {
-                        class_reps.entry(key).or_insert(i);
-                    }
+                    reused.push((i, s));
                 }
                 round[i] = Some(prev.outcome);
             }
             _ => pending.push((i, s)),
+        }
+    }
+    // Class keys only matter to strategies that still need an answer.
+    let mut class_reps: BTreeMap<String, usize> = BTreeMap::new();
+    if !pending.is_empty() {
+        shared.ensure_plans();
+        for (i, s) in reused {
+            if let Some(key) = class_key(shared, &s) {
+                class_reps.entry(key).or_insert(i);
+            }
         }
     }
     // Memoization pass over the strategies that still need a run:

@@ -3,7 +3,7 @@
 //! wrapped in its panic boundary and watchdog.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 
 use snake_observe as observe;
 use snake_proxy::{InjectionAttack, Strategy, StrategyKind};
@@ -46,9 +46,19 @@ fn build_envelope(
 
 /// Everything the executor workers share read-only: the planned (snapshot
 /// holding) executors for the main and re-test seeds, plus the config.
+///
+/// Only the main executor's baseline exists once [`prepare`] returns. Its
+/// snapshot plan, and the whole re-test executor with its envelope, are
+/// built on first need — [`ensure_plans`] builds them together, ahead of
+/// the first strategy that is not answered from a journal.
+///
+/// [`prepare`]: SharedCtx::prepare
+/// [`ensure_plans`]: SharedCtx::ensure_plans
 pub(crate) struct SharedCtx {
     pub(crate) exec: PlannedExecutor,
-    pub(crate) retest_exec: Option<PlannedExecutor>,
+    /// The re-test seed's executor and its detection envelope, built on
+    /// first need; read through [`SharedCtx::retest`].
+    retest: OnceLock<(PlannedExecutor, Envelope)>,
     pub(crate) config: CampaignConfig,
     /// Whether campaign-level memoization is live (config switch and no
     /// fault hook or chaos plan; each executor additionally requires its
@@ -57,8 +67,6 @@ pub(crate) struct SharedCtx {
     /// Detection envelope for the main seed (single-baseline degenerate
     /// when `baseline_reps == 1`).
     pub(crate) envelope: Envelope,
-    /// Envelope for the re-test seed, when re-testing is on.
-    pub(crate) retest_envelope: Option<Envelope>,
     /// Borderline verdicts escalated to a confirmatory re-test.
     pub(crate) escalated: AtomicUsize,
     /// Watchdog deadline expiries (every attempt counts).
@@ -77,41 +85,30 @@ pub(crate) fn join_scoped<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T 
         .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
+/// The options every executor of a campaign is built with.
+fn executor_options(config: &CampaignConfig, memoize: bool) -> ExecutorOptions {
+    ExecutorOptions {
+        snapshot_fork: config.snapshot_fork,
+        memoize,
+        halt_arming: true,
+        observer: config.observer.clone(),
+    }
+}
+
 impl SharedCtx {
     /// Stands up what every evaluation of a campaign shares, on the
-    /// controller and in a shard worker alike: the planned executors for
-    /// the main and re-test seeds and the detection envelopes. `memoize`
-    /// is the effective switch (the controller forces it off under fault
-    /// injection, so it can differ from `config.memoize`).
+    /// controller and in a shard worker alike: the main seed's baseline
+    /// and its detection envelope. Snapshot plans and the re-test executor
+    /// wait for [`ensure_plans`](SharedCtx::ensure_plans) or their first
+    /// use. `memoize` is the effective switch (the controller forces it
+    /// off under fault injection, so it can differ from `config.memoize`).
     pub(crate) fn prepare(
         config: CampaignConfig,
         memoize: bool,
     ) -> Result<SharedCtx, CampaignError> {
         let spec = &config.scenario;
         let observer = config.observer.as_ref();
-        let exec_options = ExecutorOptions {
-            snapshot_fork: config.snapshot_fork,
-            memoize,
-            halt_arming: true,
-            observer: config.observer.clone(),
-        };
-        // The repeatability re-test compares a different-seed attack run
-        // against the matching different-seed baseline.
-        let retest_spec = ScenarioSpec {
-            seed: spec.seed.wrapping_add(1),
-            ..spec.clone()
-        };
-        // The two plans share nothing — each is a baseline run plus its
-        // guarded snapshot replay — so they are built side by side: the
-        // re-test plan on a thread of its own, the main plan on this one.
-        let (exec, retest_exec) = std::thread::scope(|scope| {
-            let retest = config.retest.then(|| {
-                let (spec, options) = (&retest_spec, exec_options.clone());
-                scope.spawn(move || PlannedExecutor::new(spec, options))
-            });
-            let exec = PlannedExecutor::new(spec, exec_options);
-            (exec, retest.map(join_scoped))
-        });
+        let exec = PlannedExecutor::new(spec, executor_options(&config, memoize));
         if !baseline_valid(exec.baseline()) {
             return Err(CampaignError::InvalidBaseline {
                 implementation: spec.protocol.implementation_name().to_owned(),
@@ -132,15 +129,6 @@ impl SharedCtx {
                 config.threshold,
             )
         };
-        let retest_envelope = retest_exec.as_ref().map(|retest| {
-            let _span = observe::span(observer, "phase.ensemble", 0);
-            build_envelope(
-                &retest_spec,
-                retest.baseline(),
-                config.baseline_reps,
-                config.threshold,
-            )
-        });
         if observer.enabled() {
             observer.counter_add("detect.envelope.members", envelope.members as u64);
             observer.counter_add(
@@ -158,15 +146,59 @@ impl SharedCtx {
         }
         Ok(SharedCtx {
             exec,
-            retest_exec,
+            retest: OnceLock::new(),
             memoize,
             envelope,
-            retest_envelope,
             escalated: AtomicUsize::new(0),
             stalls: AtomicUsize::new(0),
             quarantined: AtomicUsize::new(0),
             config,
         })
+    }
+
+    /// The re-test executor and its envelope (`None` when re-testing is
+    /// off), built by the first caller. The repeatability re-test compares
+    /// a different-seed attack run against the matching different-seed
+    /// baseline.
+    pub(crate) fn retest(&self) -> Option<&(PlannedExecutor, Envelope)> {
+        let config = &self.config;
+        config.retest.then(|| {
+            self.retest.get_or_init(|| {
+                let spec = ScenarioSpec {
+                    seed: config.scenario.seed.wrapping_add(1),
+                    ..config.scenario.clone()
+                };
+                let exec = PlannedExecutor::new(&spec, executor_options(config, self.memoize));
+                let envelope = {
+                    let _span = observe::span(config.observer.as_ref(), "phase.ensemble", 0);
+                    build_envelope(
+                        &spec,
+                        exec.baseline(),
+                        config.baseline_reps,
+                        config.threshold,
+                    )
+                };
+                (exec, envelope)
+            })
+        })
+    }
+
+    /// Builds everything evaluation needs beyond [`prepare`]: the main
+    /// snapshot plan and, when re-testing is on, the re-test executor with
+    /// its envelope and plan. The two share nothing, so they are built side
+    /// by side — the re-test on a thread of its own, the main plan on this
+    /// one — and a panic in either is re-raised here with its own payload.
+    /// Callers stand outside the evaluation panic boundary, so a failing
+    /// build fails the campaign instead of erroring every strategy. Cheap
+    /// once built.
+    ///
+    /// [`prepare`]: SharedCtx::prepare
+    pub(crate) fn ensure_plans(&self) {
+        std::thread::scope(|scope| {
+            let retest = scope.spawn(|| self.retest().map(|(exec, _)| exec.plan_active()));
+            self.exec.plan_active();
+            join_scoped(retest);
+        });
     }
 }
 
@@ -222,9 +254,9 @@ pub(crate) fn class_key(shared: &Shared, strategy: &Strategy) -> Option<String> 
         return None;
     }
     let main = shared.exec.class_key(strategy)?;
-    match &shared.retest_exec {
+    match shared.retest() {
         None => Some(main),
-        Some(retest) => {
+        Some((retest, _)) => {
             let rk = retest.class_key(strategy)?;
             Some(format!("{main}|{rk}"))
         }
@@ -260,12 +292,7 @@ pub(crate) fn materialize_class_member(
 /// re-test, and (for flagged hitseqwindow strategies) the inert-volume
 /// false-positive control.
 fn evaluate(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
-    let SharedCtx {
-        exec,
-        retest_exec,
-        config,
-        ..
-    } = &**shared;
+    let SharedCtx { exec, config, .. } = &**shared;
     let (metrics, info) = exec.run_with_info(Some(strategy.clone()));
     // A halted run (every rule spent with zero wire effect) substituted
     // the baseline outcome; the marker records that this outcome was
@@ -310,17 +337,13 @@ fn evaluate(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
     let mut repeatable = true;
     let borderline = shared.config.baseline_reps > 1 && shared.envelope.is_borderline(&metrics);
     if verdict.flagged() || borderline {
-        if let Some(retest) = retest_exec {
+        if let Some((retest, retest_env)) = shared.retest() {
             if borderline {
                 shared.escalated.fetch_add(1, Ordering::Relaxed);
                 config.observer.counter_add("campaign.escalated", 1);
             }
             let _span = observe::span(config.observer.as_ref(), "phase.retests", 0);
             let again = retest.run(Some(strategy.clone()));
-            let retest_env = shared
-                .retest_envelope
-                .as_ref()
-                .expect("a re-test executor always has a re-test envelope");
             let again_flagged = !again.truncated && detect_enveloped(retest_env, &again).flagged();
             if verdict.flagged() {
                 repeatable = again_flagged;
@@ -503,18 +526,36 @@ mod tests {
     #[test]
     fn plans_built_side_by_side_equal_plans_built_in_turn() {
         let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
+        let recorder = Arc::new(snake_observe::Recorder::new());
         let config = CampaignConfig::builder(spec.clone())
             .retest(true)
+            .observer(recorder.clone())
             .build()
             .expect("valid config");
+        // The standalone executors report elsewhere, so the span counts
+        // below are the shared context's alone.
         let options = ExecutorOptions {
-            snapshot_fork: config.snapshot_fork,
-            memoize: true,
-            halt_arming: true,
-            observer: config.observer.clone(),
+            observer: observe::noop(),
+            ..executor_options(&config, true)
         };
         let shared = SharedCtx::prepare(config, true).expect("valid baseline");
-        let retest = shared.retest_exec.as_ref().expect("re-testing is on");
+        let spans = |name: &str| {
+            recorder
+                .snapshot()
+                .span_totals()
+                .get(name)
+                .map_or(0, |t| t.0)
+        };
+        assert_eq!(
+            spans("phase.baseline"),
+            1,
+            "prepare runs the main baseline only"
+        );
+        assert_eq!(spans("phase.snapshotting"), 0);
+        shared.ensure_plans();
+        assert_eq!(spans("phase.baseline"), 2);
+        assert_eq!(spans("phase.snapshotting"), 2);
+        let (retest, _) = shared.retest().expect("re-testing is on");
 
         let main_alone = PlannedExecutor::new(&spec, options.clone());
         let retest_spec = spec.clone().with_seed(spec.seed().wrapping_add(1));
@@ -529,5 +570,25 @@ mod tests {
             "the two seeds are different runs, so a swap would show"
         );
         assert!(main_alone.snapshot_count() > 0);
+        assert_eq!(
+            spans("phase.snapshotting"),
+            2,
+            "forced plans are not rebuilt"
+        );
+
+        let strategies = crate::strategen::generate_strategies(
+            spec.protocol(),
+            &[shared.exec.baseline().proxy.as_ref()],
+            &crate::strategen::GenerationParams::default(),
+            &mut 0,
+            &mut std::collections::BTreeSet::new(),
+        );
+        let step = strategies.len() / 20;
+        for s in strategies.iter().step_by(step).take(20) {
+            let run = |exec: &PlannedExecutor| exec.run_with_info(Some(s.clone()));
+            assert_eq!(run(&shared.exec), run(&main_alone), "{s:?}");
+            assert_eq!(run(retest), run(&retest_alone), "{s:?}");
+            assert_eq!(shared.exec.class_key(s), main_alone.class_key(s), "{s:?}");
+        }
     }
 }

@@ -302,8 +302,9 @@ fn proxy_section(result: &CampaignResult) -> Value {
 /// nature; manifest consumers comparing runs must strip this section (the
 /// determinism tests do).
 ///
-/// Phases overlap: start-up builds the two plans side by side while the
-/// journal loads, so `wall_nanos` summed over a name is CPU-like and the
+/// Phases overlap: start-up runs the main baseline while the journal
+/// loads, and the first round with work builds the two snapshot plans side
+/// by side, so `wall_nanos` summed over a name is CPU-like and the
 /// `first_start_nanos..last_end_nanos` windows (offsets from the
 /// recorder's creation) are what shows which phases ran beside which.
 fn timing_section(snapshot: &RecorderSnapshot, wall_secs: f64) -> Value {

@@ -1,5 +1,5 @@
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use snake_dccp::{DccpHost, DccpProfile, DccpServerApp};
 use snake_json::ToJson;
@@ -1065,51 +1065,49 @@ struct Snapshot {
 
 struct SnapshotPlan {
     wiring: Wiring,
-    timeline: StateTimeline,
     /// Ascending by `at`.
     snapshots: Vec<Snapshot>,
 }
 
 impl SnapshotPlan {
-    fn decide(&self, rules: &[Strategy]) -> ForkDecision {
-        let mut earliest: Option<SimTime> = None;
-        for rule in rules {
-            let t = match &rule.kind {
-                StrategyKind::AtTime { .. } | StrategyKind::OnNthPacket { .. } => {
-                    return ForkDecision::FromScratch;
-                }
-                StrategyKind::OnPacket {
-                    endpoint,
-                    state,
-                    packet_type,
-                    ..
-                } => self
-                    .timeline
-                    .packet_seen(*endpoint, state, packet_type)
-                    .map(|seen| seen.first_at),
-                StrategyKind::OnState {
-                    endpoint, state, ..
-                } => self
-                    .timeline
-                    .state_seen(*endpoint, state)
-                    .map(|seen| seen.first_at),
-            };
-            // A rule whose key is absent from the baseline can never be the
-            // first to fire; it does not constrain the fork point.
-            if let Some(t) = t {
-                earliest = Some(earliest.map_or(t, |e| e.min(t)));
-            }
-        }
-        match earliest {
-            Some(t) => ForkDecision::ForkAt(t),
-            None => ForkDecision::Elide,
-        }
-    }
-
     /// The latest snapshot strictly before `t` — strictly, so every event
     /// at the activation time itself replays inside the fork.
     fn latest_before(&self, t: SimTime) -> Option<&Snapshot> {
         self.snapshots.iter().rev().find(|s| s.at < t)
+    }
+}
+
+/// How to execute `rules`, read off pass 1's trigger timeline.
+fn decide(timeline: &StateTimeline, rules: &[Strategy]) -> ForkDecision {
+    let mut earliest: Option<SimTime> = None;
+    for rule in rules {
+        let t = match &rule.kind {
+            StrategyKind::AtTime { .. } | StrategyKind::OnNthPacket { .. } => {
+                return ForkDecision::FromScratch;
+            }
+            StrategyKind::OnPacket {
+                endpoint,
+                state,
+                packet_type,
+                ..
+            } => timeline
+                .packet_seen(*endpoint, state, packet_type)
+                .map(|seen| seen.first_at),
+            StrategyKind::OnState {
+                endpoint, state, ..
+            } => timeline
+                .state_seen(*endpoint, state)
+                .map(|seen| seen.first_at),
+        };
+        // A rule whose key is absent from the baseline can never be the
+        // first to fire; it does not constrain the fork point.
+        if let Some(t) = t {
+            earliest = Some(earliest.map_or(t, |e| e.min(t)));
+        }
+    }
+    match earliest {
+        Some(t) => ForkDecision::ForkAt(t),
+        None => ForkDecision::Elide,
     }
 }
 
@@ -1121,8 +1119,10 @@ impl SnapshotPlan {
 /// off), and the no-op observer.
 #[derive(Clone)]
 pub struct ExecutorOptions {
-    /// Build the snapshot plan and fork strategies from baseline
-    /// snapshots; off means every run executes from scratch.
+    /// Fork strategies from baseline snapshots; off means every run
+    /// executes from scratch. The snapshot plan is built the first time a
+    /// run, a memo proof or [`plan_active`](PlannedExecutor::plan_active)
+    /// needs it, never by [`PlannedExecutor::new`].
     pub snapshot_fork: bool,
     /// Enables the memoization shortcuts: static no-op elision
     /// ([`provably_inert`](PlannedExecutor::provably_inert)), trigger-class
@@ -1192,12 +1192,23 @@ pub struct RunInfo {
 /// trigger's first possible activation is bit-identical to the baseline.
 /// The plan is self-guarding — while capturing snapshots it replays the
 /// baseline with extra pauses and compares the final metrics against the
-/// uninterrupted run; any difference disables forking entirely and every
-/// strategy silently falls back to from-scratch execution.
+/// uninterrupted run; any difference disables forking entirely, every
+/// strategy falls back to from-scratch execution, and the observer counts
+/// one `exec.plan.guard_tripped`.
+///
+/// The plan is built on first need, not by [`new`](PlannedExecutor::new):
+/// an executor whose strategies are all answered elsewhere (a resumed
+/// campaign's journal) costs one baseline run and no snapshot. Concurrent
+/// first users block on one build.
 pub struct PlannedExecutor {
     spec: ScenarioSpec,
     baseline: TestMetrics,
-    plan: Option<SnapshotPlan>,
+    /// Pass 1's trigger timeline: what `decide` and the memo proofs read
+    /// (empty when forking is off, since nothing reads it then).
+    timeline: StateTimeline,
+    /// Pass 2, built once on first need; `None` inside means forking is
+    /// off or the determinism guard tripped.
+    plan: OnceLock<Option<SnapshotPlan>>,
     /// See [`ExecutorOptions::memoize`].
     memoize: bool,
     /// See [`ExecutorOptions::halt_arming`].
@@ -1212,7 +1223,7 @@ impl std::fmt::Debug for PlannedExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlannedExecutor")
             .field("spec", &self.spec)
-            .field("plan", &self.plan)
+            .field("plan", &self.plan.get())
             .field("memoize", &self.memoize)
             .field("halt_arming", &self.halt_arming)
             .finish_non_exhaustive()
@@ -1228,11 +1239,10 @@ impl std::fmt::Debug for SnapshotPlan {
 }
 
 impl PlannedExecutor {
-    /// Runs the baseline (recording the trigger timeline) and, when
-    /// `options.snapshot_fork` is on, builds the snapshot plan. `memoize`
-    /// without an intact plan (forking off, or the determinism guard
-    /// tripped) is silently inert — every memo proof leans on the baseline
-    /// being reproducible.
+    /// Runs the baseline, recording the trigger timeline; the snapshot plan
+    /// waits for its first use. `memoize` without an intact plan (forking
+    /// off, or the determinism guard tripped) is inert — every memo proof
+    /// leans on the baseline being reproducible.
     pub fn new(spec: &ScenarioSpec, options: ExecutorOptions) -> PlannedExecutor {
         let ExecutorOptions {
             snapshot_fork,
@@ -1242,9 +1252,10 @@ impl PlannedExecutor {
         } = options;
         let data_end = SimTime::from_secs(spec.data_secs);
         let end = SimTime::from_secs(spec.data_secs + spec.grace_secs);
-        // Pass 1: the reference baseline, recording the trigger timeline.
+        // Pass 1: the reference baseline, recording the trigger timeline
+        // when a plan may later read it.
         let baseline_span = observe::span(observer.as_ref(), "phase.baseline", end.as_nanos());
-        let mut session = Session::build(spec, Vec::new(), true);
+        let mut session = Session::build(spec, Vec::new(), snapshot_fork);
         session.sim.run_until(data_end);
         let measured = session.measure(spec);
         session.schedule_finish(spec, data_end);
@@ -1259,16 +1270,16 @@ impl PlannedExecutor {
         let baseline = session.finish(spec, measured);
         record_sim_stats(observer.as_ref(), &session.sim);
         drop(baseline_span);
-        let plan = if snapshot_fork {
-            let _span = observe::span(observer.as_ref(), "phase.snapshotting", end.as_nanos());
-            build_plan(spec, &baseline, timeline, observer.as_ref())
-        } else {
-            None
-        };
         PlannedExecutor {
             spec: spec.clone(),
             baseline,
-            plan,
+            timeline,
+            // Forking off: the plan is settled as absent from the start.
+            plan: if snapshot_fork {
+                OnceLock::new()
+            } else {
+                OnceLock::from(None)
+            },
             memoize,
             halt_arming,
             observer,
@@ -1286,17 +1297,31 @@ impl PlannedExecutor {
         &self.baseline
     }
 
+    /// The snapshot plan, built (pass 2 and its determinism guard) by the
+    /// first caller; later and concurrent callers share that one build.
+    fn plan(&self) -> Option<&SnapshotPlan> {
+        self.plan
+            .get_or_init(|| {
+                let end = SimTime::from_secs(self.spec.data_secs + self.spec.grace_secs);
+                let obs = self.observer.as_ref();
+                let _span = observe::span(obs, "phase.snapshotting", end.as_nanos());
+                build_plan(&self.spec, &self.baseline, &self.timeline, obs)
+            })
+            .as_ref()
+    }
+
     /// Number of captured fork snapshots (0 means every strategy runs from
-    /// scratch).
+    /// scratch). Builds the plan if nothing has yet.
     pub fn snapshot_count(&self) -> usize {
-        self.plan.as_ref().map_or(0, |p| p.snapshots.len())
+        self.plan().map_or(0, |p| p.snapshots.len())
     }
 
     /// Whether the snapshot plan is intact — forking is on and the
     /// determinism guard reproduced the baseline bit for bit. Every
-    /// memoization proof is conditioned on this.
+    /// memoization proof is conditioned on this. Builds the plan if
+    /// nothing has yet.
     pub fn plan_active(&self) -> bool {
-        self.plan.is_some()
+        self.plan().is_some()
     }
 
     /// Runs this executor short-circuited so far: statically elided
@@ -1323,12 +1348,9 @@ impl PlannedExecutor {
     /// attacked run too, and the proof closes. Such strategies can be
     /// answered with the baseline outcome without executing anything.
     pub fn provably_inert(&self, strategy: &Strategy) -> bool {
-        if !self.memoize {
+        if !self.memoize || !self.plan_active() {
             return false;
         }
-        let Some(plan) = &self.plan else {
-            return false;
-        };
         let StrategyKind::OnPacket {
             endpoint,
             state,
@@ -1338,7 +1360,7 @@ impl PlannedExecutor {
         else {
             return false;
         };
-        let Some(seen) = plan.timeline.packet_seen(*endpoint, state, packet_type) else {
+        let Some(seen) = self.timeline.packet_seen(*endpoint, state, packet_type) else {
             // Key absent from the baseline: `decide` elides it already.
             return false;
         };
@@ -1363,10 +1385,9 @@ impl PlannedExecutor {
     /// `OnState` rule is never consulted again after it starts — so their
     /// runs are identical and one execution serves the whole class.
     pub fn class_key(&self, strategy: &Strategy) -> Option<String> {
-        if !self.memoize {
+        if !self.memoize || !self.plan_active() {
             return None;
         }
-        let plan = self.plan.as_ref()?;
         let StrategyKind::OnState {
             endpoint,
             state,
@@ -1375,7 +1396,7 @@ impl PlannedExecutor {
         else {
             return None;
         };
-        let seen = plan.timeline.state_seen(*endpoint, state)?;
+        let seen = self.timeline.state_seen(*endpoint, state)?;
         Some(format!(
             "{}@{}:{}",
             seen.first_at.as_nanos(),
@@ -1457,11 +1478,11 @@ impl PlannedExecutor {
     /// reporting how the run was executed.
     pub fn run_combination_with_info(&self, rules: Vec<Strategy>) -> (TestMetrics, RunInfo) {
         let obs = self.observer.as_ref();
-        let Some(plan) = &self.plan else {
+        let Some(plan) = self.plan() else {
             obs.counter_add("exec.runs.from_scratch", 1);
             return (run_full(&self.spec, rules, obs), RunInfo::default());
         };
-        match plan.decide(&rules) {
+        match decide(&self.timeline, &rules) {
             ForkDecision::Elide => {
                 obs.counter_add("exec.runs.elided", 1);
                 (
@@ -1572,15 +1593,20 @@ impl PlannedExecutor {
 
 /// Pass 2 of plan construction: replay the baseline, pausing one simulated
 /// nanosecond before each first trigger activation observed in pass 1 and
-/// forking a snapshot there. Returns `None` (disabling forked execution)
-/// if anything in the simulation refuses to fork or the paused replay
-/// fails to reproduce the reference baseline bit for bit.
+/// forking a snapshot there. Returns `None` (disabling forked execution
+/// and every memo proof) if anything in the simulation refuses to fork or
+/// the paused replay fails to reproduce the reference baseline bit for
+/// bit; either way the observer counts one `exec.plan.guard_tripped`.
 fn build_plan(
     spec: &ScenarioSpec,
     baseline: &TestMetrics,
-    timeline: StateTimeline,
+    timeline: &StateTimeline,
     observer: &dyn Observer,
 ) -> Option<SnapshotPlan> {
+    let tripped = || {
+        observer.counter_add("exec.plan.guard_tripped", 1);
+        None
+    };
     let data_end = SimTime::from_secs(spec.data_secs);
     let end = SimTime::from_secs(spec.data_secs + spec.grace_secs);
     let mut times: Vec<SimTime> = timeline
@@ -1608,7 +1634,9 @@ fn build_plan(
             session.schedule_finish(spec, data_end);
         }
         session.sim.run_until(t);
-        let sim = session.sim.fork()?;
+        let Some(sim) = session.sim.fork() else {
+            return tripped();
+        };
         observer.counter_add("netsim.snapshot_forks", 1);
         if observer.enabled() {
             observer.counter_add(
@@ -1631,11 +1659,10 @@ fn build_plan(
     let replay = session.finish(spec, measured.expect("measured above"));
     record_sim_stats(observer, &session.sim);
     if replay != *baseline {
-        return None;
+        return tripped();
     }
     Some(SnapshotPlan {
         wiring: session.wiring,
-        timeline,
         snapshots,
     })
 }
@@ -1935,5 +1962,76 @@ mod tests {
         let mut shorter = spec;
         shorter.data_secs -= 1;
         assert_ne!(base, scenario_digest(&shorter, 0.5, 1), "workload");
+    }
+
+    fn recorded_executor(spec: &ScenarioSpec) -> (PlannedExecutor, Arc<observe::Recorder>) {
+        let recorder = Arc::new(observe::Recorder::new());
+        let options = ExecutorOptions {
+            observer: recorder.clone(),
+            ..ExecutorOptions::default()
+        };
+        (PlannedExecutor::new(spec, options), recorder)
+    }
+
+    fn span_count(recorder: &observe::Recorder, name: &str) -> u64 {
+        recorder
+            .snapshot()
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .count() as u64
+    }
+
+    #[test]
+    fn racing_first_forked_runs_share_one_plan_build() {
+        let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
+        let (exec, recorder) = recorded_executor(&spec);
+        assert_eq!(
+            span_count(&recorder, "phase.snapshotting"),
+            0,
+            "built lazily"
+        );
+        let strategy = Strategy {
+            id: 0,
+            kind: StrategyKind::OnPacket {
+                endpoint: snake_proxy::Endpoint::Client,
+                state: "ESTABLISHED".into(),
+                packet_type: "ACK".into(),
+                attack: BasicAttack::Drop { percent: 100 },
+            },
+        };
+        let barrier = std::sync::Barrier::new(4);
+        let runs: Vec<(TestMetrics, RunInfo)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        exec.run_with_info(Some(strategy.clone()))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (metrics, info) in &runs {
+            assert!(info.forked, "{info:?}");
+            assert_eq!(metrics, &runs[0].0);
+        }
+        assert_eq!(span_count(&recorder, "phase.snapshotting"), 1);
+        assert!(exec.snapshot_count() > 0);
+        assert_eq!(runs[0].0, Executor::run(&spec, Some(strategy)));
+    }
+
+    #[test]
+    fn a_baseline_the_replay_cannot_match_trips_the_guard_and_counts_it() {
+        let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
+        let (exec, recorder) = recorded_executor(&spec);
+        let guard = || recorder.snapshot().counter("exec.plan.guard_tripped");
+        let obs = recorder.as_ref();
+        assert!(build_plan(&spec, &exec.baseline, &exec.timeline, obs).is_some());
+        assert_eq!(guard(), 0);
+        let mut off_by_one = exec.baseline.clone();
+        off_by_one.target_bytes += 1;
+        assert!(build_plan(&spec, &off_by_one, &exec.timeline, obs).is_none());
+        assert_eq!(guard(), 1);
     }
 }

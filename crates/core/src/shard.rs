@@ -826,7 +826,11 @@ pub fn run_shard_worker() -> io::Result<()> {
         SharedCtx::prepare(config, job.memoize)
             .map_err(|_| protocol_err("worker baseline is invalid"))?,
     );
-    // Setup cost (baseline, plan, envelopes) accrued counters of its own;
+    // Build the plans now, before the drain: left to the first strategy,
+    // their set-up counters would ship with its outcome. Outside the
+    // evaluation panic boundary, a failing build ends the worker.
+    shared.ensure_plans();
+    // Setup cost (baseline, plans, envelopes) accrued counters of its own;
     // the controller already counted its setup once, so discard ours
     // rather than double-reporting.
     accumulator.drain();

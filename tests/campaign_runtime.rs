@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use snake_core::{
     journal, Campaign, CampaignConfig, CampaignError, CampaignResult, OutcomeKind, ProtocolKind,
-    ScenarioSpec,
+    Recorder, RecorderSnapshot, ScenarioSpec,
 };
 use snake_dccp::DccpProfile;
 use snake_tcp::Profile;
@@ -594,6 +594,80 @@ fn resumed_outcomes_share_reports_the_way_fresh_ones_do() {
     assert!(
         shares_report(&resumed, a, b),
         "outcomes {a} and {b} share one report when evaluated and must when decoded"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_full_resume_simulates_one_baseline_and_builds_no_plan() {
+    let path = temp_journal("plans-on-demand");
+    let observed = |resume: bool, shards: usize| {
+        let recorder = Arc::new(Recorder::new());
+        let mut builder = CampaignConfig::builder(quick_tcp())
+            .cap(40)
+            .memoize(true)
+            .retest(true)
+            .journal(path.clone())
+            .resume(resume)
+            .observer(recorder.clone());
+        if shards > 0 {
+            builder = builder
+                .shards(shards)
+                .shard_worker_bin(env!("CARGO_BIN_EXE_snake"));
+        }
+        let result = Campaign::run(builder.build().expect("valid config")).unwrap();
+        (result, recorder.snapshot())
+    };
+    let spans = |snapshot: &RecorderSnapshot, name: &str| {
+        snapshot
+            .span_totals()
+            .get(name)
+            .map_or(0, |&(count, _)| count)
+    };
+
+    let (fresh, fresh_seen) = observed(false, 0);
+    assert_eq!(fresh.outcomes.len(), 40);
+    assert_eq!(
+        spans(&fresh_seen, "phase.baseline"),
+        2,
+        "main and re-test seed"
+    );
+    assert_eq!(spans(&fresh_seen, "phase.snapshotting"), 2);
+    assert_eq!(fresh_seen.counter("exec.plan.guard_tripped"), 0);
+    let journal = std::fs::read(&path).unwrap();
+
+    // Every strategy is answered from the journal: nothing forks, so no
+    // plan is built and the re-test seed is never simulated.
+    let (resumed, seen) = observed(true, 0);
+    assert_eq!(resumed.resumed, 40);
+    assert_eq!(spans(&seen, "phase.baseline"), 1);
+    assert_eq!(spans(&seen, "phase.snapshotting"), 0);
+    assert_eq!(seen.counter("netsim.snapshot_forks"), 0);
+    assert_eq!(resumed.export_outcomes_tsv(), fresh.export_outcomes_tsv());
+    assert_eq!(std::fs::read(&path).unwrap(), journal, "nothing appended");
+
+    // Sharded, the same resume has nothing to dispatch: no worker starts.
+    let (sharded, seen) = observed(true, 2);
+    assert_eq!(sharded.resumed, 40);
+    assert_eq!(spans(&seen, "phase.shard_launch"), 0);
+    assert_eq!(spans(&seen, "phase.snapshotting"), 0);
+    assert_eq!(seen.counter("shard.ranges_dispatched"), 0);
+    assert_eq!(sharded.export_outcomes_tsv(), fresh.export_outcomes_tsv());
+
+    // One journal line short: that strategy needs an answer, so both
+    // plans are built and exactly it is re-run.
+    let text = std::str::from_utf8(&journal).unwrap();
+    let last = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
+    std::fs::write(&path, &text[..last]).unwrap();
+    let (rerun, seen) = observed(true, 0);
+    assert_eq!(rerun.resumed, 39);
+    assert_eq!(spans(&seen, "phase.baseline"), 2);
+    assert_eq!(spans(&seen, "phase.snapshotting"), 2);
+    assert_eq!(rerun.export_outcomes_tsv(), fresh.export_outcomes_tsv());
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        journal,
+        "the one line re-written"
     );
     std::fs::remove_file(&path).ok();
 }
