@@ -1,6 +1,6 @@
 //! The campaign's one admission pipeline: every outcome — evaluated on a
-//! thread, delivered by a shard, replayed from a worker segment, answered
-//! by memoization — becomes part of the campaign here and nowhere else.
+//! thread, delivered by a shard, answered by memoization — becomes part
+//! of the campaign here and nowhere else.
 //!
 //! # Contract
 //!
@@ -57,9 +57,10 @@ struct State {
     journal_error: Option<io::Error>,
     admissions: u64,
     /// Controller kill-switch: exit the whole process (code 23) right
-    /// after this many admissions reached the journal — the fault the
-    /// segment layer exists to survive. Driven by the chaos plan or, for
-    /// out-of-process harnesses (CI), `SNAKE_CONTROLLER_EXIT_AT`.
+    /// after this many admissions reached the journal, so a resume has a
+    /// crashed controller's journal to continue from. Driven by the chaos
+    /// plan or, for out-of-process harnesses (CI),
+    /// `SNAKE_CONTROLLER_EXIT_AT`.
     kill_at: Option<u64>,
     progress: Progress,
 }
@@ -487,8 +488,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Whatever order outcomes are delivered in — and whichever of
-        /// them were segment-prefetched and so offered up front — the
-        /// campaign is the one in-order delivery produces.
+        /// them are offered up front, ahead of the rest — the campaign is
+        /// the one in-order delivery produces.
         #[test]
         fn delivery_order_never_shows(
             specs in prop::collection::vec(
@@ -518,8 +519,8 @@ mod tests {
                 })
                 .collect();
             let in_order: Vec<usize> = (0..batch.len()).collect();
-            // Prefetched indices first, ascending (as the dispatcher offers
-            // them); the rest in the order their sort keys dictate.
+            // The up-front indices first, ascending; the rest in the order
+            // their sort keys dictate.
             let mut shuffled = in_order.clone();
             shuffled.sort_by_key(|&i| (!specs[i].5, if specs[i].5 { i as u64 } else { specs[i].4 }));
 

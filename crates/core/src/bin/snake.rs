@@ -748,12 +748,8 @@ fn print_observe_summary(snapshot: &snake_core::RecorderSnapshot, wall_secs: f64
             idle.map_or(0.0, |h| h.mean() as f64 / 1e9),
         );
         eprintln!(
-            "  shard recovery: {} deadline(s) missed, \
-             segments {} written / {} merged / {} discarded",
+            "  shard recovery: {} deadline(s) missed",
             snapshot.counter("shard.deadline.missed"),
-            snapshot.counter("shard.segments.written"),
-            snapshot.counter("shard.segments.merged"),
-            snapshot.counter("shard.segments.discarded"),
         );
     }
 }

@@ -11,7 +11,6 @@
 //! need a snapshot plan builds it.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -28,8 +27,6 @@ use crate::evaluate::{
 };
 use crate::journal::{JournalEntry, JournalHeader, JournalReader, JournalWriter};
 use crate::result::{CampaignResult, OutcomeKind, StrategyOutcome};
-use crate::scenario::scenario_digest;
-use crate::segment::{self, SegmentEntry};
 use crate::strategen::generate_strategies;
 
 /// A full campaign against one implementation — one row of Table I.
@@ -78,9 +75,8 @@ impl Campaign {
         let config = &shared.config;
 
         let writer = open_writer(config, memoize, &inherited)?;
-        let seg_dir = open_segment_dir(config);
         let admission = Admission::new(shared.clone(), writer);
-        let mut dispatcher = Dispatcher::new(shared.clone(), seg_dir.clone());
+        let mut dispatcher = Dispatcher::new(shared.clone());
 
         let mut next_id = 0u64;
         let mut seen = BTreeSet::new();
@@ -120,12 +116,11 @@ impl Campaign {
                 mut round,
                 slots,
                 batch,
-                pre,
                 followers,
             } = plan_round(&shared, &admission, fresh, &mut inherited);
-            dispatcher.ready_for(&pre);
+            dispatcher.ready_for(&batch);
             let batch_span = observe::span(config.observer.as_ref(), "phase.batch", 0);
-            let ran = dispatcher.run_batch(&admission, batch, pre);
+            let ran = dispatcher.run_batch(&admission, batch);
             for (slot, outcome) in slots.into_iter().zip(ran) {
                 round[slot] = Some(outcome);
             }
@@ -146,11 +141,6 @@ impl Campaign {
 
         dispatcher.finish();
         admission.finish()?;
-        // A completed campaign owes nothing to its segments: every
-        // outcome (prefetched ones included) is in the journal now.
-        if let Some(dir) = &seg_dir {
-            segment::clear_dir(dir);
-        }
         Ok(finish(&shared, outcomes, &inherited))
     }
 }
@@ -160,9 +150,6 @@ impl Campaign {
 struct Inherited {
     /// Journaled outcomes by strategy id, reused instead of re-run.
     reusable: BTreeMap<u64, JournalEntry>,
-    /// Outcomes the crashed run's shard workers had evaluated but the
-    /// controller never admitted, merged from their segment files.
-    prefetch: BTreeMap<u64, SegmentEntry>,
     /// Journaled outcomes actually reused so far.
     resumed: usize,
     /// Journal lines that could not be read back (skipped, not fatal).
@@ -189,15 +176,12 @@ fn journal_header(config: &CampaignConfig, memoize: bool) -> JournalHeader {
 }
 
 /// The read half of journal set-up: what a resuming campaign inherits from
-/// its journal and from the segment files a crashed run's workers left
-/// beside it. Opens nothing for writing, so it can run while the plans
-/// are still being built; [`open_writer`] and [`open_segment_dir`] are the
-/// write half.
+/// its journal. Opens nothing for writing, so it can run while the plans
+/// are still being built; [`open_writer`] is the write half.
 ///
-/// Segments are the worker-side crash-tolerance layer: whatever the
-/// crashed run's workers had evaluated (journal wins on overlap) lands in
-/// `prefetch` and is replayed through the ordinary admission path, so
-/// nothing a worker already evaluated runs again.
+/// The journal is the campaign's only crash record. Whatever a crashed
+/// run had evaluated but not yet admitted — in a worker thread, or on a
+/// shard's wire — is not in it and simply runs again.
 fn load_inherited(config: &CampaignConfig, memoize: bool) -> Result<Inherited, CampaignError> {
     let mut inherited = Inherited::default();
     let Some(path) = &config.journal else {
@@ -264,20 +248,6 @@ fn load_inherited(config: &CampaignConfig, memoize: bool) -> Result<Inherited, C
              to this campaign; the file was left untouched"
         )));
     }
-
-    let dir = segment::segment_dir(path);
-    let digest = scenario_digest(&config.scenario, config.threshold, config.baseline_reps);
-    let reusable = &inherited.reusable;
-    match segment::merge(&dir, digest, memoize, |id| reusable.contains_key(&id)) {
-        Ok(merge) => {
-            observer.counter_add("shard.segments.merged", merge.merged);
-            observer.counter_add("shard.segments.discarded", merge.discarded);
-            inherited.prefetch = merge.entries;
-        }
-        Err(err) => {
-            eprintln!("snake: segment merge failed ({err}); resuming from the journal alone");
-        }
-    }
     Ok(inherited)
 }
 
@@ -303,32 +273,6 @@ fn open_writer(
     })
 }
 
-/// The segment directory this run's workers write into and the campaign
-/// clears on completion (`None` without a journal, or when the directory
-/// cannot be created). A fresh run clears stale segments so it cannot
-/// inherit another campaign's. A resuming run leaves the merged files on
-/// disk until it completes: if the resume itself crashes before
-/// re-journaling a prefetched outcome, the next resume still finds it —
-/// the controller pid in segment filenames keeps this run's own workers
-/// from overwriting them.
-fn open_segment_dir(config: &CampaignConfig) -> Option<PathBuf> {
-    let dir = segment::segment_dir(config.journal.as_deref()?);
-    if !config.resume {
-        segment::clear_dir(&dir);
-    }
-    if config.shards > 0 {
-        if let Err(err) = std::fs::create_dir_all(&dir) {
-            eprintln!(
-                "snake: cannot create segment directory {} ({err}); \
-                 workers will not write segments",
-                dir.display()
-            );
-            return None;
-        }
-    }
-    Some(dir)
-}
-
 /// One feedback round, sorted into what is already answered and what
 /// still has to run.
 struct RoundPlan {
@@ -340,8 +284,6 @@ struct RoundPlan {
     slots: Vec<usize>,
     /// The strategies that need a run of their own.
     batch: Vec<Strategy>,
-    /// Segment-prefetched outcomes for `batch`, positionally.
-    pre: Vec<Option<SegmentEntry>>,
     /// Class followers: `(slot, strategy, representative's slot)`.
     followers: Vec<(usize, Strategy, usize)>,
 }
@@ -415,22 +357,10 @@ fn plan_round(
         slots.push(i);
         batch.push(s);
     }
-    // Segment prefetch: outcomes a crashed run's workers already evaluated
-    // replay through admission at their exact index position instead of
-    // running again — full-strategy identity is required, like journal
-    // reuse, so a stale segment entry re-runs.
-    let pre = batch
-        .iter()
-        .map(|s| match inherited.prefetch.remove(&s.id) {
-            Some(entry) if entry.outcome.strategy == *s => Some(entry),
-            _ => None,
-        })
-        .collect();
     RoundPlan {
         round,
         slots,
         batch,
-        pre,
         followers,
     }
 }

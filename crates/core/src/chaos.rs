@@ -22,7 +22,7 @@ use snake_proxy::Strategy;
 /// Chaos plans exist to prove the campaign runtime survives its
 /// environment: panics must isolate, stalls must trip the watchdog,
 /// journal faults must be retried, broken wires must re-dispatch, and a
-/// killed controller must resume from worker segments — all without
+/// killed controller must resume from its journal — all without
 /// changing which strategies get tested or what they produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosPlan {
@@ -58,7 +58,7 @@ pub struct ChaosPlan {
     pub hang_worker_after: Option<u64>,
     /// Kill the whole controller process (exit code 23) immediately after
     /// admitting and journaling this many outcomes. A subsequent resume
-    /// must rebuild the identical result from journal plus segments.
+    /// must rebuild the identical result from the journal.
     pub kill_controller_at: Option<u64>,
 }
 

@@ -4,7 +4,6 @@
 //! so neither knows how an outcome becomes part of the campaign.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -15,7 +14,6 @@ use crate::admission::Admission;
 use crate::config::CampaignConfig;
 use crate::evaluate::{evaluate_watched, Shared};
 use crate::result::StrategyOutcome;
-use crate::segment::SegmentEntry;
 use crate::shard::{PoolWait, ShardEvent, ShardPool};
 
 /// The campaign's executors (paper §V): worker threads in this process
@@ -31,18 +29,15 @@ use crate::shard::{PoolWait, ShardEvent, ShardPool};
 /// evaluate — a resume over a complete journal never pays it.
 pub(crate) struct Dispatcher {
     shared: Shared,
-    /// Where shard workers write their journal segments, if anywhere.
-    segments: Option<PathBuf>,
     launch_pending: bool,
     pool: Option<ShardPool>,
 }
 
 impl Dispatcher {
-    pub(crate) fn new(shared: Shared, segments: Option<PathBuf>) -> Dispatcher {
+    pub(crate) fn new(shared: Shared) -> Dispatcher {
         Dispatcher {
             launch_pending: shared.config.shards > 0,
             shared,
-            segments,
             pool: None,
         }
     }
@@ -51,7 +46,7 @@ impl Dispatcher {
         let config = &self.shared.config;
         let _span = observe::span(config.observer.as_ref(), "phase.shard_launch", 0);
         self.launch_pending = false;
-        match ShardPool::launch(config, self.shared.memoize, self.segments.as_deref()) {
+        match ShardPool::launch(config, self.shared.memoize) {
             Ok(pool) => {
                 if pool.live() == 0 {
                     eprintln!(
@@ -68,40 +63,27 @@ impl Dispatcher {
         }
     }
 
-    /// Launches the deferred pool if a batch with these prefetched
-    /// outcomes has anything left to evaluate. Separate from
-    /// [`run_batch`](Self::run_batch) so the launch is timed as its own
-    /// phase, not as part of the batch.
-    pub(crate) fn ready_for(&mut self, pre: &[Option<SegmentEntry>]) {
-        if self.launch_pending && pre.iter().any(Option::is_none) {
+    /// Launches the deferred pool if `batch` has anything to evaluate.
+    /// Separate from [`run_batch`](Self::run_batch) so the launch is timed
+    /// as its own phase, not as part of the batch.
+    pub(crate) fn ready_for(&mut self, batch: &[Strategy]) {
+        if self.launch_pending && !batch.is_empty() {
             self.launch();
         }
     }
 
     /// Runs one batch and returns its outcomes in strategy-index order,
     /// every one of them admitted.
-    ///
-    /// `pre` holds segment-prefetched outcomes (what a crashed run's
-    /// workers had already evaluated) positionally: a `Some` index is
-    /// never evaluated; its outcome is offered up front and admits at its
-    /// exact position with the crashed run's worker counter deltas.
     pub(crate) fn run_batch(
         &mut self,
         admission: &Admission,
         strategies: Vec<Strategy>,
-        pre: Vec<Option<SegmentEntry>>,
     ) -> Vec<StrategyOutcome> {
         admission.begin_batch(strategies.len());
-        let mut todo = Vec::new();
-        for (index, entry) in pre.into_iter().enumerate() {
-            match entry {
-                Some(entry) => admission.offer(index, entry.outcome, entry.counters),
-                None => todo.push(index),
-            }
-        }
-        if let Some(pool) = &mut self.pool {
-            todo = run_sharded(&self.shared.config, admission, &strategies, todo, pool);
-        }
+        let todo = match &mut self.pool {
+            Some(pool) => run_sharded(&self.shared.config, admission, &strategies, pool),
+            None => (0..strategies.len()).collect(),
+        };
         run_in_process(&self.shared, admission, &strategies, &todo);
         admission.take_batch(strategies.len())
     }
@@ -218,10 +200,9 @@ fn requeue_outstanding(
     count
 }
 
-/// Evaluates the `todo` indices of a batch on the shard worker pool and
-/// returns the indices it could not get evaluated (empty unless every
-/// shard died), for the in-process driver to finish — results identical,
-/// only slower.
+/// Evaluates a batch on the shard worker pool and returns the indices it
+/// could not get evaluated (empty unless every shard died), for the
+/// in-process driver to finish — results identical, only slower.
 ///
 /// Dispatch is pull-ish: the work is cut into contiguous ranges of about
 /// a quarter of a shard's fair share, and each shard holds at most two
@@ -234,22 +215,16 @@ fn run_sharded(
     config: &CampaignConfig,
     admission: &Admission,
     strategies: &[Strategy],
-    todo: Vec<usize>,
     pool: &mut ShardPool,
 ) -> Vec<usize> {
     let n = strategies.len();
     let chunk = n.div_ceil(pool.live().max(1) * 4).max(1);
-    let mut delivered = vec![true; n];
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    for (start, len) in contiguous_ranges(todo.iter().copied()) {
-        for cursor in (start..start + len).step_by(chunk) {
-            queue.push_back((cursor, chunk.min(start + len - cursor)));
-        }
-    }
-    for &index in &todo {
-        delivered[index] = false;
-    }
-    let mut remaining = todo.len();
+    let mut delivered = vec![false; n];
+    let mut queue: VecDeque<(usize, usize)> = (0..n)
+        .step_by(chunk)
+        .map(|start| (start, chunk.min(n - start)))
+        .collect();
+    let mut remaining = n;
     let mut outstanding: Vec<VecDeque<usize>> = vec![VecDeque::new(); pool.len()];
     // Kills a shard and puts its unfinished work back on the queue.
     let redispatch = |pool: &mut ShardPool,

@@ -364,8 +364,7 @@ impl FromJson for JournalHeader {
 }
 
 /// Encodes worker counter deltas as a JSON object (`name -> count`), the
-/// shape they travel in on the shard wire, in journal outcome lines, and
-/// in journal segments.
+/// shape they travel in on the shard wire and in journal outcome lines.
 pub(crate) fn counters_json(counters: &[(String, u64)]) -> Value {
     Value::Obj(
         counters
@@ -392,7 +391,7 @@ pub(crate) fn decode_counters(value: Option<&Value>) -> Vec<(String, u64)> {
 /// FNV-1a 64-bit hash of a line's JSON payload — the per-line checksum.
 /// Small, dependency-free, and plenty for detecting torn or bit-rotted
 /// lines (this guards against accidents, not adversaries). Shared with the
-/// worker segments and the shard wire, which use the same framing.
+/// shard wire, which uses the same framing.
 pub(crate) fn line_checksum(payload: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for byte in payload {

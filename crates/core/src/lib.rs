@@ -79,7 +79,6 @@ mod report;
 mod result;
 mod scenario;
 pub mod search;
-mod segment;
 mod shard;
 mod strategen;
 pub mod tables;

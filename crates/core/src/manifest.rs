@@ -46,12 +46,11 @@ pub fn build_run_manifest(
 /// Per-shard execution and crash-recovery tallies, present only when the
 /// campaign ran with `--shards`. Like `timing`, this section is
 /// nondeterministic: busy/idle time, the dispatched/re-dispatched range
-/// split, progress-deadline kills, and segment activity all depend
-/// on process scheduling, so manifest-comparing consumers strip it
-/// alongside `timing`. `workers` counts the shards that completed the
-/// handshake — or, when the run had nothing to dispatch and so never
-/// launched its pool (a resume over a complete journal), the configured
-/// count beside all-zero tallies.
+/// split and progress-deadline kills all depend on process scheduling,
+/// so manifest-comparing consumers strip it alongside `timing`. `workers`
+/// counts the shards that completed the handshake — or, when the run had
+/// nothing to dispatch and so never launched its pool (a resume over a
+/// complete journal), the configured count beside all-zero tallies.
 fn shards_section(snapshot: &RecorderSnapshot) -> Value {
     let histogram = |name: &str| {
         snapshot
@@ -76,18 +75,6 @@ fn shards_section(snapshot: &RecorderSnapshot) -> Value {
         (
             "deadlines_missed",
             Value::U64(snapshot.counter("shard.deadline.missed")),
-        ),
-        (
-            "segments_written",
-            Value::U64(snapshot.counter("shard.segments.written")),
-        ),
-        (
-            "segments_merged",
-            Value::U64(snapshot.counter("shard.segments.merged")),
-        ),
-        (
-            "segments_discarded",
-            Value::U64(snapshot.counter("shard.segments.discarded")),
         ),
         ("busy_nanos", histogram("shard.busy_nanos")),
         ("idle_nanos", histogram("shard.idle_nanos")),

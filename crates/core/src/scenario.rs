@@ -306,8 +306,8 @@ impl ScenarioSpec {
 /// Stable FNV-1a digest of everything scenario-side that can influence a
 /// verdict: the full [`ScenarioSpec`] (topology, workload, budgets, seed,
 /// impairments), the detection threshold, and the baseline-ensemble size.
-/// The shard handshake and the worker segment headers pin it, so outcomes
-/// evaluated under one configuration are never admitted under another.
+/// The shard handshake pins it, so outcomes evaluated under one
+/// configuration are never admitted under another.
 /// Hashing the spec's `Debug` rendering deliberately over-approximates —
 /// any representational change (a new field, a reordered one) moves the
 /// digest and rejects old data in the safe direction.

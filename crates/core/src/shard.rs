@@ -59,12 +59,9 @@
 //!   outstanding indices are re-dispatched to the survivors, or run
 //!   in-process once none is left. The same window bounds the wait for
 //!   each worker's `ready`. A dead worker is not replaced.
-//! * **Journal segments** — when the campaign has a journal, each worker
-//!   also appends every evaluated outcome to a private checksummed
-//!   segment file (see `segment.rs`). A *controller* crash therefore
-//!   resumes by merging segments instead of re-evaluating in-flight
-//!   ranges: the journal holds what was admitted, the segments hold what
-//!   was evaluated but still on the wire.
+//! * **Controller crash** — workers write nothing to disk. The journal
+//!   holds every admitted outcome, so a resumed controller re-dispatches
+//!   whatever was evaluated but still on the wire when it died.
 //!
 //! Wire-level chaos (dropped/truncated/corrupted/delayed outcome frames,
 //! worker hangs) is injected deterministically on the controller's read
@@ -74,7 +71,7 @@
 use std::collections::BTreeMap;
 use std::env;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -98,14 +95,12 @@ use crate::result::StrategyOutcome;
 use crate::scenario::{
     scenario_digest, FlowGroup, FlowRole, ProtocolKind, ScenarioSpec, TopologySpec,
 };
-use crate::segment::{segment_file, SegmentWriter};
 use crate::strategen::GenerationParams;
 
 /// Wire protocol version; bumped whenever a message shape changes. A
-/// worker refuses a `hello` carrying any other version. Version 4 dropped
-/// the worker's keep-alive frame with its `hello` field, and the TCP
-/// profile's `fast_retransmit` knob.
-pub(crate) const WIRE_VERSION: u64 = 4;
+/// worker refuses a `hello` carrying any other version. Version 5 dropped
+/// the `hello`'s `segment` field.
+pub(crate) const WIRE_VERSION: u64 = 5;
 
 /// Exit code a worker uses when the `SNAKE_SHARD_EXIT_AFTER` test hook
 /// fires (distinguishable from a panic's 101 in test assertions).
@@ -145,7 +140,6 @@ const WORKER_COUNTERS: &[&str] = &[
     "netsim.impair.reordered",
     "netsim.impair.flap_dropped",
     "shard.outcome_batches",
-    "shard.segments.written",
     "campaign.escalated",
     "campaign.stalls",
     "campaign.stall_retries",
@@ -585,9 +579,6 @@ struct WorkerJob {
     deadline: Option<Duration>,
     stall_retries: usize,
     stall_backoff: Duration,
-    /// Journal-segment file to append evaluated outcomes to, when the
-    /// campaign has a journal (crash-tolerant resume; see `segment.rs`).
-    segment: Option<PathBuf>,
     /// Chaos: hang forever after this many outcomes, so the controller's
     /// progress deadline is exercised.
     hang_after: Option<u64>,
@@ -598,7 +589,6 @@ fn encode_hello(
     digest: u64,
     config: &CampaignConfig,
     memoize: bool,
-    segment: Option<&Path>,
     hang_after: Option<u64>,
 ) -> Value {
     obj([
@@ -625,13 +615,6 @@ fn encode_hello(
             Value::U64(config.stall_backoff.as_nanos() as u64),
         ),
         (
-            "segment",
-            match segment {
-                None => Value::Null,
-                Some(path) => Value::Str(path.to_string_lossy().into_owned()),
-            },
-        ),
-        (
             "hang_after",
             match hang_after {
                 None => Value::Null,
@@ -654,11 +637,6 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
             JsonError::decode("deadline_nanos: expected integer")
         })?)),
     };
-    let segment = match message.req("segment")? {
-        Value::Null => None,
-        Value::Str(path) => Some(PathBuf::from(path)),
-        _ => return Err(JsonError::decode("segment: expected string or null")),
-    };
     let hang_after = match message.req("hang_after")? {
         Value::Null => None,
         count => Some(
@@ -679,7 +657,6 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
         deadline,
         stall_retries: decode_usize(message, "stall_retries")?,
         stall_backoff: Duration::from_nanos(message.req_u64("stall_backoff_nanos")?),
-        segment,
         hang_after,
     })
 }
@@ -763,14 +740,12 @@ fn spawn_frame_reader() -> mpsc::Receiver<io::Result<Value>> {
 
 /// Runs the `snake shard-worker` loop over this process's stdin/stdout:
 /// handshake, evaluate the strategy ranges the controller sends, and
-/// stream back one `outcome` message per strategy — and, when the
-/// campaign has a journal, append every evaluated outcome to this
-/// worker's journal segment too. Returns when the controller sends
-/// `shutdown` or closes stdin. Stdout carries frames only; diagnostics
-/// go to stderr.
+/// stream back one `outcome` message per strategy. Returns when the
+/// controller sends `shutdown` or closes stdin. Stdout carries frames
+/// only; diagnostics go to stderr.
 ///
-/// The worker is stateless between ranges and owns no campaign artifacts
-/// beyond its segment file: no journal, no verdict ledger.
+/// The worker is stateless between ranges and owns no campaign
+/// artifacts: no journal, no verdict ledger, no file of any kind.
 /// If it dies mid-range the controller re-dispatches the unfinished
 /// indices elsewhere, and already-admitted outcomes are never re-run.
 pub fn run_shard_worker() -> io::Result<()> {
@@ -835,35 +810,12 @@ pub fn run_shard_worker() -> io::Result<()> {
     // rather than double-reporting.
     accumulator.drain();
 
-    // Open this worker's journal segment (best effort: a worker that
-    // cannot write segments still evaluates correctly; only
-    // controller-crash recovery loses precision, never correctness).
-    let mut segment = job.segment.as_ref().and_then(|path| {
-        match SegmentWriter::create(path, job.shard, digest, job.memoize) {
-            Ok(writer) => Some(writer),
-            Err(err) => {
-                eprintln!(
-                    "snake: shard {} cannot write its journal segment {path:?}: {err}",
-                    job.shard
-                );
-                None
-            }
-        }
-    });
-
     write_line(&mut writer, &ready_message(digest))?;
     let mut sent: u64 = 0;
     if exit_after == Some(sent) {
         std::process::exit(EXIT_AFTER_CODE);
     }
 
-    // When the controller dies mid-campaign, range messages it already
-    // sent are still readable from the pipe. Those strategies are exactly
-    // what segments exist to preserve, so a broken wire stops *sending*
-    // but not evaluating-and-segment-writing; the loop then runs to EOF.
-    // Without a segment there is nothing to preserve and wire death ends
-    // the worker immediately.
-    let mut wire_ok = true;
     for message in spawn_frame_reader() {
         let message = message?;
         match message.req_str("type").map_err(decode_err)? {
@@ -886,40 +838,14 @@ pub fn run_shard_worker() -> io::Result<()> {
                         .into_iter()
                         .map(|(name, delta)| (name.to_owned(), delta))
                         .collect();
-                    // Segment first, wire second: an outcome that
-                    // reached the controller is always recoverable
-                    // from disk, never the other way around.
-                    match segment
-                        .as_mut()
-                        .map(|seg| seg.record(index, busy_nanos, &counters, &outcome))
-                    {
-                        Some(Ok(())) => {
-                            accumulator.counter_add("shard.segments.written", 1);
-                        }
-                        Some(Err(err)) => {
-                            eprintln!(
-                                "snake: shard {} stopped writing its journal segment: {err}",
-                                job.shard
-                            );
-                            segment = None;
-                        }
-                        None => {}
-                    }
-                    if wire_ok {
-                        let reply = obj([
-                            ("type", Value::Str("outcome".to_owned())),
-                            ("index", Value::U64(index)),
-                            ("busy_nanos", Value::U64(busy_nanos)),
-                            ("counters", counters_json(&counters)),
-                            ("outcome", outcome.to_json()),
-                        ]);
-                        if let Err(err) = queue_line(&mut writer, &reply) {
-                            if segment.is_none() {
-                                return Err(err);
-                            }
-                            wire_ok = false;
-                        }
-                    }
+                    let reply = obj([
+                        ("type", Value::Str("outcome".to_owned())),
+                        ("index", Value::U64(index)),
+                        ("busy_nanos", Value::U64(busy_nanos)),
+                        ("counters", counters_json(&counters)),
+                        ("outcome", outcome.to_json()),
+                    ]);
+                    queue_line(&mut writer, &reply)?;
                     sent += 1;
                     if exit_after == Some(sent) {
                         // The hook simulates a worker dying *after*
@@ -939,14 +865,7 @@ pub fn run_shard_worker() -> io::Result<()> {
                         }
                     }
                 }
-                if wire_ok {
-                    if let Err(err) = writer.flush() {
-                        if segment.is_none() {
-                            return Err(err);
-                        }
-                        wire_ok = false;
-                    }
-                }
+                writer.flush()?;
             }
             "shutdown" => break,
             other => return Err(protocol_err(format!("unexpected message type `{other}`"))),
@@ -1242,14 +1161,7 @@ impl ShardPool {
     /// during the handshake are simply absent from the live set; the
     /// caller degrades to in-process execution when `live()` comes back
     /// zero.
-    ///
-    /// `segments` is the journal-segment directory workers should write
-    /// their evaluated-outcome segments into.
-    pub(crate) fn launch(
-        config: &CampaignConfig,
-        memoize: bool,
-        segments: Option<&Path>,
-    ) -> io::Result<ShardPool> {
+    pub(crate) fn launch(config: &CampaignConfig, memoize: bool) -> io::Result<ShardPool> {
         let digest = scenario_digest(&config.scenario, config.threshold, config.baseline_reps);
         let wire = WireFaults::from_chaos(config.chaos.as_ref());
         let hang_after = config
@@ -1267,8 +1179,7 @@ impl ShardPool {
             // The hang knob targets shard 0 only, so a hang-chaos
             // campaign still has live shards to finish on.
             let hang = if shard == 0 { hang_after } else { None };
-            let segment = segments.map(|dir| segment_file(dir, shard));
-            let hello = encode_hello(shard, digest, config, memoize, segment.as_deref(), hang);
+            let hello = encode_hello(shard, digest, config, memoize, hang);
             match ShardLink::spawn(&worker_bin, shard, &hello, digest, &tx, wire) {
                 Ok(link) => links.push(link),
                 Err(err) => eprintln!("snake: failed to spawn shard worker {worker_bin:?}: {err}"),
@@ -1418,7 +1329,7 @@ impl ShardPool {
     }
 
     /// Reports for a sharded campaign whose pool never had to launch
-    /// (every strategy was already journaled or prefetched): the
+    /// (no round had a strategy left to evaluate): the
     /// configured worker count with nothing dispatched, so the manifest
     /// keeps its `shards` section and readers find the same keys as after
     /// a run that did launch.

@@ -376,25 +376,13 @@ fn no_data_tcp() -> ScenarioSpec {
     quick_tcp().with_event_budget(1)
 }
 
-/// `<journal>.segments`, as the campaign derives it.
-fn segments_dir(journal: &Path) -> PathBuf {
-    let mut s = journal.as_os_str().to_owned();
-    s.push(".segments");
-    PathBuf::from(s)
-}
-
-/// The journal, its `.tmp` sibling and its segment directory with
-/// everything in it, contents included — what start-up may not touch
-/// before the plans are built. Absent paths are simply not listed.
+/// The journal and its `.tmp` sibling, contents included — what start-up
+/// may not touch before the plans are built. Absent paths are simply not
+/// listed.
 fn files_beside(journal: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
     let mut tmp = journal.as_os_str().to_owned();
     tmp.push(".tmp");
-    let segments = segments_dir(journal);
-    let mut paths = vec![journal.to_path_buf(), PathBuf::from(tmp), segments.clone()];
-    if let Ok(entries) = std::fs::read_dir(&segments) {
-        paths.extend(entries.flatten().map(|entry| entry.path()));
-    }
-    paths
+    [journal.to_path_buf(), PathBuf::from(tmp)]
         .into_iter()
         .filter(|path| path.exists())
         .map(|path| {
@@ -406,12 +394,10 @@ fn files_beside(journal: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
 
 #[test]
 fn an_invalid_baseline_touches_no_file() {
-    // The write half of start-up (journal create/append, segment clearing,
-    // segment directory creation) comes strictly after both plans: a
-    // campaign that fails its baseline leaves the disk as it found it.
+    // The write half of start-up (journal create/append) comes strictly
+    // after both plans: a campaign that fails its baseline leaves the disk
+    // as it found it.
     let path = temp_journal("invalid-baseline");
-    let segments = segments_dir(&path);
-    std::fs::remove_dir_all(&segments).ok();
     let invalid = |resume: bool| {
         let config = CampaignConfig::builder(no_data_tcp())
             .cap(3)
@@ -433,8 +419,7 @@ fn an_invalid_baseline_touches_no_file() {
         assert_eq!(files_beside(&path), BTreeMap::new(), "resume={resume}");
     }
 
-    // A journal and a segment file from an earlier campaign: both stay
-    // byte-identical.
+    // A journal from an earlier campaign stays byte-identical.
     let earlier = CampaignConfig::builder(quick_tcp())
         .cap(3)
         .feedback_rounds(1)
@@ -443,16 +428,13 @@ fn an_invalid_baseline_touches_no_file() {
         .build()
         .expect("valid config");
     Campaign::run(earlier).unwrap();
-    std::fs::create_dir_all(&segments).unwrap();
-    std::fs::write(segments.join("shard-00-g0-p1.seg"), b"not a segment\n").unwrap();
     let before = files_beside(&path);
-    assert_eq!(before.len(), 3, "journal, directory, segment: {before:?}");
+    assert_eq!(before.len(), 1, "the journal: {before:?}");
     for resume in [false, true] {
         invalid(resume);
         assert_eq!(files_beside(&path), before, "resume={resume}");
     }
 
-    std::fs::remove_dir_all(&segments).ok();
     std::fs::remove_file(&path).ok();
 }
 

@@ -1,16 +1,15 @@
 //! Controller crash-and-resume: a distributed campaign whose *controller*
-//! is killed mid-run (workers mid-range) must resume from the workers'
-//! journal segments with **zero** strategy re-evaluations, and the
-//! resumed run's TSV and manifest (modulo the wall-clock `timing` and
+//! is killed mid-run (workers mid-range) must resume from its journal
+//! alone — re-dispatching whatever was evaluated but never admitted — and
+//! the resumed run's TSV and manifest (modulo the wall-clock `timing` and
 //! scheduling-dependent `shards` sections, plus the resume tallies
 //! themselves) must be byte-identical to an uninterrupted run's.
 //!
-//! These tests drive the real `snake` binary end to end: a reference
+//! The test drives the real `snake` binary end to end: a reference
 //! campaign, a campaign killed at a fixed admission index through the
 //! `SNAKE_CONTROLLER_EXIT_AT` kill-switch (exit code 23, right after the
 //! Nth journal write — deterministic by construction, because admission
-//! is strictly index-ordered), and a `--resume` run over the same journal
-//! and segment directory.
+//! is strictly index-ordered), and a `--resume` run over the same journal.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -27,14 +26,6 @@ const KILL_AT: &str = "4";
 
 fn snake_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_snake"))
-}
-
-/// `<journal>.segments` — the worker segment directory the campaign
-/// derives from its journal path.
-fn segments_dir(journal: &std::path::Path) -> PathBuf {
-    let mut s = journal.as_os_str().to_owned();
-    s.push(".segments");
-    PathBuf::from(s)
 }
 
 /// A scratch directory unique to this test run.
@@ -160,8 +151,11 @@ fn shards_counter(path: &std::path::Path, field: &str) -> u64 {
         .unwrap_or_else(|| panic!("shards.{field} missing from {path:?}"))
 }
 
+/// Every resume is a resume without segments: the journal is the only
+/// crash record, so whatever was evaluated but never admitted is
+/// re-dispatched, and the output still converges on every profile.
 #[test]
-fn killed_controller_resumes_from_segments_without_reevaluating() {
+fn a_resume_without_segments_still_completes_by_reevaluating() {
     for (name, profile) in profiles() {
         let dir = scratch(name);
 
@@ -181,15 +175,22 @@ fn killed_controller_resumes_from_segments_without_reevaluating() {
             KILL_EXIT_CODE,
             "{name}: the kill-switch must fire at admission {KILL_AT}"
         );
-        let segments = segments_dir(&crashed.journal);
-        assert!(
-            segments.is_dir() && segments.read_dir().unwrap().next().is_some(),
-            "{name}: the crashed run must leave journal segments behind"
+        // The journal is the only crash record: neither the controller
+        // nor its workers leave anything else on disk.
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|file| file.starts_with("crashed"))
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["crashed.journal.jsonl"],
+            "{name}: the killed run leaves its journal and nothing beside it"
         );
 
-        // Resume over the same journal + segments: every outcome the
-        // crashed run evaluated — journaled *or* stranded in a worker
-        // segment — replays through admission; nothing is re-dispatched.
+        // Resume over the journal: what it holds is reused, the
+        // strategies still in flight at the kill are dispatched again.
         assert_eq!(
             campaign(&profile, &crashed, &["--resume"], None),
             0,
@@ -211,50 +212,11 @@ fn killed_controller_resumes_from_segments_without_reevaluating() {
             2,
             "{name}: the resumed run must still run its worker pool"
         );
-        assert_eq!(
-            shards_counter(&crashed.manifest, "ranges_dispatched"),
-            0,
-            "{name}: a full segment prefetch means zero re-evaluated strategies"
-        );
         assert!(
-            !segments.exists(),
-            "{name}: a completed resume clears the segment directory"
+            shards_counter(&crashed.manifest, "ranges_dispatched") > 0,
+            "{name}: the strategies in flight at the kill are re-evaluated"
         );
 
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-#[test]
-fn a_resume_without_segments_still_completes_by_reevaluating() {
-    // Segments are an optimization, not a correctness requirement: if the
-    // segment directory is lost (worker on another machine, wiped tmp),
-    // `--resume` falls back to re-dispatching the missing strategies and
-    // still converges to the identical output.
-    let (name, profile) = ("linux-3.13", ["--impl", "linux-3.13"]);
-    let dir = scratch("no-segments");
-
-    let reference = RunFiles::new(&dir, "reference");
-    assert_eq!(campaign(&profile, &reference, &[], None), 0);
-
-    let crashed = RunFiles::new(&dir, "crashed");
-    assert_eq!(
-        campaign(&profile, &crashed, &[], Some(KILL_AT)),
-        KILL_EXIT_CODE
-    );
-    let segments = segments_dir(&crashed.journal);
-    std::fs::remove_dir_all(&segments).expect("segments existed");
-
-    assert_eq!(campaign(&profile, &crashed, &["--resume"], None), 0);
-    assert_eq!(
-        std::fs::read(&reference.tsv).unwrap(),
-        std::fs::read(&crashed.tsv).unwrap(),
-        "{name}: output must be identical even with the segments gone"
-    );
-    assert!(
-        shards_counter(&crashed.manifest, "ranges_dispatched") > 0,
-        "{name}: without segments the tail really is re-evaluated"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

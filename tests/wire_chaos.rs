@@ -235,7 +235,7 @@ fn hello(digest: u64) -> String {
         link(100_000_000, 1_000_000, 128, "drop_tail"),
     );
     format!(
-        r#"{{"type":"hello","version":4,"shard":0,"digest":{digest},"scenario":{scenario},"threshold":0.5,"baseline_reps":1,"retest":false,"snapshot_fork":true,"memoize":true,"deadline_nanos":null,"stall_retries":2,"stall_backoff_nanos":50000000,"segment":null,"hang_after":null}}"#
+        r#"{{"type":"hello","version":5,"shard":0,"digest":{digest},"scenario":{scenario},"threshold":0.5,"baseline_reps":1,"retest":false,"snapshot_fork":true,"memoize":true,"deadline_nanos":null,"stall_retries":2,"stall_backoff_nanos":50000000,"hang_after":null}}"#
     )
 }
 
@@ -285,7 +285,7 @@ fn a_worker_refuses_a_closed_or_malformed_stdin_with_a_protocol_error() {
         ),
         (
             "wrong version",
-            frame(r#"{"type":"hello","version":3}"#),
+            frame(r#"{"type":"hello","version":4}"#),
             "shard wire version mismatch",
         ),
         (
