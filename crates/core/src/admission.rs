@@ -7,22 +7,19 @@
 //! Producers [`offer`](Admission::offer) the outcomes of a batch in any
 //! order; the reorder buffer admits them strictly in strategy-index order,
 //! and each admission runs one fixed sequence: fold the worker counter
-//! deltas that rode along, assign the memo marker through the
-//! [`MemoLedger`], append the journal line (one bounded retry), fire the
-//! controller kill-switch, tick the progress tally. All of it happens
-//! under one lock, so there is no lock order to get wrong, and evaluation
-//! (the expensive part) never holds it. Consequences the equivalence
-//! suites rest on: memo markers and journal bytes are identical at every
+//! deltas that rode along, append the journal line (one bounded retry),
+//! fire the controller kill-switch, tick the progress tally. All of it
+//! happens under one lock, so there is no lock order to get wrong, and
+//! evaluation (the expensive part) never holds it. Consequences the
+//! equivalence suites rest on: journal bytes are identical at every
 //! worker and shard count, and the journal is always an index-order
 //! prefix of each batch — a killed process loses only runs still in
 //! flight or held back behind one.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
-
-use snake_netsim::FxBuildHasher;
 
 use crate::config::CampaignError;
 use crate::evaluate::{Shared, SharedCtx};
@@ -48,7 +45,6 @@ struct State {
     pending: BTreeMap<usize, (StrategyOutcome, WorkerCounters)>,
     /// Admitted outcomes of the batch in flight, in index order.
     done: Vec<StrategyOutcome>,
-    ledger: MemoLedger,
     journal: Option<JournalWriter>,
     /// Journal writes attempted so far (the chaos plan fails by ordinal).
     journal_writes: u64,
@@ -88,7 +84,6 @@ impl Admission {
             next: 0,
             pending: BTreeMap::new(),
             done: Vec::new(),
-            ledger: MemoLedger::new(shared.memoize),
             journal,
             journal_writes: 0,
             journal_error: None,
@@ -109,13 +104,11 @@ impl Admission {
     }
 
     /// Re-primes admission from an outcome reused off a resumed journal:
-    /// the counter deltas journaled with it are folded again (so a resumed
-    /// sharded campaign reports the tallies of the run it reconstructs)
-    /// and the fingerprint cache is re-seeded. Nothing is journaled — the
-    /// line is already there.
+    /// the counter deltas journaled with it are folded again, so a resumed
+    /// sharded campaign reports the tallies of the run it reconstructs.
+    /// Nothing is journaled — the line is already there.
     pub(crate) fn seed_resumed(&self, entry: &JournalEntry) {
         fold_worker_counters(&self.shared, &entry.counters);
-        self.state().ledger.seed_resumed(&entry.outcome);
     }
 
     /// Opens a batch of `n` outcomes (sizes the result buffer once; a
@@ -194,11 +187,10 @@ impl State {
     fn release(
         &mut self,
         shared: &SharedCtx,
-        mut outcome: StrategyOutcome,
+        outcome: StrategyOutcome,
         counters: &[(String, u64)],
     ) -> StrategyOutcome {
         fold_worker_counters(shared, counters);
-        self.ledger.admit(&mut outcome);
         self.journal(shared, &outcome, counters);
         self.admissions += 1;
         if self.kill_at == Some(self.admissions) {
@@ -266,83 +258,6 @@ impl State {
     }
 }
 
-/// The campaign's memoization bookkeeper, consulted only at admission —
-/// the single point where a finished outcome is assigned its fingerprint
-/// marker, strictly in strategy-index order. Workers never touch it while
-/// evaluating, which is what makes memo markers identical at every worker
-/// count: were each worker to consult a shared cache mid-flight, which of
-/// two equal-fingerprint strategies got the `"fp"` marker would depend on
-/// completion order.
-///
-/// A fingerprint captures every effect the proxy actually had on the wire
-/// (plus its RNG draws), so equal fingerprints mean byte-identical runs
-/// and therefore equal verdicts: the marker is pure provenance, never a
-/// different answer. Only unflagged runs are remembered: a flagged outcome
-/// also depends on the different-seed re-test run, which the main run's
-/// fingerprint says nothing about.
-struct MemoLedger {
-    /// Whether campaign-level memoization is live; when off, admission
-    /// leaves every outcome with whatever marker evaluation gave it.
-    memoize: bool,
-    /// Fingerprints of this campaign's completed unflagged runs, plus
-    /// those re-seeded from a resumed journal.
-    seen: HashSet<(u64, u64), FxBuildHasher>,
-}
-
-impl MemoLedger {
-    fn new(memoize: bool) -> MemoLedger {
-        MemoLedger {
-            memoize,
-            seen: HashSet::default(),
-        }
-    }
-
-    /// Assigns the `"fp"` marker when the outcome's fingerprint was seen
-    /// before (a `"halt"` marker from the run itself takes precedence),
-    /// and otherwise remembers the fingerprint when the verdict is
-    /// unflagged. Only completed runs participate: errored, truncated and
-    /// stalled outcomes carry no meaningful fingerprint, and `"inert"` /
-    /// `"class"` outcomes were answered without a run of their own.
-    fn admit(&mut self, outcome: &mut StrategyOutcome) {
-        if !self.memoize
-            || outcome.outcome_kind != OutcomeKind::Ok
-            || matches!(outcome.memo.as_deref(), Some("inert" | "class"))
-        {
-            return;
-        }
-        let fp = fingerprint(outcome);
-        if self.seen.contains(&fp) {
-            if outcome.memo.is_none() {
-                outcome.memo = Some("fp".to_owned());
-            }
-        } else if !outcome.verdict.flagged() {
-            self.seen.insert(fp);
-        }
-    }
-
-    /// Re-seeds the ledger from a journaled outcome on resume. Only
-    /// outcomes that were remembered in the original run qualify:
-    /// completed, unflagged, and produced by an actual run (`memo` of
-    /// `None`), a cache hit (`"fp"`), or a proxy halt (`"halt"`, whose
-    /// substituted baseline metrics carry the baseline's fingerprint).
-    /// With the ledger restored, the strategies that still need a run get
-    /// the same markers as in an uninterrupted campaign.
-    fn seed_resumed(&mut self, outcome: &StrategyOutcome) {
-        if self.memoize
-            && outcome.outcome_kind == OutcomeKind::Ok
-            && !outcome.verdict.flagged()
-            && matches!(outcome.memo.as_deref(), None | Some("fp" | "halt"))
-        {
-            self.seen.insert(fingerprint(outcome));
-        }
-    }
-}
-
-fn fingerprint(outcome: &StrategyOutcome) -> (u64, u64) {
-    let proxy = &outcome.metrics.proxy;
-    (proxy.effect_fp_a, proxy.effect_fp_b)
-}
-
 /// Replays the counter deltas a shard worker reported for one outcome
 /// into the controller's observer, so manifest tallies match a
 /// single-process run. The `campaign.*` watchdog/escalation counters also
@@ -378,7 +293,7 @@ mod tests {
 
     use proptest::prelude::*;
     use snake_observe::Recorder;
-    use snake_proxy::{BasicAttack, Endpoint, ProxyReport, Strategy, StrategyKind};
+    use snake_proxy::{BasicAttack, Endpoint, Strategy, StrategyKind};
     use snake_tcp::Profile;
 
     use crate::chaos::ChaosPlan;
@@ -419,13 +334,7 @@ mod tests {
         JournalWriter::create(path, &header).expect("temp dir is writable")
     }
 
-    fn outcome(
-        id: u64,
-        fp: u64,
-        flagged: bool,
-        kind: OutcomeKind,
-        halted: bool,
-    ) -> StrategyOutcome {
+    fn outcome(id: u64, target_bytes: u64, flagged: bool, kind: OutcomeKind) -> StrategyOutcome {
         StrategyOutcome {
             strategy: Strategy {
                 id,
@@ -441,11 +350,7 @@ mod tests {
                 ..Verdict::default()
             },
             metrics: TestMetrics {
-                proxy: Arc::new(ProxyReport {
-                    effect_fp_a: fp,
-                    effect_fp_b: !fp,
-                    ..ProxyReport::default()
-                }),
+                target_bytes,
                 ..TestMetrics::empty()
             },
             repeatable: true,
@@ -453,7 +358,7 @@ mod tests {
             false_positive: false,
             outcome_kind: kind,
             error: None,
-            memo: halted.then(|| "halt".to_owned()),
+            memo: None,
         }
     }
 
@@ -493,7 +398,7 @@ mod tests {
         #[test]
         fn delivery_order_never_shows(
             specs in prop::collection::vec(
-                (0u64..4, any::<bool>(), 0u8..8, any::<bool>(), any::<u64>(), any::<bool>()),
+                (0u64..4, any::<bool>(), 0u8..8, any::<u64>(), any::<bool>()),
                 1..24,
             ),
             deltas in prop::collection::vec((0u64..3, 0u64..3, 0u64..2), 24),
@@ -507,7 +412,7 @@ mod tests {
                 .iter()
                 .zip(&deltas)
                 .enumerate()
-                .map(|(i, (&(fp, flagged, kind, halted, _, _), &(escalated, stalls, quarantined)))| {
+                .map(|(i, (&(target_bytes, flagged, kind, _, _), &(escalated, stalls, quarantined)))| {
                     let kind = if kind == 0 { OutcomeKind::Errored } else { OutcomeKind::Ok };
                     let counters = vec![
                         ("campaign.escalated".to_owned(), escalated),
@@ -515,18 +420,18 @@ mod tests {
                         ("campaign.quarantined".to_owned(), quarantined),
                         ("not.a.counter".to_owned(), 9),
                     ];
-                    (outcome(i as u64, fp, flagged, kind, halted), counters)
+                    (outcome(i as u64, target_bytes, flagged, kind), counters)
                 })
                 .collect();
             let in_order: Vec<usize> = (0..batch.len()).collect();
             // The up-front indices first, ascending; the rest in the order
             // their sort keys dictate.
             let mut shuffled = in_order.clone();
-            shuffled.sort_by_key(|&i| (!specs[i].5, if specs[i].5 { i as u64 } else { specs[i].4 }));
+            shuffled.sort_by_key(|&i| (!specs[i].4, if specs[i].4 { i as u64 } else { specs[i].3 }));
 
             let expected = deliver(shared, &temp_journal("in-order"), &batch, &in_order);
             let got = deliver(shared, &temp_journal("shuffled"), &batch, &shuffled);
-            prop_assert_eq!(&got.0, &expected.0, "admitted sequence and fp markers");
+            prop_assert_eq!(&got.0, &expected.0, "admitted sequence");
             prop_assert!(got.1 == expected.1, "journal bytes");
             prop_assert_eq!(got.2, expected.2, "folded tallies");
             let ids: Vec<u64> = got.0.iter().map(|o| o.strategy.id).collect();
@@ -545,7 +450,7 @@ mod tests {
         let shared = shared_with(&path, plan, recorder.clone());
         let admission = Admission::new(shared, Some(fresh_writer(&path)));
         for index in [1, 0, 2] {
-            let o = outcome(index as u64, index as u64, false, OutcomeKind::Ok, false);
+            let o = outcome(index as u64, index as u64, false, OutcomeKind::Ok);
             admission.offer(index, o, Vec::new());
         }
         assert_eq!(admission.take_batch(3).len(), 3);
@@ -569,7 +474,7 @@ mod tests {
         let writer = JournalWriter::append(path).expect("/dev/full opens");
         let admission = Admission::new(shared, Some(writer));
         for index in [0, 1] {
-            let o = outcome(index as u64, 0, false, OutcomeKind::Ok, false);
+            let o = outcome(index as u64, 0, false, OutcomeKind::Ok);
             admission.offer(index, o, Vec::new());
         }
         // Admission itself carries on; the campaign fails at the end.

@@ -633,13 +633,12 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
         );
     }
     if memoize {
-        let tried = result.strategies_tried().max(1);
         eprintln!(
-            "memoization: {} memo hits, {} short-circuits ({:.1}% / {:.1}% of strategies)",
+            "memoization: {} of {} strategies answered without a run (class {}, inert {})",
+            result.memo_hits + result.short_circuits,
+            result.strategies_tried(),
             result.memo_hits,
-            result.short_circuits,
-            100.0 * result.memo_hits as f64 / tried as f64,
-            100.0 * result.short_circuits as f64 / tried as f64
+            result.short_circuits
         );
     }
     if result.resumed > 0 {
@@ -675,11 +674,10 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
 fn print_observe_summary(snapshot: &snake_core::RecorderSnapshot, wall_secs: f64) {
     eprintln!("observability summary ({wall_secs:.2}s wall clock):");
     eprintln!(
-        "  runs: {} from scratch, {} forked, {} elided, {} halted, {} plan guards tripped",
+        "  runs: {} from scratch, {} forked, {} elided, {} plan guards tripped",
         snapshot.counter("exec.runs.from_scratch"),
         snapshot.counter("exec.runs.forked"),
         snapshot.counter("exec.runs.elided"),
-        snapshot.counter("exec.runs.halted"),
         snapshot.counter("exec.plan.guard_tripped"),
     );
     eprintln!(

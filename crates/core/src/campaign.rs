@@ -26,7 +26,7 @@ use crate::evaluate::{
     SharedCtx,
 };
 use crate::journal::{JournalEntry, JournalHeader, JournalReader, JournalWriter};
-use crate::result::{CampaignResult, OutcomeKind, StrategyOutcome};
+use crate::result::{CampaignResult, Memo, OutcomeKind, StrategyOutcome};
 use crate::strategen::generate_strategies;
 
 /// A full campaign against one implementation — one row of Table I.
@@ -299,11 +299,10 @@ fn plan_round(
     inherited: &mut Inherited,
 ) -> RoundPlan {
     // Identity is checked on the full strategy, not just the id, so a
-    // stale journal entry is re-run rather than trusted. Reused outcomes
-    // re-prime the memoization layers — the fingerprint cache is re-seeded
-    // from their recorded verdicts and non-inert reused strategies
-    // re-register as class representatives — so a resumed campaign reaches
-    // the same memo decisions (and markers) as an uninterrupted one.
+    // stale journal entry is re-run rather than trusted. Non-inert reused
+    // strategies re-register as class representatives, so a resumed
+    // campaign reaches the same memo decisions (and markers) as an
+    // uninterrupted one.
     let mut round: Vec<Option<StrategyOutcome>> = fresh.iter().map(|_| None).collect();
     let mut pending: Vec<(usize, Strategy)> = Vec::new();
     // Reused strategies that may represent a class, in index order.
@@ -316,7 +315,7 @@ fn plan_round(
                 // An inert-marked outcome never reached the class
                 // grouping in the original run, so it must not become a
                 // representative now.
-                if prev.outcome.memo.as_deref() != Some("inert") {
+                if prev.outcome.memo != Some(Memo::Inert) {
                     reused.push((i, s));
                 }
                 round[i] = Some(prev.outcome);
@@ -413,10 +412,10 @@ fn finish(
     let mut memo_hits = 0usize;
     let mut short_circuits = 0usize;
     for o in &outcomes {
-        match o.memo.as_deref() {
-            Some("class") | Some("fp") => memo_hits += 1,
-            Some("inert") | Some("halt") => short_circuits += 1,
-            _ => {}
+        match o.memo {
+            Some(Memo::Class) => memo_hits += 1,
+            Some(Memo::Inert) => short_circuits += 1,
+            None => {}
         }
     }
 

@@ -52,8 +52,7 @@ pub struct CampaignConfig {
     pub(crate) progress_every: usize,
     // Fork baseline snapshots instead of replaying the attack-free prefix.
     pub(crate) snapshot_fork: bool,
-    // Cross-strategy memoization (inert elision, class sharing,
-    // fingerprint cache, no-op halt).
+    // Cross-strategy memoization (inert elision, class sharing).
     pub(crate) memoize: bool,
     // Test-only fault injection inside the panic isolation boundary.
     pub(crate) fault_hook: Option<FaultHook>,
@@ -263,16 +262,14 @@ impl CampaignConfigBuilder {
     }
 
     /// Memoizes across strategies: statically provable wire no-ops are
-    /// answered with the baseline outcome, trigger-equivalent `OnState`
-    /// strategies share one representative run, runs whose wire-effect
-    /// fingerprint was seen before share the cached verdict, and the
-    /// executor halts runs whose rules are spent without a wire effect.
-    /// Every shortcut is conditioned on the snapshot planner's determinism
-    /// guard (same philosophy: memoization is disabled whenever identical
-    /// replay cannot be guaranteed), so outcomes are bit-identical with
-    /// memoization off — this too is purely a throughput knob. Forced off
-    /// when a `fault_hook` is installed, because an elided strategy never
-    /// reaches the hook.
+    /// answered with the baseline outcome, and trigger-equivalent
+    /// `OnState` strategies share one representative run; each shortcut
+    /// saves a simulation. Both are conditioned on the snapshot planner's
+    /// determinism guard (same philosophy: memoization is disabled
+    /// whenever identical replay cannot be guaranteed), so outcomes are
+    /// bit-identical with memoization off — this too is purely a
+    /// throughput knob. Forced off when a `fault_hook` is installed,
+    /// because an elided strategy never reaches the hook.
     pub fn memoize(mut self, memoize: bool) -> Self {
         self.memoize = memoize;
         self

@@ -10,7 +10,7 @@ use snake_proxy::{InjectionAttack, Strategy, StrategyKind};
 
 use crate::config::{CampaignConfig, CampaignError};
 use crate::detect::{baseline_valid, detect_enveloped, Envelope, Verdict};
-use crate::result::{OutcomeKind, StrategyOutcome};
+use crate::result::{Memo, OutcomeKind, StrategyOutcome};
 use crate::scenario::{Executor, ExecutorOptions, PlannedExecutor, ScenarioSpec, TestMetrics};
 use crate::strategen::{is_on_path, is_self_denial};
 
@@ -90,7 +90,6 @@ fn executor_options(config: &CampaignConfig, memoize: bool) -> ExecutorOptions {
     ExecutorOptions {
         snapshot_fork: config.snapshot_fork,
         memoize,
-        halt_arming: true,
         observer: config.observer.clone(),
     }
 }
@@ -223,7 +222,7 @@ pub(crate) fn inert_outcome(shared: &Shared, strategy: &Strategy) -> Option<Stra
             false_positive: false,
             outcome_kind: OutcomeKind::Truncated,
             error: None,
-            memo: Some("inert".to_owned()),
+            memo: Some(Memo::Inert),
         });
     }
     let verdict = detect_enveloped(&shared.envelope, baseline);
@@ -239,7 +238,7 @@ pub(crate) fn inert_outcome(shared: &Shared, strategy: &Strategy) -> Option<Stra
         false_positive: false,
         outcome_kind: OutcomeKind::Ok,
         error: None,
-        memo: Some("inert".to_owned()),
+        memo: Some(Memo::Inert),
     })
 }
 
@@ -284,7 +283,7 @@ pub(crate) fn materialize_class_member(
         false_positive: rep.false_positive,
         outcome_kind: rep.outcome_kind,
         error: None,
-        memo: Some("class".to_owned()),
+        memo: Some(Memo::Class),
     }
 }
 
@@ -293,12 +292,7 @@ pub(crate) fn materialize_class_member(
 /// false-positive control.
 fn evaluate(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
     let SharedCtx { exec, config, .. } = &**shared;
-    let (metrics, info) = exec.run_with_info(Some(strategy.clone()));
-    // A halted run (every rule spent with zero wire effect) substituted
-    // the baseline outcome; the marker records that this outcome was
-    // short-circuited, and takes precedence over a fingerprint-cache hit
-    // on the same (baseline-equal) metrics.
-    let memo: Option<String> = info.halted.then(|| "halt".to_owned());
+    let metrics = exec.run(Some(strategy.clone()));
     if metrics.truncated {
         // A budget-truncated run transferred less data because it ran for
         // less virtual time; comparing it against a full-length baseline
@@ -313,18 +307,9 @@ fn evaluate(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
             false_positive: false,
             outcome_kind: OutcomeKind::Truncated,
             error: None,
-            memo,
+            memo: None,
         };
     }
-    // The verdict is always computed fresh here; the wire-effect
-    // fingerprint cache lives in the [`MemoLedger`] and is consulted only
-    // at admission, after evaluation. Equal fingerprints mean
-    // byte-identical runs, so a cache hit's verdict equals this freshly
-    // computed one by construction — moving the lookup out of the workers
-    // changes no outcome, it only makes the `"fp"` markers independent of
-    // worker completion order. Cached (and therefore persisted) verdicts
-    // are always unflagged, which keeps the re-test and control logic
-    // below trivially consistent with a later marker assignment.
     let verdict = detect_enveloped(&shared.envelope, &metrics);
 
     // Flagged verdicts re-test as always; with an ensemble (reps > 1),
@@ -400,7 +385,7 @@ fn evaluate(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
         false_positive,
         outcome_kind: OutcomeKind::Ok,
         error: None,
-        memo,
+        memo: None,
     }
 }
 

@@ -36,7 +36,7 @@ use snake_json::{obj, FromJson, JsonError, ObjExt, ToJson, Value};
 use snake_proxy::{ProxyReport, Strategy};
 
 use crate::detect::Verdict;
-use crate::result::{OutcomeKind, StrategyOutcome};
+use crate::result::{Memo, OutcomeKind, StrategyOutcome};
 use crate::scenario::TestMetrics;
 
 impl ToJson for Verdict {
@@ -211,8 +211,8 @@ impl ToJson for StrategyOutcome {
             ("false_positive", Value::Bool(self.false_positive)),
             (
                 "memo",
-                match &self.memo {
-                    Some(m) => Value::Str(m.clone()),
+                match self.memo {
+                    Some(m) => Value::Str(m.as_str().to_owned()),
                     None => Value::Null,
                 },
             ),
@@ -237,10 +237,20 @@ impl FromJson for StrategyOutcome {
             outcome_kind: OutcomeKind::from_json(value.req("outcome")?)?,
             error,
             // Journals written before memoization lack the field; those
-            // outcomes all ran for real.
+            // outcomes all ran for real. Older binaries also wrote `"fp"`
+            // (a fingerprint label put on a completed run) and `"halt"`
+            // (a run cut short with the outcome the full run gives): both
+            // stand for a simulated outcome now.
             memo: match value.get("memo") {
                 None | Some(Value::Null) => None,
-                Some(Value::Str(s)) => Some(s.clone()),
+                Some(Value::Str(s)) => match s.as_str() {
+                    "inert" => Some(Memo::Inert),
+                    "class" => Some(Memo::Class),
+                    "fp" | "halt" => None,
+                    other => {
+                        return Err(JsonError::decode(format!("unknown memo marker `{other}`")))
+                    }
+                },
                 Some(_) => return Err(JsonError::decode("field `memo` must be a string or null")),
             },
         })
@@ -365,11 +375,11 @@ impl FromJson for JournalHeader {
 
 /// Encodes worker counter deltas as a JSON object (`name -> count`), the
 /// shape they travel in on the shard wire and in journal outcome lines.
-pub(crate) fn counters_json(counters: &[(String, u64)]) -> Value {
+pub(crate) fn counters_json<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> Value {
     Value::Obj(
         counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::U64(*v)))
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), Value::U64(v)))
             .collect(),
     )
 }
@@ -526,7 +536,8 @@ impl JournalWriter {
         let mut json = outcome.to_json();
         if !counters.is_empty() {
             if let Value::Obj(pairs) = &mut json {
-                pairs.push(("counters".to_owned(), counters_json(counters)));
+                let named = counters.iter().map(|(k, v)| (k.as_str(), *v));
+                pairs.push(("counters".to_owned(), counters_json(named)));
             }
         }
         let line = checksummed_line(json.to_string_compact());
@@ -740,7 +751,7 @@ mod tests {
             false_positive: false,
             outcome_kind: OutcomeKind::Ok,
             error: None,
-            memo: Some("inert".into()),
+            memo: Some(Memo::Inert),
         }
     }
 
@@ -885,10 +896,10 @@ mod tests {
     /// Three lines (payload, checksum) exactly as the commit before the
     /// linear-time codec wrote them: the header, a plain outcome, and an
     /// errored outcome whose message needs every kind of escape and which
-    /// carries worker counters. The format is frozen: journals written by
-    /// older binaries must keep loading, and newer ones must load in older
-    /// binaries.
-    const GOLDEN: [(&str, &str); 3] = [
+    /// carries worker counters. Their reports still carry the effect
+    /// fingerprint lanes older binaries wrote; journals written by older
+    /// binaries must keep loading.
+    const LEGACY_GOLDEN: [(&str, &str); 3] = [
         (
             r#"{"type":"campaign","implementation":"Linux 3.13","seed":42,"threshold":0.5,"memoize":true,"impairment":"none"}"#,
             "feec128309d079eb",
@@ -900,6 +911,24 @@ mod tests {
         (
             r#"{"type":"outcome","outcome":"errored","error":"engine panicked: \"index\" out of bounds\n\tat C:\\sim é\u0001","strategy":{"id":7,"strategy":{"kind":"on_packet","endpoint":"client","state":"ESTABLISHED","packet_type":"ACK","basic":{"attack":"drop","percent":100}}},"verdict":{"establishment_prevented":false,"throughput_degradation":true,"throughput_gain":false,"competing_degradation":false,"socket_leak":false,"fairness_collapse":false,"flow_starvation":false,"table_exhaustion":false},"metrics":{"target_bytes":123,"competing_bytes":0,"leaked_sockets":0,"leaked_close_wait":0,"leaked_with_queue":0,"truncated":false,"sim_events":0,"flow_bytes":[],"server_sockets":0,"leaked_total":0,"proxy":{"packets_seen":0,"matched":0,"dropped":0,"duplicates":0,"delayed":0,"batched":0,"reflected":0,"lied":0,"injected":0,"effect_fp_a":0,"effect_fp_b":0,"rule_hits":[],"observed":[],"client_final_state":"","server_final_state":""}},"repeatable":true,"on_path":false,"false_positive":false,"memo":"inert","counters":{"exec.runs.from_scratch":3,"netsim.events":106547}}"#,
             "3adc1fd2f5d0f731",
+        ),
+    ];
+
+    /// The same three lines as the current writer emits them: the reports
+    /// no longer carry fingerprint lanes. The format is otherwise frozen,
+    /// so newer journals load in older binaries.
+    const GOLDEN: [(&str, &str); 3] = [
+        (
+            r#"{"type":"campaign","implementation":"Linux 3.13","seed":42,"threshold":0.5,"memoize":true,"impairment":"none"}"#,
+            "feec128309d079eb",
+        ),
+        (
+            r#"{"type":"outcome","outcome":"ok","error":null,"strategy":{"id":1,"strategy":{"kind":"on_packet","endpoint":"client","state":"ESTABLISHED","packet_type":"ACK","basic":{"attack":"drop","percent":100}}},"verdict":{"establishment_prevented":false,"throughput_degradation":true,"throughput_gain":false,"competing_degradation":false,"socket_leak":false,"fairness_collapse":false,"flow_starvation":false,"table_exhaustion":false},"metrics":{"target_bytes":123,"competing_bytes":0,"leaked_sockets":0,"leaked_close_wait":0,"leaked_with_queue":0,"truncated":false,"sim_events":0,"flow_bytes":[],"server_sockets":0,"leaked_total":0,"proxy":{"packets_seen":0,"matched":0,"dropped":0,"duplicates":0,"delayed":0,"batched":0,"reflected":0,"lied":0,"injected":0,"rule_hits":[],"observed":[],"client_final_state":"","server_final_state":""}},"repeatable":true,"on_path":false,"false_positive":false,"memo":"inert"}"#,
+            "bbee5c1207ce39d0",
+        ),
+        (
+            r#"{"type":"outcome","outcome":"errored","error":"engine panicked: \"index\" out of bounds\n\tat C:\\sim é\u0001","strategy":{"id":7,"strategy":{"kind":"on_packet","endpoint":"client","state":"ESTABLISHED","packet_type":"ACK","basic":{"attack":"drop","percent":100}}},"verdict":{"establishment_prevented":false,"throughput_degradation":true,"throughput_gain":false,"competing_degradation":false,"socket_leak":false,"fairness_collapse":false,"flow_starvation":false,"table_exhaustion":false},"metrics":{"target_bytes":123,"competing_bytes":0,"leaked_sockets":0,"leaked_close_wait":0,"leaked_with_queue":0,"truncated":false,"sim_events":0,"flow_bytes":[],"server_sockets":0,"leaked_total":0,"proxy":{"packets_seen":0,"matched":0,"dropped":0,"duplicates":0,"delayed":0,"batched":0,"reflected":0,"lied":0,"injected":0,"rule_hits":[],"observed":[],"client_final_state":"","server_final_state":""}},"repeatable":true,"on_path":false,"false_positive":false,"memo":"inert","counters":{"exec.runs.from_scratch":3,"netsim.events":106547}}"#,
+            "69a897609bbab018",
         ),
     ];
 
@@ -917,8 +946,8 @@ mod tests {
         ]
     }
 
-    fn golden_text() -> String {
-        GOLDEN
+    fn golden_text(lines: &[(&str, &str)]) -> String {
+        lines
             .iter()
             .map(|(payload, checksum)| format!("{payload}\t{checksum}\n"))
             .collect()
@@ -932,14 +961,17 @@ mod tests {
         w.record_with_counters(&golden_error_outcome(), &golden_counters())
             .unwrap();
         drop(w);
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), golden_text());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            golden_text(&GOLDEN)
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn golden_lines_load_back_exactly() {
         let path = temp_path("golden-load");
-        std::fs::write(&path, golden_text()).unwrap();
+        std::fs::write(&path, golden_text(&LEGACY_GOLDEN)).unwrap();
         let mut r = JournalReader::open(&path).unwrap();
         assert_eq!(r.header(), Some(&header("Linux 3.13", 42)));
         let plain = r.next_entry().unwrap().expect("plain outcome");
@@ -950,6 +982,33 @@ mod tests {
         assert_eq!(errored.counters, golden_counters());
         assert!(r.next_entry().unwrap().is_none());
         assert_eq!(r.malformed_lines(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn legacy_fp_and_halt_markers_load_as_simulated_outcomes() {
+        let path = temp_path("legacy-markers");
+        let mut text = checksummed_line(header("x", 1).to_json().to_string_compact());
+        for (id, marker) in [(1, "fp"), (2, "halt")] {
+            let payload = outcome(id)
+                .to_json()
+                .to_string_compact()
+                .replace(
+                    "\"injected\":0,",
+                    "\"injected\":0,\"effect_fp_a\":81985529216486895,\"effect_fp_b\":17,",
+                )
+                .replace("\"memo\":\"inert\"", &format!("\"memo\":\"{marker}\""));
+            assert!(payload.contains("effect_fp_b") && payload.contains(marker));
+            text.push_str(&checksummed_line(payload));
+        }
+        std::fs::write(&path, text).unwrap();
+        let loaded = load(&path).unwrap();
+        let simulated = |id| StrategyOutcome {
+            memo: None,
+            ..outcome(id)
+        };
+        assert_eq!(loaded.outcomes, vec![simulated(1), simulated(2)]);
+        assert_eq!(loaded.malformed_lines, 0);
         std::fs::remove_file(&path).ok();
     }
 

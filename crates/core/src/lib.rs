@@ -93,7 +93,7 @@ pub use detect::{
 };
 pub use manifest::build_run_manifest;
 pub use report::{render_table1, render_table2};
-pub use result::{CampaignResult, OutcomeKind, StrategyOutcome};
+pub use result::{CampaignResult, Memo, OutcomeKind, StrategyOutcome};
 pub use scenario::{
     scenario_digest, Executor, ExecutorOptions, FlowGroup, FlowRole, PlannedExecutor, ProtocolKind,
     RunInfo, ScenarioError, ScenarioSpec, ScenarioSpecBuilder, TestMetrics, TopologySpec,

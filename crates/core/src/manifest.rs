@@ -16,7 +16,7 @@ use snake_json::{obj, Value};
 use snake_observe::{RecorderSnapshot, RunManifest};
 use snake_proxy::{InjectionAttack, StrategyKind};
 
-use crate::result::CampaignResult;
+use crate::result::{CampaignResult, Memo};
 
 /// Builds the per-run manifest from the campaign's result, the observer's
 /// merged snapshot, and the run's wall-clock duration in seconds.
@@ -112,24 +112,19 @@ fn run_section(result: &CampaignResult) -> Value {
 
 /// Memo-layer hit breakdown, counted from the outcome provenance markers.
 fn memo_section(result: &CampaignResult) -> Value {
-    let count = |marker: &str| {
+    let count = |marker: Memo| {
         Value::U64(
             result
                 .outcomes
                 .iter()
-                .filter(|o| o.memo.as_deref() == Some(marker))
+                .filter(|o| o.memo == Some(marker))
                 .count() as u64,
         )
     };
     obj([
         (
             "breakdown",
-            obj([
-                ("inert", count("inert")),
-                ("class", count("class")),
-                ("fingerprint", count("fp")),
-                ("halt", count("halt")),
-            ]),
+            obj([("inert", count(Memo::Inert)), ("class", count(Memo::Class))]),
         ),
         ("memo_hits", Value::U64(result.memo_hits as u64)),
         ("short_circuits", Value::U64(result.short_circuits as u64)),
@@ -151,10 +146,6 @@ fn exec_section(snapshot: &RecorderSnapshot) -> Value {
         (
             "runs_elided",
             Value::U64(snapshot.counter("exec.runs.elided")),
-        ),
-        (
-            "runs_halted",
-            Value::U64(snapshot.counter("exec.runs.halted")),
         ),
     ])
 }

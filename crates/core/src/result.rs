@@ -61,15 +61,31 @@ pub struct StrategyOutcome {
     pub outcome_kind: OutcomeKind,
     /// The panic message, when `outcome_kind` is [`OutcomeKind::Errored`].
     pub error: Option<String>,
-    /// How memoization produced (or shortened) this outcome: `"inert"`
-    /// (statically provable wire no-op, answered with the baseline),
-    /// `"class"` (shared the run of a trigger-equivalent representative),
-    /// `"fp"` (verdict served from the wire-effect fingerprint cache), or
-    /// `"halt"` (the proxy halted the run once every rule was spent
-    /// without a wire effect and substituted the baseline). `None` for
-    /// outcomes whose run went the ordinary distance. Recorded in the
-    /// journal so `--resume` replays memoized outcomes exactly.
-    pub memo: Option<String>,
+    /// How memoization answered this outcome without a run of its own;
+    /// `None` for outcomes that were simulated. Recorded in the journal so
+    /// `--resume` replays memoized outcomes exactly.
+    pub memo: Option<Memo>,
+}
+
+/// The memoization layer that answered an outcome without simulating it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Memo {
+    /// A statically provable wire no-op, answered with the baseline
+    /// outcome.
+    Inert,
+    /// A trigger-equivalent class member, answered with its
+    /// representative's run.
+    Class,
+}
+
+impl Memo {
+    /// The marker's journal and manifest spelling.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Memo::Inert => "inert",
+            Memo::Class => "class",
+        }
+    }
 }
 
 impl StrategyOutcome {
@@ -104,17 +120,13 @@ pub struct CampaignResult {
     /// can leave a partial final line; it is skipped, not fatal).
     pub journal_lines_skipped: usize,
     /// Memoization hits: outcomes that shared a trigger-equivalent
-    /// representative's run (`memo == "class"`) plus verdicts served from
-    /// the wire-effect fingerprint cache (`memo == "fp"`). Derived by
-    /// counting the outcome markers, so the run manifest's memo breakdown
-    /// always sums back to this field. Zero when memoization is off.
+    /// representative's run ([`Memo::Class`]). Derived by counting the
+    /// outcome markers, so the run manifest's memo breakdown always sums
+    /// back to this field. Zero when memoization is off.
     pub memo_hits: usize,
     /// Runs short-circuited outright: statically provable wire no-ops
-    /// answered with the baseline outcome (`memo == "inert"`) plus main
-    /// runs the proxy halted once every rule was spent without a wire
-    /// effect (`memo == "halt"`). Derived from the outcome markers;
-    /// auxiliary halts (re-test and control runs) show up in the
-    /// executors' own tallies, not here. Zero when memoization is off.
+    /// answered with the baseline outcome ([`Memo::Inert`]). Derived from
+    /// the outcome markers. Zero when memoization is off.
     pub short_circuits: usize,
     /// How many seed-jittered baselines anchor the detection envelope
     /// (1 = the legacy single baseline).

@@ -1,4 +1,3 @@
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use snake_dccp::{DccpHost, DccpProfile, DccpServerApp};
@@ -1114,9 +1113,8 @@ fn decide(timeline: &StateTimeline, rules: &[Strategy]) -> ForkDecision {
 /// Construction options for [`PlannedExecutor`], replacing the former
 /// `new` / `with_options` constructor split with one explicit bundle.
 ///
-/// `Default` gives the plain forking executor: snapshot-fork on, the
-/// memoization family off, halt arming allowed (inert while `memoize` is
-/// off), and the no-op observer.
+/// `Default` gives the plain forking executor: snapshot-fork on,
+/// memoization off, and the no-op observer.
 #[derive(Clone)]
 pub struct ExecutorOptions {
     /// Fork strategies from baseline snapshots; off means every run
@@ -1124,18 +1122,13 @@ pub struct ExecutorOptions {
     /// run, a memo proof or [`plan_active`](PlannedExecutor::plan_active)
     /// needs it, never by [`PlannedExecutor::new`].
     pub snapshot_fork: bool,
-    /// Enables the memoization shortcuts: static no-op elision
-    /// ([`provably_inert`](PlannedExecutor::provably_inert)), trigger-class
-    /// keys ([`class_key`](PlannedExecutor::class_key)), and — subject to
-    /// `halt_arming` — the runtime no-op halt. All of them substitute the
-    /// baseline (or a classmate's) outcome for a run they prove
-    /// equivalent, and all require the plan's determinism guard to have
-    /// passed.
+    /// Enables the memoization proofs: static no-op elision
+    /// ([`provably_inert`](PlannedExecutor::provably_inert)) and
+    /// trigger-class keys ([`class_key`](PlannedExecutor::class_key)).
+    /// Both let the campaign substitute the baseline (or a classmate's)
+    /// outcome for a run they prove equivalent, and both require the
+    /// plan's determinism guard to have passed.
     pub memoize: bool,
-    /// Permits the runtime no-op halt for all-one-shot-lie rule sets.
-    /// Only consulted when `memoize` is on; turning it off isolates the
-    /// static shortcuts from the mid-run halt.
-    pub halt_arming: bool,
     /// Observability sink for phase spans, per-run execution counters and
     /// netsim event-loop stats. The default no-op observer reduces every
     /// hook to a constant-returning virtual call, issued at most a few
@@ -1148,7 +1141,6 @@ impl Default for ExecutorOptions {
         ExecutorOptions {
             snapshot_fork: true,
             memoize: false,
-            halt_arming: true,
             observer: observe::noop(),
         }
     }
@@ -1159,20 +1151,14 @@ impl std::fmt::Debug for ExecutorOptions {
         f.debug_struct("ExecutorOptions")
             .field("snapshot_fork", &self.snapshot_fork)
             .field("memoize", &self.memoize)
-            .field("halt_arming", &self.halt_arming)
             .field("observer_enabled", &self.observer.enabled())
             .finish()
     }
 }
 
-/// How [`PlannedExecutor::run_with_info`] executed a run. The campaign
-/// uses this to attribute memo markers (a halted run is journaled as
-/// `"halt"`) without re-deriving the decision from counters.
+/// How [`PlannedExecutor::run_with_info`] executed a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunInfo {
-    /// The proxy halted the simulation mid-run (every rule provably spent
-    /// with zero wire effect); the baseline outcome was substituted.
-    pub halted: bool,
     /// Answered with the baseline without simulating anything: no rule's
     /// trigger key occurs in the baseline timeline.
     pub elided: bool,
@@ -1211,12 +1197,7 @@ pub struct PlannedExecutor {
     plan: OnceLock<Option<SnapshotPlan>>,
     /// See [`ExecutorOptions::memoize`].
     memoize: bool,
-    /// See [`ExecutorOptions::halt_arming`].
-    halt_arming: bool,
     observer: Arc<dyn Observer>,
-    /// Runs ended early because every rule was proven a wire no-op — either
-    /// statically elided or halted mid-run by the proxy.
-    short_circuits: AtomicU64,
 }
 
 impl std::fmt::Debug for PlannedExecutor {
@@ -1225,7 +1206,6 @@ impl std::fmt::Debug for PlannedExecutor {
             .field("spec", &self.spec)
             .field("plan", &self.plan.get())
             .field("memoize", &self.memoize)
-            .field("halt_arming", &self.halt_arming)
             .finish_non_exhaustive()
     }
 }
@@ -1247,7 +1227,6 @@ impl PlannedExecutor {
         let ExecutorOptions {
             snapshot_fork,
             memoize,
-            halt_arming,
             observer,
         } = options;
         let data_end = SimTime::from_secs(spec.data_secs);
@@ -1281,9 +1260,7 @@ impl PlannedExecutor {
                 OnceLock::from(None)
             },
             memoize,
-            halt_arming,
             observer,
-            short_circuits: AtomicU64::new(0),
         }
     }
 
@@ -1322,13 +1299,6 @@ impl PlannedExecutor {
     /// nothing has yet.
     pub fn plan_active(&self) -> bool {
         self.plan().is_some()
-    }
-
-    /// Runs this executor short-circuited so far: statically elided
-    /// provably-inert strategies are not counted here (the campaign counts
-    /// those at its level); this counts runs the proxy halted mid-flight.
-    pub fn short_circuits(&self) -> u64 {
-        self.short_circuits.load(Ordering::Relaxed)
     }
 
     /// The header format spec of the protocol under test.
@@ -1405,58 +1375,6 @@ impl PlannedExecutor {
         ))
     }
 
-    /// Whether every rule is a one-shot lie eligible for the runtime no-op
-    /// halt: `OnNthPacket` + `Lie` can have at most one wire effect, and if
-    /// that effect turns out to be a byte-identical no-op the rest of the
-    /// run is the baseline.
-    fn haltable(rules: &[Strategy]) -> bool {
-        !rules.is_empty()
-            && rules.iter().all(|rule| {
-                matches!(
-                    &rule.kind,
-                    StrategyKind::OnNthPacket {
-                        attack: BasicAttack::Lie { .. },
-                        ..
-                    }
-                )
-            })
-    }
-
-    /// From-scratch run with the proxy's no-op halt armed: the moment every
-    /// rule is spent without a wire effect, the simulation stops and the
-    /// baseline outcome is substituted (it is what the full run would have
-    /// produced — the determinism guard vouches for the baseline, and the
-    /// spent rules can never act again). The second return says whether
-    /// the halt actually fired.
-    fn run_halt_armed(&self, rules: Vec<Strategy>) -> (TestMetrics, bool) {
-        let spec = &self.spec;
-        let mut session = Session::build(spec, rules, false);
-        session
-            .sim
-            .tap_mut::<AttackProxy>(session.wiring.proxy_link)
-            .expect("proxy")
-            .arm_noop_halt();
-        let data_end = SimTime::from_secs(spec.data_secs);
-        let end = SimTime::from_secs(spec.data_secs + spec.grace_secs);
-        session.sim.run_until(data_end);
-        if session.sim.halted() {
-            self.short_circuits.fetch_add(1, Ordering::Relaxed);
-            record_sim_stats(self.observer.as_ref(), &session.sim);
-            return (self.baseline.clone(), true);
-        }
-        let measured = session.measure(spec);
-        session.schedule_finish(spec, data_end);
-        session.sim.run_until(end);
-        if session.sim.halted() {
-            self.short_circuits.fetch_add(1, Ordering::Relaxed);
-            record_sim_stats(self.observer.as_ref(), &session.sim);
-            return (self.baseline.clone(), true);
-        }
-        let metrics = session.finish(spec, measured);
-        record_sim_stats(self.observer.as_ref(), &session.sim);
-        (metrics, false)
-    }
-
     /// Runs one strategy (or the baseline when `None`).
     pub fn run(&self, strategy: Option<Strategy>) -> TestMetrics {
         self.run_combination(strategy.into_iter().collect())
@@ -1494,27 +1412,8 @@ impl PlannedExecutor {
                 )
             }
             ForkDecision::FromScratch => {
-                if self.memoize && self.halt_arming && PlannedExecutor::haltable(&rules) {
-                    let (metrics, halted) = self.run_halt_armed(rules);
-                    obs.counter_add(
-                        if halted {
-                            "exec.runs.halted"
-                        } else {
-                            "exec.runs.from_scratch"
-                        },
-                        1,
-                    );
-                    (
-                        metrics,
-                        RunInfo {
-                            halted,
-                            ..RunInfo::default()
-                        },
-                    )
-                } else {
-                    obs.counter_add("exec.runs.from_scratch", 1);
-                    (run_full(&self.spec, rules, obs), RunInfo::default())
-                }
+                obs.counter_add("exec.runs.from_scratch", 1);
+                (run_full(&self.spec, rules, obs), RunInfo::default())
             }
             ForkDecision::ForkAt(t) => {
                 let forked = plan

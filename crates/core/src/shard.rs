@@ -10,7 +10,7 @@
 //! scenario (by value, plus a digest it must independently recompute) and
 //! contiguous strategy-index ranges, evaluates them through its own
 //! [`PlannedExecutor`](crate::scenario::PlannedExecutor) — snapshot-fork,
-//! memoized halt-arming and the stall watchdog all intact — and streams
+//! the memo proofs and the stall watchdog all intact — and streams
 //! back one outcome message per strategy.
 //!
 //! # Wire format
@@ -43,7 +43,7 @@
 //!   encoding.
 //!
 //! Determinism is owned entirely by the controller: workers never touch
-//! the journal or the admission ledger. Outcomes are admitted strictly in
+//! the journal or admission. Outcomes are admitted strictly in
 //! strategy-index order through the same `Admission` the in-process
 //! thread pool offers to, so TSV, manifest and memo
 //! markers are bit-identical at any shard count — including zero, the
@@ -123,7 +123,6 @@ const WORKER_COUNTERS: &[&str] = &[
     "exec.runs.from_scratch",
     "exec.runs.forked",
     "exec.runs.elided",
-    "exec.runs.halted",
     "netsim.events",
     "netsim.timers_cancelled",
     "netsim.timers_purged",
@@ -833,16 +832,11 @@ pub fn run_shard_worker() -> io::Result<()> {
                     let outcome = evaluate_watched(&shared, strategy);
                     let busy_nanos = began.elapsed().as_nanos() as u64;
                     let index = start + offset as u64;
-                    let counters: Vec<(String, u64)> = accumulator
-                        .drain()
-                        .into_iter()
-                        .map(|(name, delta)| (name.to_owned(), delta))
-                        .collect();
                     let reply = obj([
                         ("type", Value::Str("outcome".to_owned())),
                         ("index", Value::U64(index)),
                         ("busy_nanos", Value::U64(busy_nanos)),
-                        ("counters", counters_json(&counters)),
+                        ("counters", counters_json(accumulator.drain())),
                         ("outcome", outcome.to_json()),
                     ]);
                     queue_line(&mut writer, &reply)?;

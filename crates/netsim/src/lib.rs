@@ -66,7 +66,7 @@ mod topology;
 mod trace;
 
 pub use agent::{Agent, Ctx, TimerHandle};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
+pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use impair::{preset_names, FlapSpec, Impairment, PPM};
 pub use link::{Aqm, ChannelStats, LinkId, LinkSpec};
 pub use packet::{Addr, Packet, Protocol};

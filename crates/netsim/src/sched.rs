@@ -29,8 +29,8 @@
 //! is consumed and the pop reports a [`Ghost`](Popped::Ghost) at the
 //! entry's own `(at, seq)` key, which advances the clock, dispatches
 //! nothing and consumes no event budget. Records whose fire time a run has
-//! passed — a cancel issued after the fire, or an entry a halt or a spent
-//! budget left queued for good — are purged when the run ends. Written
+//! passed — a cancel issued after the fire, or an entry a spent budget
+//! left queued for good — are purged when the run ends. Written
 //! once, above the backends, the rule cannot make their pending-event
 //! horizons — and with them deadline and budget checks — differ.
 

@@ -55,9 +55,6 @@ pub(crate) enum Command {
         at: SimTime,
         tag: u64,
     },
-    /// Stop dispatching events: the requester (a tap) has determined the
-    /// rest of the run is already known (see `Simulator::halted`).
-    Halt,
 }
 
 struct NodeSlot {
@@ -126,7 +123,7 @@ pub struct SimStats {
     pub timers_cancelled: u64,
     /// Cancellation records dropped after their fire time passed without
     /// their entry popping: a cancel issued after the timer fired, or an
-    /// entry a halt or a spent budget left queued.
+    /// entry a spent budget left queued.
     pub timers_purged: u64,
     /// High-water mark of pending entries (global queue plus per-channel
     /// delivery FIFOs) over the simulator's lifetime.
@@ -186,12 +183,6 @@ pub struct Simulator {
     run_deadline: SimTime,
     event_budget: Option<u64>,
     budget_exhausted: bool,
-    /// Set by [`Command::Halt`]: a tap concluded the remainder of the run
-    /// is fully determined (e.g. all its one-shot rules are provably dead
-    /// no-ops), so event dispatch stops and the caller substitutes the
-    /// known outcome. Sticky for the simulator's lifetime, like the event
-    /// budget.
-    halted: bool,
     pending: Vec<Command>,
     trace: Option<Trace>,
 }
@@ -263,7 +254,6 @@ impl Simulator {
             run_deadline: SimTime::ZERO,
             event_budget: None,
             budget_exhausted: false,
-            halted: false,
             pending: Vec::new(),
             trace: None,
         }
@@ -285,13 +275,6 @@ impl Simulator {
     /// Whether the event budget stopped the simulation early.
     pub fn budget_exhausted(&self) -> bool {
         self.budget_exhausted
-    }
-
-    /// Whether a tap halted the run via [`TapCtx::request_halt`]. Once set,
-    /// no further events are dispatched — the caller is expected to already
-    /// know the run's outcome (that is the only sound reason to halt).
-    pub fn halted(&self) -> bool {
-        self.halted
     }
 
     /// Enables packet capture on every link, keeping up to `capacity`
@@ -518,7 +501,6 @@ impl Simulator {
             run_deadline: self.run_deadline,
             event_budget: self.event_budget,
             budget_exhausted: self.budget_exhausted,
-            halted: self.halted,
             pending: Vec::new(),
             trace: self.trace.clone(),
         })
@@ -579,9 +561,6 @@ impl Simulator {
             }
         }
         loop {
-            if self.halted {
-                break;
-            }
             if self
                 .event_budget
                 .is_some_and(|budget| self.events_processed >= budget)
@@ -618,7 +597,7 @@ impl Simulator {
         self.now = deadline;
         // A record that fires by the deadline can no longer be consumed:
         // its entry popped as a ghost, or the cancel came after the fire,
-        // or a halt or spent budget ended dispatch for good.
+        // or a spent budget ended dispatch for good.
         self.queue.purge_cancelled(deadline);
         for li in 0..self.links.len() {
             if let Some(tap) = self.links[li].tap.as_deref_mut() {
@@ -729,7 +708,7 @@ impl Simulator {
     /// validated and counted by the run loop, since the marker carries the
     /// head's key), then drains consecutive entries inline while each
     /// remains the globally next event — re-applying the run loop's
-    /// halt/deadline/budget checks per delivery so truncation behaviour
+    /// deadline/budget checks per delivery so truncation behaviour
     /// matches the reference scheduler's per-packet events byte for byte.
     fn dispatch_chan_deliver(&mut self, chan: usize) {
         let entry = self.chans[chan]
@@ -746,8 +725,7 @@ impl Simulator {
                 return;
             };
             let key = (front.at, front.seq);
-            let blocked = self.halted
-                || key.0 > self.run_deadline
+            let blocked = key.0 > self.run_deadline
                 || self
                     .event_budget
                     .is_some_and(|b| self.events_processed >= b)
@@ -756,7 +734,7 @@ impl Simulator {
                 // Hand control back to the run loop: re-arm the marker at
                 // the new head's key so global ordering resumes there. The
                 // loop re-derives the right outcome (other event first,
-                // deadline break, budget flag, halt) from its own checks.
+                // deadline break, budget flag) from its own checks.
                 self.queue.push(Scheduled {
                     at: key.0,
                     seq: key.1,
@@ -872,9 +850,6 @@ impl Simulator {
                         },
                     );
                 }
-                Command::Halt => {
-                    self.halted = true;
-                }
             }
         }
         // Hand the (now empty) buffer back for reuse.
@@ -897,12 +872,6 @@ impl Simulator {
     /// the next hop, hands it by value to the link's tap if one is
     /// attached, otherwise enqueues it on the channel.
     fn route_send(&mut self, from: NodeId, packet: PacketRef) {
-        if self.halted {
-            // A halted run is over; in-flight sends vanish like the queued
-            // events the halt already cut off.
-            self.arena.free(packet);
-            return;
-        }
         let dst = self.arena.get(packet).dst.node;
         if dst == from {
             // Loopback: deliver immediately.
@@ -1461,45 +1430,6 @@ mod tests {
         sim.attach_tap(link, PassTap);
         sim.run_until(SimTime::from_millis(1));
         assert!(sim.fork().is_none(), "PassTap has no boxed_clone");
-    }
-
-    /// Forwards packets until `after` have passed, then halts the run.
-    struct HaltingTap {
-        after: u64,
-        seen: u64,
-    }
-    impl Tap for HaltingTap {
-        fn on_packet(&mut self, ctx: &mut TapCtx<'_>, packet: Packet, toward_b: bool) {
-            self.seen += 1;
-            ctx.forward(packet, toward_b);
-            if self.seen >= self.after {
-                ctx.request_halt();
-            }
-        }
-    }
-
-    #[test]
-    fn tap_halt_stops_event_dispatch() {
-        let (mut sim, a, b, link) = two_node_sim(64);
-        sim.set_agent(a, Blaster::new(b, 10, 80));
-        sim.attach_tap(link, HaltingTap { after: 3, seen: 0 });
-        sim.run_until(SimTime::from_secs(1));
-        assert!(sim.halted());
-        // The blaster's ten sends are routed synchronously at start; the
-        // halt after the third stops the remaining seven at the router.
-        assert_eq!(sim.tap::<HaltingTap>(link).unwrap().seen, 3);
-        // Forwarded packets were enqueued but their delivery events never
-        // dispatched — the run was already over.
-        assert_eq!(sim.agent::<Echo>(b).unwrap().received.len(), 0);
-        // The three forwarded packets are still parked: one in flight and
-        // two queued on the channel.
-        assert_eq!(sim.arena.live(), 3);
-        assert_no_leaked_packets(&sim);
-        let processed = sim.events_processed();
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(sim.events_processed(), processed, "halt is sticky");
-        assert_eq!(sim.now(), SimTime::from_secs(2), "clock still advances");
-        assert_no_leaked_packets(&sim);
     }
 
     struct Canceller;

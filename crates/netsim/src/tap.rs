@@ -117,16 +117,6 @@ impl TapCtx<'_> {
             tag,
         });
     }
-
-    /// Stops the simulation: after this callback's commands are applied, no
-    /// further events are dispatched (the clock still advances to each
-    /// `run_until` deadline). Only sound when the caller of `run_until`
-    /// already knows the run's outcome — the attack proxy uses it to
-    /// short-circuit runs whose remaining rules are provably no-ops, letting
-    /// the executor substitute the baseline result.
-    pub fn request_halt(&mut self) {
-        self.commands.push(Command::Halt);
-    }
 }
 
 #[cfg(test)]

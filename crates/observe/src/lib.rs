@@ -1,7 +1,7 @@
 //! Observability primitives for the SNAKE workspace.
 //!
-//! The campaign runtime grew three layers of speedups (snapshot-fork,
-//! memoization, no-op halting) with no way to see where time goes. This
+//! The campaign runtime grew layers of speedups (snapshot-fork,
+//! memoization) with no way to see where time goes. This
 //! crate supplies the measurement substrate:
 //!
 //! - [`Observer`] — a zero-dependency trait with nestable spans (stamped

@@ -358,8 +358,6 @@ impl ToJson for ProxyReport {
             ("reflected", Value::U64(self.reflected)),
             ("lied", Value::U64(self.lied)),
             ("injected", Value::U64(self.injected)),
-            ("effect_fp_a", Value::U64(self.effect_fp_a)),
-            ("effect_fp_b", Value::U64(self.effect_fp_b)),
             (
                 "rule_hits",
                 Value::Arr(
@@ -398,18 +396,6 @@ impl FromJson for ProxyReport {
             reflected: value.req_u64("reflected")?,
             lied: value.req_u64("lied")?,
             injected: value.req_u64("injected")?,
-            // Absent in journals written before effect fingerprinting
-            // existed; default to the empty fingerprint.
-            effect_fp_a: if value.get("effect_fp_a").is_some() {
-                value.req_u64("effect_fp_a")?
-            } else {
-                0
-            },
-            effect_fp_b: if value.get("effect_fp_b").is_some() {
-                value.req_u64("effect_fp_b")?
-            } else {
-                0
-            },
             // Absent in journals written before per-rule hit counting;
             // default to no recorded hits.
             rule_hits: match value.get("rule_hits") {
@@ -521,8 +507,6 @@ mod tests {
             reflected: 0,
             lied: 2,
             injected: 5,
-            effect_fp_a: 0x1234_5678_9abc_def0,
-            effect_fp_b: 0x0fed_cba9_8765_4321,
             rule_hits: vec![(0, 3), (2, 5)],
             observed: vec![Observation {
                 endpoint: Endpoint::Client,

@@ -104,25 +104,13 @@ pub struct ProxyReport {
     pub lied: u64,
     /// Packets injected.
     pub injected: u64,
-    /// First lane of the wire-effect fingerprint: a running hash over every
-    /// actual effect the active strategy had on the wire (drops, copies,
-    /// delays, reflected and mutated bytes, injections), each keyed by the
-    /// packet index or injection time it occurred at. A run with no effects
-    /// keeps the zero fingerprint, bit-identical to the baseline's; two runs
-    /// with equal fingerprints produced the same visible packet stream, so
-    /// the campaign can share one verdict between them.
-    pub effect_fp_a: u64,
-    /// Second, independently keyed fingerprint lane (different rotation and
-    /// multiplier), so sharing requires agreement of both lanes — a single
-    /// 64-bit collision is not enough to cross-contaminate verdicts.
-    pub effect_fp_b: u64,
     /// Effective hits per rule, as sparse `(rule index, count)` pairs
     /// sorted by index. A rule is credited once per wire effect it causes
     /// — the same discipline as `matched`/`injected`, so a run whose rules
     /// never touch the wire keeps an empty vector, bit-identical to the
-    /// baseline's (the memo layers substitute baseline reports for
-    /// provably effect-free runs). The campaign manifest aggregates these
-    /// into per-`(state, packet type)` histograms.
+    /// baseline's (the inert memo layer substitutes the baseline report
+    /// for provably effect-free runs). The campaign manifest aggregates
+    /// these into per-`(state, packet type)` histograms.
     pub rule_hits: Vec<(u32, u64)>,
     /// Observation counts summed over every tracked connection, sorted.
     pub observed: Vec<Observation>,
@@ -132,14 +120,13 @@ pub struct ProxyReport {
     pub server_final_state: Label,
 }
 
-/// Hashes the counters and the two fingerprint lanes and skips the
-/// observation list. Equal reports agree on all of them, which is all
-/// `Hash` owes the derived `Eq`; and runs that agree on them put the same
-/// packets on the wire, which is what the observations describe, so
-/// nothing is lost in spread (796, 889 and 1 268 distinct reports in the
-/// quick TCP, DCCP and `star:64` journals hash to as many values). Even
-/// with two-byte labels, a derived `Hash` over every observation costs a
-/// `star:64` resume that interns its reports about 25 ms of 0.16 s.
+/// Hashes the counters and the two list lengths and skips the contents of
+/// both lists. Equal reports agree on all of them, which is all `Hash`
+/// owes the derived `Eq`, and little is lost in spread: the 190, 164 and
+/// 262 distinct reports of the quick TCP, DCCP and `star:64` journals
+/// hash to 184, 160 and 253 values (seed 7), so interning a resumed
+/// journal's reports compares few of them in full and needs no hash over
+/// every observation label.
 impl std::hash::Hash for ProxyReport {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         [
@@ -152,8 +139,6 @@ impl std::hash::Hash for ProxyReport {
             self.reflected,
             self.lied,
             self.injected,
-            self.effect_fp_a,
-            self.effect_fp_b,
             self.rule_hits.len() as u64,
             self.observed.len() as u64,
         ]
@@ -279,15 +264,6 @@ impl PacketFirstSeen {
     }
 }
 
-/// Hashes a byte slice with the deterministic netsim hasher (for folding
-/// packet contents into the effect fingerprint).
-fn fx_hash_bytes(bytes: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = snake_netsim::FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
-
 #[derive(Debug, Clone)]
 struct InjectionRun {
     packet_type: String,
@@ -329,10 +305,6 @@ pub struct AttackProxy {
     injections: Vec<Option<InjectionRun>>,
     /// Baseline trigger timeline, recorded only when enabled.
     timeline: Option<StateTimeline>,
-    /// When set (see [`AttackProxy::arm_noop_halt`]), the proxy halts the
-    /// simulation as soon as every rule is provably dead without having had
-    /// any wire effect — the rest of the run is the baseline by definition.
-    halt_armed: bool,
     report: ProxyReport,
 }
 
@@ -355,7 +327,6 @@ impl Clone for AttackProxy {
             started: self.started.clone(),
             injections: self.injections.clone(),
             timeline: self.timeline.clone(),
-            halt_armed: self.halt_armed,
             report: self.report.clone(),
         }
     }
@@ -399,7 +370,6 @@ impl AttackProxy {
             started: vec![false; n],
             injections: (0..n).map(|_| None).collect(),
             timeline: None,
-            halt_armed: false,
             report: ProxyReport::default(),
         }
     }
@@ -418,58 +388,10 @@ impl AttackProxy {
         self.rules = rules;
         self.started = vec![false; n];
         self.injections = (0..n).map(|_| None).collect();
-        self.halt_armed = false;
         // Hit indices refer to the rule set that earned them; a new rule
         // set starts from a clean slate (the baseline prefix a fork carries
         // had no rules, so this is a no-op for the snapshot-fork path).
         self.report.rule_hits.clear();
-    }
-
-    /// Arms the no-op short-circuit: once every rule is a spent one-shot
-    /// (`OnNthPacket` whose packet number has passed) and the run has had
-    /// zero wire effects (`matched == 0 && injected == 0`), the proxy halts
-    /// the simulation — the remainder of the run is the baseline, and the
-    /// executor substitutes the baseline outcome.
-    ///
-    /// Only sound when the caller can vouch that (a) an effect-free run
-    /// really is the baseline (the planner's determinism guard passed) and
-    /// (b) the rules cannot act after going dead — which is why the
-    /// executor arms it only for all-`OnNthPacket`-lie rule sets.
-    pub fn arm_noop_halt(&mut self) {
-        self.halt_armed = true;
-    }
-
-    /// Whether every rule is a one-shot whose firing opportunity has
-    /// passed. Only meaningful for `OnNthPacket` rule sets (any other kind
-    /// keeps the answer `false`, so an armed halt never fires for them).
-    fn noop_rules_dead(&self) -> bool {
-        self.rules.iter().all(|rule| match &rule.kind {
-            StrategyKind::OnNthPacket { endpoint, n, .. } => {
-                let sent = match endpoint {
-                    Endpoint::Client => self.packets_from_client,
-                    Endpoint::Server => self.packets_from_server,
-                };
-                sent >= *n
-            }
-            _ => false,
-        })
-    }
-
-    /// Folds one wire effect into both fingerprint lanes: a category code,
-    /// the packet index (or injection time) it happened at, and an
-    /// effect-specific detail word. Lanes use different rotations,
-    /// pre-whitening, and multipliers, so agreement on both is required
-    /// for two runs to be considered effect-identical.
-    fn fp_fold_event(&mut self, category: u64, index: u64, detail: u64) {
-        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-        const MULT_A: u64 = 0x517c_c1b7_2722_0a95;
-        const MULT_B: u64 = 0x2545_F491_4F6C_DD1D;
-        let r = &mut self.report;
-        for w in [category, index, detail] {
-            r.effect_fp_a = (r.effect_fp_a.rotate_left(5) ^ w).wrapping_mul(MULT_A);
-            r.effect_fp_b =
-                (r.effect_fp_b.rotate_left(7) ^ w.wrapping_add(GOLDEN)).wrapping_mul(MULT_B);
-        }
     }
 
     /// Enables baseline trigger-timeline recording (off by default; costs
@@ -658,15 +580,9 @@ impl AttackProxy {
                 // Spread the burst inside the tick to avoid a single
                 // line-rate spike.
                 let spread = SimDuration::from_micros(i * 100);
-                let header_hash = fx_hash_bytes(&pkt.header);
                 ctx.inject(pkt, toward_b, spread);
                 self.report.injected += 1;
                 self.bump_rule_hit(rule_index);
-                self.fp_fold_event(
-                    7,
-                    (ctx.now() + spread).as_nanos(),
-                    header_hash ^ toward_b as u64,
-                );
             }
             run.next_seq = (run.next_seq.wrapping_add(run.stride.max(1))) & mask;
             run.remaining -= 1;
@@ -700,15 +616,10 @@ impl AttackProxy {
         mut packet: Packet,
         toward_b: bool,
     ) {
-        // Fingerprint folds key each effect to the index of the packet it
-        // hit (`packets_seen` was already incremented for this packet).
-        let idx = self.report.packets_seen;
         match attack {
             BasicAttack::Drop { percent } => {
                 self.count_match(ri);
-                let hit = self.rng.gen_range(0u32..100) < *percent as u32;
-                self.fp_fold_event(1, idx, hit as u64);
-                if hit {
+                if self.rng.gen_range(0u32..100) < *percent as u32 {
                     self.report.dropped += 1;
                 } else {
                     ctx.forward(packet, toward_b);
@@ -716,7 +627,6 @@ impl AttackProxy {
             }
             BasicAttack::Duplicate { copies } => {
                 self.count_match(ri);
-                self.fp_fold_event(2, idx, *copies as u64);
                 for _ in 0..*copies {
                     ctx.forward(packet.clone(), toward_b);
                     self.report.duplicates += 1;
@@ -726,13 +636,11 @@ impl AttackProxy {
             BasicAttack::Delay { secs } => {
                 self.count_match(ri);
                 self.report.delayed += 1;
-                self.fp_fold_event(3, idx, secs.to_bits());
                 ctx.forward_delayed(packet, toward_b, SimDuration::from_secs_f64(*secs));
             }
             BasicAttack::Batch { secs } => {
                 self.count_match(ri);
                 self.report.batched += 1;
-                self.fp_fold_event(4, idx, secs.to_bits());
                 self.batch.push((packet, toward_b));
                 if !self.batch_armed {
                     self.batch_armed = true;
@@ -743,7 +651,6 @@ impl AttackProxy {
                 self.count_match(ri);
                 self.report.reflected += 1;
                 swap_endpoints(&self.spec, &mut packet);
-                self.fp_fold_event(5, idx, fx_hash_bytes(&packet.header));
                 ctx.send_back(packet, toward_b);
             }
             BasicAttack::Lie { field, mutation } => {
@@ -751,8 +658,8 @@ impl AttackProxy {
                 // wrote the value the field already held, the header failed
                 // to parse, or the mutation was out of range — is a wire
                 // no-op: forward the original bytes untouched and count
-                // nothing, so an all-no-op run's report (fingerprint
-                // included) stays bit-identical to the baseline's.
+                // nothing, so an all-no-op run's report stays bit-identical
+                // to the baseline's.
                 let original = packet.header.clone();
                 let mut changed = false;
                 match self
@@ -773,7 +680,6 @@ impl AttackProxy {
                 if changed {
                     self.count_match(ri);
                     self.report.lied += 1;
-                    self.fp_fold_event(6, idx, fx_hash_bytes(&packet.header));
                 }
                 ctx.forward(packet, toward_b);
             }
@@ -908,17 +814,6 @@ impl Tap for AttackProxy {
                 self.rules = rules;
             }
             None => ctx.forward(packet, toward_b),
-        }
-        if self.halt_armed
-            && self.report.matched == 0
-            && self.report.injected == 0
-            && self.noop_rules_dead()
-        {
-            // Every rule is a spent one-shot and none of them touched the
-            // wire: the rest of this run is the baseline. Stop simulating;
-            // the executor substitutes the baseline outcome.
-            self.halt_armed = false;
-            ctx.request_halt();
         }
     }
 

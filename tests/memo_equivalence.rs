@@ -1,9 +1,8 @@
 //! Memoization equivalence: campaigns with memoization on must produce
 //! outcomes bit-identical to campaigns with memoization off, on every
 //! shipped implementation profile. Memoization (inert-strategy elision,
-//! `OnState` class sharing, fingerprint verdict caching, the proxy's no-op
-//! halt) is a throughput knob, never a results knob — the same contract the
-//! snapshot-fork planner already honours.
+//! `OnState` class sharing) is a throughput knob, never a results knob —
+//! the same contract the snapshot-fork planner already honours.
 
 use std::path::PathBuf;
 
@@ -70,7 +69,7 @@ fn memoized_campaigns_match_unmemoized_on_every_profile() {
 
 #[test]
 fn memoized_campaigns_match_unmemoized_under_impairments() {
-    // Memoization keys on wire fingerprints and trigger classes; impaired
+    // Memoization keys on baseline field values and trigger classes; impaired
     // links add loss and reorder noise to both. The equivalence contract
     // must hold anyway: the same noise is deterministic per seed, so a
     // memoized impaired campaign and an unmemoized one still agree bit
@@ -97,8 +96,7 @@ fn memoized_campaigns_match_unmemoized_under_impairments() {
 #[test]
 fn memoization_is_transparent_under_retesting() {
     // With re-testing on, class sharing must also cover the re-test seed's
-    // runs (the composite class key), and flagged verdicts must never be
-    // served from the fingerprint cache.
+    // runs (the composite class key).
     let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
     let config = |memoize| {
         CampaignConfig::builder(spec.clone())
@@ -207,7 +205,7 @@ fn provably_inert_strategies_really_are_inert() {
 }
 
 #[test]
-fn noop_halt_matches_full_runs() {
+fn one_shot_lies_match_full_runs() {
     let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
     let exec = PlannedExecutor::new(
         &spec,
@@ -229,29 +227,19 @@ fn noop_halt_matches_full_runs() {
         },
     };
 
-    // A runtime no-op lie: the proxy notices the rule was spent without a
-    // wire effect, halts the run, and substitutes the baseline — which is
-    // exactly what the full from-scratch run produces.
+    // A runtime no-op lie leaves every byte as it was, so its run is the
+    // baseline — exactly what the full from-scratch run produces.
     let inert = nth_lie(1, 3, "seq", FieldMutation::Add(0));
-    let halted = exec.run(Some(inert.clone()));
-    assert_eq!(halted, Executor::run(&spec, Some(inert)));
-    assert_eq!(halted, *exec.baseline());
-    assert_eq!(exec.short_circuits(), 1, "the run must have been halted");
+    let noop = exec.run(Some(inert.clone()));
+    assert_eq!(noop, Executor::run(&spec, Some(inert)));
+    assert_eq!(noop, *exec.baseline());
 
-    // A lie that does change bytes must run to completion and agree with
-    // the from-scratch executor; the halt must not fire.
+    // A lie that does change bytes agrees with the from-scratch executor.
     let live = nth_lie(2, 2, "ack", FieldMutation::Add(1));
     assert_eq!(
         exec.run(Some(live.clone())),
         Executor::run(&spec, Some(live))
     );
-    assert_eq!(exec.short_circuits(), 1, "a live lie must not be halted");
-
-    // With memoization off the same inert lie takes the ordinary path.
-    let plain = PlannedExecutor::new(&spec, ExecutorOptions::default());
-    let inert = nth_lie(3, 3, "seq", FieldMutation::Add(0));
-    assert_eq!(plain.run(Some(inert)), *plain.baseline());
-    assert_eq!(plain.short_circuits(), 0);
 }
 
 #[test]
