@@ -25,12 +25,12 @@ use crate::config::CampaignError;
 use crate::evaluate::{Shared, SharedCtx};
 use crate::journal::{JournalEntry, JournalWriter};
 use crate::result::{OutcomeKind, StrategyOutcome};
-use crate::shard::intern_counter;
 
 /// Worker counter deltas that ride along with an outcome (empty for
 /// outcomes evaluated in this process, whose counters reached the observer
-/// directly).
-pub(crate) type WorkerCounters = Vec<(String, u64)>;
+/// directly). Names are interned where they are decoded — off the wire or
+/// a journal line — so only known counters ever get this far.
+pub(crate) type WorkerCounters = Vec<(&'static str, u64)>;
 
 /// See the [module documentation](self).
 pub(crate) struct Admission {
@@ -66,7 +66,6 @@ struct Progress {
     done: usize,
     errored: usize,
     truncated: usize,
-    stalled: usize,
 }
 
 impl Admission {
@@ -188,7 +187,7 @@ impl State {
         &mut self,
         shared: &SharedCtx,
         outcome: StrategyOutcome,
-        counters: &[(String, u64)],
+        counters: &[(&'static str, u64)],
     ) -> StrategyOutcome {
         fold_worker_counters(shared, counters);
         self.journal(shared, &outcome, counters);
@@ -209,7 +208,7 @@ impl State {
         &mut self,
         shared: &SharedCtx,
         outcome: &StrategyOutcome,
-        counters: &[(String, u64)],
+        counters: &[(&'static str, u64)],
     ) {
         let Some(writer) = &mut self.journal else {
             return;
@@ -247,12 +246,11 @@ impl State {
             OutcomeKind::Ok => {}
             OutcomeKind::Errored => p.errored += 1,
             OutcomeKind::Truncated => p.truncated += 1,
-            OutcomeKind::Stalled => p.stalled += 1,
         }
         if p.done.is_multiple_of(every) {
             eprintln!(
-                "campaign: {} strategies tested ({} errored, {} truncated, {} stalled)",
-                p.done, p.errored, p.truncated, p.stalled
+                "campaign: {} strategies tested ({} errored, {} truncated)",
+                p.done, p.errored, p.truncated
             );
         }
     }
@@ -260,28 +258,20 @@ impl State {
 
 /// Replays the counter deltas a shard worker reported for one outcome
 /// into the controller's observer, so manifest tallies match a
-/// single-process run. The `campaign.*` watchdog/escalation counters also
-/// feed the shared atomics `CampaignResult` reports from — in-process
-/// those are bumped inside `evaluate`, which sharded execution never
-/// calls on the controller. Names outside the intern table are dropped.
+/// single-process run. `campaign.escalated` also feeds the shared atomic
+/// `CampaignResult` reports from — in-process it is bumped inside
+/// `evaluate`, which sharded execution never calls on the controller.
 /// Folding happens at admission, not at receipt, so a stale result that
 /// never admits never skews the observer either.
-fn fold_worker_counters(shared: &SharedCtx, counters: &[(String, u64)]) {
+fn fold_worker_counters(shared: &SharedCtx, counters: &[(&'static str, u64)]) {
     let observer = shared.config.observer.as_ref();
-    for (name, delta) in counters {
-        let Some(interned) = intern_counter(name) else {
-            continue;
-        };
-        let tally = match interned {
-            "campaign.escalated" => Some(&shared.escalated),
-            "campaign.stalls" => Some(&shared.stalls),
-            "campaign.quarantined" => Some(&shared.quarantined),
-            _ => None,
-        };
-        if let Some(tally) = tally {
-            tally.fetch_add(*delta as usize, Ordering::Relaxed);
+    for &(name, delta) in counters {
+        if name == "campaign.escalated" {
+            shared
+                .escalated
+                .fetch_add(delta as usize, Ordering::Relaxed);
         }
-        observer.counter_add(interned, *delta);
+        observer.counter_add(name, delta);
     }
 }
 
@@ -362,20 +352,16 @@ mod tests {
         }
     }
 
-    fn tallies(shared: &SharedCtx) -> [usize; 3] {
-        [&shared.escalated, &shared.stalls, &shared.quarantined].map(|t| t.load(Ordering::Relaxed))
-    }
-
     /// Delivers `batch` in `order` through a fresh `Admission` journaling
     /// to `path`; returns the admitted sequence, the journal bytes and
-    /// how far the three folded tallies moved.
+    /// how far the folded `escalated` tally moved.
     fn deliver(
         shared: &Shared,
         path: &Path,
         batch: &[(StrategyOutcome, WorkerCounters)],
         order: &[usize],
-    ) -> (Vec<StrategyOutcome>, Vec<u8>, [usize; 3]) {
-        let before = tallies(shared);
+    ) -> (Vec<StrategyOutcome>, Vec<u8>, usize) {
+        let before = shared.escalated.load(Ordering::Relaxed);
         let admission = Admission::new(shared.clone(), Some(fresh_writer(path)));
         for &index in order {
             let (outcome, counters) = batch[index].clone();
@@ -385,8 +371,8 @@ mod tests {
         admission.finish().expect("journal writes succeed");
         let bytes = std::fs::read(path).expect("journal exists");
         std::fs::remove_file(path).ok();
-        let after = tallies(shared);
-        (admitted, bytes, [0, 1, 2].map(|k| after[k] - before[k]))
+        let escalated = shared.escalated.load(Ordering::Relaxed) - before;
+        (admitted, bytes, escalated)
     }
 
     proptest! {
@@ -401,7 +387,7 @@ mod tests {
                 (0u64..4, any::<bool>(), 0u8..8, any::<u64>(), any::<bool>()),
                 1..24,
             ),
-            deltas in prop::collection::vec((0u64..3, 0u64..3, 0u64..2), 24),
+            escalations in prop::collection::vec(0u64..3, 24),
         ) {
             static SHARED: OnceLock<Shared> = OnceLock::new();
             let shared = SHARED.get_or_init(|| {
@@ -410,16 +396,11 @@ mod tests {
             });
             let batch: Vec<(StrategyOutcome, WorkerCounters)> = specs
                 .iter()
-                .zip(&deltas)
+                .zip(&escalations)
                 .enumerate()
-                .map(|(i, (&(target_bytes, flagged, kind, _, _), &(escalated, stalls, quarantined)))| {
+                .map(|(i, (&(target_bytes, flagged, kind, _, _), &escalated))| {
                     let kind = if kind == 0 { OutcomeKind::Errored } else { OutcomeKind::Ok };
-                    let counters = vec![
-                        ("campaign.escalated".to_owned(), escalated),
-                        ("campaign.stalls".to_owned(), stalls),
-                        ("campaign.quarantined".to_owned(), quarantined),
-                        ("not.a.counter".to_owned(), 9),
-                    ];
+                    let counters = vec![("campaign.escalated", escalated)];
                     (outcome(i as u64, target_bytes, flagged, kind), counters)
                 })
                 .collect();
@@ -433,7 +414,7 @@ mod tests {
             let got = deliver(shared, &temp_journal("shuffled"), &batch, &shuffled);
             prop_assert_eq!(&got.0, &expected.0, "admitted sequence");
             prop_assert!(got.1 == expected.1, "journal bytes");
-            prop_assert_eq!(got.2, expected.2, "folded tallies");
+            prop_assert_eq!(got.2, expected.2, "folded escalated tally");
             let ids: Vec<u64> = got.0.iter().map(|o| o.strategy.id).collect();
             prop_assert_eq!(ids, (0..batch.len() as u64).collect::<Vec<_>>());
         }

@@ -141,14 +141,9 @@ const COMMANDS: &[CommandSpec] = &[
                 "build the detection envelope from K seed-jittered baselines",
             ),
             value(
-                "--deadline",
-                "SECS",
-                "per-run watchdog deadline; hung runs become `stalled`",
-            ),
-            value(
                 "--chaos",
                 "PLAN",
-                "inject chaos faults (panics, stalls, journal, mayhem)",
+                "inject chaos faults (panics, journal, mayhem)",
             ),
             value("--tsv", "FILE", "export per-strategy outcomes as TSV"),
             value("--journal", "FILE", "stream outcomes to a JSONL journal"),
@@ -224,8 +219,8 @@ impl<'a> ParsedFlags<'a> {
     /// Like [`parsed`](Self::parsed), but additionally rejects zero (and,
     /// for floats, NaN and negatives): the uniform parse-time guard for
     /// numeric flags whose zero is degenerate — `--cap 0` tests nothing,
-    /// `--baseline-reps 0` anchors no envelope, `--deadline 0` quarantines
-    /// every run — so they all fail with one message shape instead of
+    /// `--baseline-reps 0` anchors no envelope, `--shard-timeout 0` declares
+    /// every worker dead — so they all fail with one message shape instead of
     /// surfacing as assorted downstream errors.
     fn parsed_positive<T>(&self, spec: &FlagSpec) -> Result<Option<T>, String>
     where
@@ -554,9 +549,6 @@ fn campaign_config(
     if let Some(reps) = flags.parsed_positive(flag_spec(command, "--baseline-reps"))? {
         builder = builder.baseline_reps(reps);
     }
-    if let Some(secs) = parse_finite_secs(flags, flag_spec(command, "--deadline"))? {
-        builder = builder.deadline(Duration::from_secs_f64(secs));
-    }
     if let Some(name) = flags.get("--chaos") {
         let plan = ChaosPlan::preset(name).ok_or_else(|| {
             let names: Vec<&str> = ChaosPlan::presets().iter().map(|(n, _)| *n).collect();
@@ -576,9 +568,9 @@ fn campaign_config(
     builder.build().map_err(|e| e.to_string())
 }
 
-/// Parses a seconds-valued flag as a positive, *finite* float — the shared
-/// guard of `--deadline` and `--shard-timeout`, keeping their message
-/// shape identical to [`ParsedFlags::parsed_positive`].
+/// Parses a seconds-valued flag (`--shard-timeout`) as a positive,
+/// *finite* float, keeping the message shape identical to
+/// [`ParsedFlags::parsed_positive`].
 fn parse_finite_secs(flags: &ParsedFlags<'_>, spec: &FlagSpec) -> Result<Option<f64>, String> {
     match flags.parsed_positive::<f64>(spec)? {
         Some(secs) if !secs.is_finite() => Err(format!(
@@ -611,12 +603,11 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
     let result = Campaign::run(config).map_err(|e| e.to_string())?;
     let wall_secs = start.elapsed().as_secs_f64();
     eprintln!(
-        "{} strategies in {:.1?} ({} errored, {} truncated, {} stalled)",
+        "{} strategies in {:.1?} ({} errored, {} truncated)",
         result.strategies_tried(),
         start.elapsed(),
         result.errored(),
-        result.truncated(),
-        result.stalled()
+        result.truncated()
     );
     if result.baseline_reps > 1 {
         eprintln!(
@@ -624,12 +615,6 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
             result.baseline_reps,
             100.0 * result.envelope.target_width_fraction(),
             result.escalated
-        );
-    }
-    if result.stalls > 0 || result.quarantined > 0 {
-        eprintln!(
-            "watchdog: {} stall(s) observed, {} strateg(ies) quarantined",
-            result.stalls, result.quarantined
         );
     }
     if memoize {
@@ -868,11 +853,9 @@ mod tests {
             (&["--cap", "0"][..], "--cap"),
             (&["--budget", "0"][..], "--budget"),
             (&["--baseline-reps", "0"][..], "--baseline-reps"),
-            (&["--deadline", "0"][..], "--deadline"),
-            (&["--deadline", "-1"][..], "--deadline"),
-            (&["--deadline", "NaN"][..], "--deadline"),
-            (&["--deadline", "inf"][..], "--deadline"),
             (&["--shard-timeout", "0"][..], "--shard-timeout"),
+            (&["--shard-timeout", "-1"][..], "--shard-timeout"),
+            (&["--shard-timeout", "NaN"][..], "--shard-timeout"),
             (&["--shard-timeout", "inf"][..], "--shard-timeout"),
         ] {
             let err = config_err(flags);
@@ -1010,7 +993,7 @@ mod tests {
         let err = parse_flags(worker, &args(&["--connect", "127.0.0.1:1"])).unwrap_err();
         assert!(err.contains("unknown flag `--connect`"), "{err}");
         // --shards 0 is the explicit in-process default; a positive count
-        // with wire chaos or an explicit deadline builds cleanly.
+        // with wire chaos or an explicit shard timeout builds cleanly.
         for extra in [
             &["--shards", "0"][..],
             &["--shards", "4"][..],

@@ -22,7 +22,7 @@ use crate::attacks::{classify, cluster_attacks};
 use crate::config::{CampaignConfig, CampaignError};
 use crate::dispatch::Dispatcher;
 use crate::evaluate::{
-    class_key, evaluate_watched, inert_outcome, join_scoped, materialize_class_member, Shared,
+    class_key, evaluate_guarded, inert_outcome, join_scoped, materialize_class_member, Shared,
     SharedCtx,
 };
 use crate::journal::{JournalEntry, JournalHeader, JournalReader, JournalWriter};
@@ -380,7 +380,7 @@ fn admit_followers(
             // run the member itself and admit the fresh run like any
             // other. Followers re-run in slot order, so admission stays
             // deterministic.
-            evaluate_watched(shared, s)
+            evaluate_guarded(shared, s)
         } else {
             materialize_class_member(rep_outcome, s)
         };
@@ -432,8 +432,6 @@ fn finish(
         baseline_reps: shared.config.baseline_reps,
         envelope: shared.envelope,
         escalated: shared.escalated.load(Ordering::Relaxed),
-        stalls: shared.stalls.load(Ordering::Relaxed),
-        quarantined: shared.quarantined.load(Ordering::Relaxed),
     }
 }
 
@@ -446,7 +444,6 @@ mod tests {
     use crate::scenario::{ProtocolKind, ScenarioSpec, TestMetrics};
     use snake_proxy::{BasicAttack, Endpoint, StrategyKind};
     use snake_tcp::Profile;
-    use std::time::Duration;
 
     #[test]
     fn tiny_campaign_runs_end_to_end() {
@@ -557,7 +554,6 @@ mod tests {
             CampaignConfig::builder(spec()).parallelism(0),
             CampaignConfig::builder(spec()).feedback_rounds(0),
             CampaignConfig::builder(spec()).baseline_reps(0),
-            CampaignConfig::builder(spec()).deadline(Duration::ZERO),
         ] {
             match broken.build() {
                 Err(CampaignError::InvalidConfig { detail }) => {
@@ -627,8 +623,6 @@ mod tests {
             baseline_reps: 1,
             envelope: Envelope::from_baseline(&TestMetrics::empty(), DEFAULT_THRESHOLD),
             escalated: 0,
-            stalls: 0,
-            quarantined: 0,
         };
         let tsv = result.export_outcomes_tsv();
         let lines: Vec<&str> = tsv.lines().collect();

@@ -1,12 +1,10 @@
 //! Deterministic fault injection for the campaign runtime.
 
-use std::time::Duration;
-
 use snake_proxy::Strategy;
 
 /// A deterministic chaos schedule, generalizing the one-off
-/// [`FaultHook`](crate::FaultHook): worker panics, evaluation stalls,
-/// and journal write faults are injected by strategy id (and write ordinal), so the same
+/// [`FaultHook`](crate::FaultHook): worker panics and journal write
+/// faults are injected by strategy id (and write ordinal), so the same
 /// plan perturbs the same runs every time. Like a fault hook, an active
 /// *evaluation* fault forces memoization off — an elided strategy would
 /// never meet its scheduled fault.
@@ -20,20 +18,15 @@ use snake_proxy::Strategy;
 /// stays on and recovery must reproduce the unperturbed output exactly.
 ///
 /// Chaos plans exist to prove the campaign runtime survives its
-/// environment: panics must isolate, stalls must trip the watchdog,
-/// journal faults must be retried, broken wires must re-dispatch, and a
-/// killed controller must resume from its journal — all without
+/// environment: panics must isolate, journal faults must be retried,
+/// broken wires must re-dispatch, and a killed controller must resume
+/// from its journal — all without
 /// changing which strategies get tested or what they produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosPlan {
     /// Panic inside the evaluation of every strategy whose id is a
     /// multiple of this (`None` = no injected panics).
     pub panic_every: Option<u64>,
-    /// Stall (sleep) inside the evaluation of every strategy whose id is a
-    /// multiple of this.
-    pub stall_every: Option<u64>,
-    /// How long an injected stall sleeps, in milliseconds.
-    pub stall_for_ms: u64,
     /// Fail every Nth journal write with a transient I/O error (the
     /// campaign's single bounded retry must absorb it).
     pub journal_fail_every: Option<u64>,
@@ -66,8 +59,6 @@ pub struct ChaosPlan {
 /// keeps each preset to the fields it actually sets).
 const NO_CHAOS: ChaosPlan = ChaosPlan {
     panic_every: None,
-    stall_every: None,
-    stall_for_ms: 0,
     journal_fail_every: None,
     wire_drop_every: None,
     wire_truncate_every: None,
@@ -90,14 +81,6 @@ impl ChaosPlan {
                 },
             ),
             (
-                "stalls",
-                ChaosPlan {
-                    stall_every: Some(7),
-                    stall_for_ms: 400,
-                    ..NO_CHAOS
-                },
-            ),
-            (
                 "journal",
                 ChaosPlan {
                     journal_fail_every: Some(3),
@@ -108,8 +91,6 @@ impl ChaosPlan {
                 "mayhem",
                 ChaosPlan {
                     panic_every: Some(11),
-                    stall_every: Some(13),
-                    stall_for_ms: 400,
                     journal_fail_every: Some(5),
                     ..NO_CHAOS
                 },
@@ -173,13 +154,9 @@ impl ChaosPlan {
         every.is_some_and(|n| n > 0 && id.is_multiple_of(n))
     }
 
-    /// Applies the evaluation-side faults for `strategy` (called inside
-    /// the panic isolation boundary). Stalls are applied before panics so
-    /// a strategy scheduled for both exercises the watchdog first.
+    /// Applies the evaluation-side fault for `strategy`, a scheduled
+    /// panic (called inside the panic isolation boundary).
     pub fn apply(&self, strategy: &Strategy) {
-        if ChaosPlan::hits(self.stall_every, strategy.id) && self.stall_for_ms > 0 {
-            std::thread::sleep(Duration::from_millis(self.stall_for_ms));
-        }
         if ChaosPlan::hits(self.panic_every, strategy.id) {
             panic!("chaos: injected engine panic (strategy {})", strategy.id);
         }
@@ -190,14 +167,12 @@ impl ChaosPlan {
         ChaosPlan::hits(self.journal_fail_every, n)
     }
 
-    /// Whether this plan injects *evaluation-side* faults (panics, stalls,
-    /// journal write failures). Only these force memoization off and are
+    /// Whether this plan injects *evaluation-side* faults (panics, journal
+    /// write failures). Only these force memoization off and are
     /// incompatible with shards — they are in-process closures that cannot
     /// cross a process boundary.
     pub fn has_eval_faults(&self) -> bool {
-        self.panic_every.is_some()
-            || self.stall_every.is_some()
-            || self.journal_fail_every.is_some()
+        self.panic_every.is_some() || self.journal_fail_every.is_some()
     }
 
     /// Whether this plan injects shard-wire faults (frame drop / truncate

@@ -56,17 +56,11 @@ pub struct CampaignConfig {
     pub(crate) memoize: bool,
     // Test-only fault injection inside the panic isolation boundary.
     pub(crate) fault_hook: Option<FaultHook>,
-    // Deterministic chaos injection (panics, stalls, journal faults).
+    // Deterministic chaos injection (panics, journal faults, wire faults).
     pub(crate) chaos: Option<ChaosPlan>,
     // Ensemble size: how many seed-jittered no-attack baselines anchor
     // the detection envelope (1 = the legacy single baseline).
     pub(crate) baseline_reps: usize,
-    // Per-evaluation wall-clock watchdog deadline (None = no watchdog).
-    pub(crate) deadline: Option<Duration>,
-    // How many times a stalled evaluation is retried before quarantine.
-    pub(crate) stall_retries: usize,
-    // Initial backoff between stall retries (doubles each attempt).
-    pub(crate) stall_backoff: Duration,
     // Observability sink threaded through the executors and workers.
     pub(crate) observer: Arc<dyn Observer>,
     // Worker processes to shard strategy execution across (0 = in-process).
@@ -101,8 +95,6 @@ impl fmt::Debug for CampaignConfig {
             .field("fault_hook", &self.fault_hook.as_ref().map(|_| "<hook>"))
             .field("chaos", &self.chaos)
             .field("baseline_reps", &self.baseline_reps)
-            .field("deadline", &self.deadline)
-            .field("stall_retries", &self.stall_retries)
             .field("shards", &self.shards)
             .field("shard_worker_bin", &self.shard_worker_bin)
             .field("shard_timeout", &self.shard_timeout)
@@ -134,9 +126,6 @@ impl CampaignConfig {
             fault_hook: None,
             chaos: None,
             baseline_reps: 1,
-            deadline: None,
-            stall_retries: 2,
-            stall_backoff: Duration::from_millis(50),
             observer: observe::noop(),
             shards: 0,
             shard_worker_bin: None,
@@ -167,9 +156,6 @@ pub struct CampaignConfigBuilder {
     fault_hook: Option<FaultHook>,
     chaos: Option<ChaosPlan>,
     baseline_reps: usize,
-    deadline: Option<Duration>,
-    stall_retries: usize,
-    stall_backoff: Duration,
     observer: Arc<dyn Observer>,
     shards: usize,
     shard_worker_bin: Option<PathBuf>,
@@ -284,8 +270,8 @@ impl CampaignConfigBuilder {
     }
 
     /// Installs a deterministic [`ChaosPlan`]: scheduled worker panics,
-    /// evaluation stalls, and transient journal write faults. Forces
-    /// memoization off, like [`fault_hook`](Self::fault_hook).
+    /// transient journal write faults and shard-wire faults. Evaluation
+    /// faults force memoization off, like [`fault_hook`](Self::fault_hook).
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
@@ -300,33 +286,6 @@ impl CampaignConfigBuilder {
     /// link impairments make runs noisy.
     pub fn baseline_reps(mut self, reps: usize) -> Self {
         self.baseline_reps = reps;
-        self
-    }
-
-    /// Arms the per-evaluation watchdog: an evaluation that produces no
-    /// outcome within `deadline` of wall-clock time is abandoned and
-    /// retried (with exponential backoff), and after the retry budget the
-    /// strategy is quarantined as
-    /// [`OutcomeKind::Stalled`](crate::OutcomeKind::Stalled) — the campaign
-    /// keeps going instead of hanging. The stalled worker thread is
-    /// detached, not killed; it can finish late harmlessly because
-    /// outcomes are only journaled by the watchdog's caller.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// How many times a stalled evaluation is retried before quarantine
-    /// (default 2; 0 quarantines on the first stall).
-    pub fn stall_retries(mut self, retries: usize) -> Self {
-        self.stall_retries = retries;
-        self
-    }
-
-    /// Initial wait before a stall retry; doubles on each further retry
-    /// (default 50 ms).
-    pub fn stall_backoff(mut self, backoff: Duration) -> Self {
-        self.stall_backoff = backoff;
         self
     }
 
@@ -389,9 +348,6 @@ impl CampaignConfigBuilder {
         if self.baseline_reps == 0 {
             return invalid("baseline_reps must be at least one".to_owned());
         }
-        if self.deadline.is_some_and(|d| d.is_zero()) {
-            return invalid("watchdog deadline must be longer than zero".to_owned());
-        }
         if self.shards > 0
             && (self.fault_hook.is_some() || self.chaos.is_some_and(|c| c.has_eval_faults()))
         {
@@ -429,9 +385,6 @@ impl CampaignConfigBuilder {
             fault_hook: self.fault_hook,
             chaos: self.chaos,
             baseline_reps: self.baseline_reps,
-            deadline: self.deadline,
-            stall_retries: self.stall_retries,
-            stall_backoff: self.stall_backoff,
             observer: self.observer,
             shards: self.shards,
             shard_worker_bin: self.shard_worker_bin,

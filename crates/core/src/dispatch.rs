@@ -12,7 +12,7 @@ use snake_proxy::Strategy;
 
 use crate::admission::Admission;
 use crate::config::CampaignConfig;
-use crate::evaluate::{evaluate_watched, Shared};
+use crate::evaluate::{evaluate_guarded, Shared};
 use crate::result::StrategyOutcome;
 use crate::shard::{PoolWait, ShardEvent, ShardPool};
 
@@ -163,7 +163,7 @@ fn run_in_process(shared: &Shared, admission: &Admission, strategies: &[Strategy
                 let mut clock = WorkerClock::start(enabled);
                 while let Some(&index) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let strategy = strategies[index].clone();
-                    let outcome = clock.time(|| evaluate_watched(shared, strategy));
+                    let outcome = clock.time(|| evaluate_guarded(shared, strategy));
                     admission.offer(index, outcome, Vec::new());
                 }
                 clock.finish(observer);

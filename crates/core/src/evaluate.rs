@@ -1,9 +1,9 @@
 //! Evaluating one strategy: the shared read-only context, the memoization
 //! shortcuts that answer a strategy without a run, and the run itself
-//! wrapped in its panic boundary and watchdog.
+//! wrapped in its panic boundary.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use snake_observe as observe;
 use snake_proxy::{InjectionAttack, Strategy, StrategyKind};
@@ -69,10 +69,6 @@ pub(crate) struct SharedCtx {
     pub(crate) envelope: Envelope,
     /// Borderline verdicts escalated to a confirmatory re-test.
     pub(crate) escalated: AtomicUsize,
-    /// Watchdog deadline expiries (every attempt counts).
-    pub(crate) stalls: AtomicUsize,
-    /// Strategies quarantined after the stall retry budget.
-    pub(crate) quarantined: AtomicUsize,
 }
 
 pub(crate) type Shared = Arc<SharedCtx>;
@@ -149,8 +145,6 @@ impl SharedCtx {
             memoize,
             envelope,
             escalated: AtomicUsize::new(0),
-            stalls: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
             config,
         })
     }
@@ -392,7 +386,7 @@ fn evaluate(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
 /// Wraps [`evaluate`] in a panic boundary: a crashing engine run becomes an
 /// [`OutcomeKind::Errored`] outcome carrying the panic message, instead of
 /// unwinding through the batch and losing every other result.
-fn evaluate_guarded(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
+pub(crate) fn evaluate_guarded(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(hook) = &shared.config.fault_hook {
             hook(&strategy);
@@ -415,69 +409,6 @@ fn evaluate_guarded(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
             error: Some(panic_message(payload.as_ref())),
             memo: None,
         },
-    }
-}
-
-/// Wraps [`evaluate_guarded`] in the per-run watchdog when a deadline is
-/// configured: the evaluation runs on its own thread, and if no outcome
-/// arrives within the wall-clock deadline the attempt is abandoned and
-/// retried with doubling backoff. Once the retry budget is spent the
-/// strategy is quarantined as [`OutcomeKind::Stalled`] — the campaign
-/// moves on instead of hanging on one livelocked engine.
-///
-/// Abandoned threads are detached, never killed: they hold only `Arc`
-/// clones, their late results are dropped on a closed channel, and the
-/// journal append happens in the watchdog's caller, so a straggler can
-/// never write anything.
-pub(crate) fn evaluate_watched(shared: &Shared, strategy: Strategy) -> StrategyOutcome {
-    let Some(deadline) = shared.config.deadline else {
-        return evaluate_guarded(shared, strategy);
-    };
-    let observer = shared.config.observer.clone();
-    let retries = shared.config.stall_retries;
-    let mut backoff = shared.config.stall_backoff;
-    for attempt in 0..=retries {
-        let (tx, rx) = mpsc::channel();
-        let worker_shared = Arc::clone(shared);
-        let worker_strategy = strategy.clone();
-        let spawned = std::thread::Builder::new()
-            .name(format!("snake-eval-{}", strategy.id))
-            .spawn(move || {
-                let _ = tx.send(evaluate_guarded(&worker_shared, worker_strategy));
-            });
-        if spawned.is_err() {
-            // Thread exhaustion: fall back to an unwatched inline run
-            // rather than failing the strategy for a host-side problem.
-            return evaluate_guarded(shared, strategy);
-        }
-        match rx.recv_timeout(deadline) {
-            Ok(outcome) => return outcome,
-            Err(_) => {
-                shared.stalls.fetch_add(1, Ordering::Relaxed);
-                observer.counter_add("campaign.stalls", 1);
-                if attempt < retries {
-                    observer.counter_add("campaign.stall_retries", 1);
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-            }
-        }
-    }
-    shared.quarantined.fetch_add(1, Ordering::Relaxed);
-    observer.counter_add("campaign.quarantined", 1);
-    StrategyOutcome {
-        on_path: is_on_path(&strategy),
-        error: Some(format!(
-            "stalled: no outcome within {deadline:?} in any of {} attempts; quarantined",
-            retries + 1
-        )),
-        strategy,
-        verdict: Verdict::default(),
-        metrics: TestMetrics::empty(),
-        repeatable: false,
-        false_positive: false,
-        outcome_kind: OutcomeKind::Stalled,
-        memo: None,
     }
 }
 

@@ -38,6 +38,7 @@ use snake_proxy::{ProxyReport, Strategy};
 use crate::detect::Verdict;
 use crate::result::{Memo, OutcomeKind, StrategyOutcome};
 use crate::scenario::TestMetrics;
+use crate::shard::intern_counter;
 
 impl ToJson for Verdict {
     fn to_json(&self) -> Value {
@@ -183,9 +184,8 @@ impl FromJson for OutcomeKind {
             Some("ok") => Ok(OutcomeKind::Ok),
             Some("errored") => Ok(OutcomeKind::Errored),
             Some("truncated") => Ok(OutcomeKind::Truncated),
-            Some("stalled") => Ok(OutcomeKind::Stalled),
             _ => Err(JsonError::decode(
-                "outcome kind must be ok/errored/truncated/stalled",
+                "outcome kind must be ok/errored/truncated",
             )),
         }
     }
@@ -384,15 +384,17 @@ pub(crate) fn counters_json<'a>(counters: impl IntoIterator<Item = (&'a str, u64
     )
 }
 
-/// Decodes a counters object back into pairs. Tolerant by design: a
-/// missing or malformed field is an empty delta (journals written before
-/// counters existed have no field at all), and non-numeric entries are
-/// dropped rather than poisoning the line.
-pub(crate) fn decode_counters(value: Option<&Value>) -> Vec<(String, u64)> {
+/// Decodes a counters object back into interned pairs. Tolerant by
+/// design: a missing or malformed field is an empty delta (journals
+/// written before counters existed have no field at all), and non-numeric
+/// entries and names outside the worker counter table (such as a retired
+/// counter an older build wrote) are dropped rather than poisoning the
+/// line.
+pub(crate) fn decode_counters(value: Option<&Value>) -> Vec<(&'static str, u64)> {
     match value {
         Some(Value::Obj(pairs)) => pairs
             .iter()
-            .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
+            .filter_map(|(k, v)| Some((intern_counter(k)?, v.as_u64()?)))
             .collect(),
         _ => Vec::new(),
     }
@@ -531,13 +533,15 @@ impl JournalWriter {
     pub fn record_with_counters(
         &mut self,
         outcome: &StrategyOutcome,
-        counters: &[(String, u64)],
+        counters: &[(&str, u64)],
     ) -> io::Result<()> {
         let mut json = outcome.to_json();
         if !counters.is_empty() {
             if let Value::Obj(pairs) = &mut json {
-                let named = counters.iter().map(|(k, v)| (k.as_str(), *v));
-                pairs.push(("counters".to_owned(), counters_json(named)));
+                pairs.push((
+                    "counters".to_owned(),
+                    counters_json(counters.iter().copied()),
+                ));
             }
         }
         let line = checksummed_line(json.to_string_compact());
@@ -552,8 +556,9 @@ impl JournalWriter {
 pub struct JournalEntry {
     /// The recorded outcome.
     pub outcome: StrategyOutcome,
-    /// Worker counter deltas embedded alongside it, if any.
-    pub counters: Vec<(String, u64)>,
+    /// Worker counter deltas embedded alongside it, if any; names outside
+    /// the worker counter table are dropped when the line is read.
+    pub counters: Vec<(&'static str, u64)>,
 }
 
 /// A journal read back from disk.
@@ -823,17 +828,14 @@ mod tests {
         let path = temp_path("counters");
         let header = header("x", 1);
         let mut w = JournalWriter::create(&path, &header).unwrap();
-        w.record_with_counters(&outcome(1), &[("exec.runs.from_scratch".into(), 3)])
+        w.record_with_counters(&outcome(1), &[("exec.runs.from_scratch", 3)])
             .unwrap();
         w.record(&outcome(2)).unwrap();
         drop(w);
         let mut r = JournalReader::open(&path).unwrap();
         let first = r.next_entry().unwrap().expect("first entry");
         assert_eq!(first.outcome, outcome(1));
-        assert_eq!(
-            first.counters,
-            vec![("exec.runs.from_scratch".to_owned(), 3)]
-        );
+        assert_eq!(first.counters, vec![("exec.runs.from_scratch", 3)]);
         let second = r.next_entry().unwrap().expect("second entry");
         assert_eq!(second.outcome, outcome(2));
         assert!(second.counters.is_empty(), "no field decodes as no deltas");
@@ -850,21 +852,73 @@ mod tests {
     }
 
     #[test]
-    fn stalled_outcomes_roundtrip_through_the_journal() {
-        let path = temp_path("stalled");
-        let header = header("x", 1);
-        let mut o = outcome(9);
-        o.outcome_kind = OutcomeKind::Stalled;
-        o.error = Some("stalled: no outcome within 2s in any of 3 attempts; quarantined".into());
-        o.verdict = Verdict::default();
-        o.repeatable = false;
-        o.memo = None;
-        let mut w = JournalWriter::create(&path, &header).unwrap();
-        w.record(&o).unwrap();
+    fn counter_names_outside_the_worker_table_are_dropped_at_decode() {
+        // `campaign.stalls` is what an older sharded build journaled for
+        // its since-retired watchdog; `not.a.counter` was never known.
+        let path = temp_path("retired-counters");
+        let mut w = JournalWriter::create(&path, &header("x", 1)).unwrap();
+        let counters = [
+            ("campaign.escalated", 1),
+            ("campaign.stalls", 2),
+            ("not.a.counter", 9),
+            ("netsim.events", 5),
+        ];
+        w.record_with_counters(&outcome(1), &counters).unwrap();
         drop(w);
-        let loaded = load(&path).unwrap();
-        assert_eq!(loaded.outcomes, vec![o]);
-        assert_eq!(loaded.malformed_lines, 0);
+        let mut r = JournalReader::open(&path).unwrap();
+        let entry = r.next_entry().unwrap().expect("the line itself is sound");
+        assert_eq!(entry.outcome, outcome(1));
+        assert_eq!(
+            entry.counters,
+            vec![("campaign.escalated", 1), ("netsim.events", 5)]
+        );
+        assert_eq!(r.malformed_lines(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn legacy_stalled_line_is_skipped_and_its_strategy_reruns() {
+        use crate::campaign::Campaign;
+        use crate::config::CampaignConfig;
+        use crate::scenario::{ProtocolKind, ScenarioSpec};
+        use snake_tcp::Profile;
+
+        let path = temp_path("legacy-stalled");
+        let config = |resume| {
+            CampaignConfig::builder(ScenarioSpec::quick(
+                ProtocolKind::Tcp(Profile::linux_3_13()),
+            ))
+            .cap(8)
+            .parallelism(2)
+            .feedback_rounds(1)
+            .retest(false)
+            .journal(&path)
+            .resume(resume)
+            .build()
+            .expect("valid config")
+        };
+        std::fs::remove_file(&path).ok();
+        let fresh = Campaign::run(config(false)).expect("valid baseline");
+
+        // Rewrite outcome line 3 as an older build's watchdog would have
+        // left it, checksum intact: only its kind is no longer known.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(|l| format!("{l}\n")).collect();
+        let payload = verify_line(lines[3].trim_end().as_bytes())
+            .unwrap()
+            .to_owned();
+        let stalled = payload.replace(r#""outcome":"ok""#, r#""outcome":"stalled""#);
+        assert_ne!(stalled, payload, "line 3 is an ok outcome");
+        lines[3] = checksummed_line(stalled);
+        std::fs::write(&path, lines.concat()).unwrap();
+
+        let resumed = Campaign::run(config(true)).expect("resume succeeds");
+        assert_eq!(resumed.journal_lines_skipped, 1);
+        assert_eq!(resumed.resumed, 7, "every other outcome is reused");
+        assert_eq!(resumed.export_outcomes_tsv(), fresh.export_outcomes_tsv());
+        let reloaded = load(&path).unwrap();
+        assert_eq!(reloaded.malformed_lines, 1, "the stalled line stays put");
+        assert_eq!(reloaded.outcomes.len(), 8, "its strategy was re-run");
         std::fs::remove_file(&path).ok();
     }
 
@@ -939,11 +993,8 @@ mod tests {
         o
     }
 
-    fn golden_counters() -> Vec<(String, u64)> {
-        vec![
-            ("exec.runs.from_scratch".to_owned(), 3),
-            ("netsim.events".to_owned(), 106_547),
-        ]
+    fn golden_counters() -> Vec<(&'static str, u64)> {
+        vec![("exec.runs.from_scratch", 3), ("netsim.events", 106_547)]
     }
 
     fn golden_text(lines: &[(&str, &str)]) -> String {

@@ -101,7 +101,6 @@ fn run_section(result: &CampaignResult) -> Value {
         ("true_attacks", Value::U64(result.true_attacks() as u64)),
         ("errored", Value::U64(result.errored() as u64)),
         ("truncated", Value::U64(result.truncated() as u64)),
-        ("stalled", Value::U64(result.stalled() as u64)),
         ("resumed", Value::U64(result.resumed as u64)),
         (
             "journal_lines_skipped",
@@ -168,11 +167,11 @@ fn netsim_section(snapshot: &RecorderSnapshot) -> Value {
 }
 
 /// Robustness report: impairment draws on the emulated links, the
-/// detection envelope the verdicts were judged against, and the watchdog /
-/// chaos tallies. Everything here is deterministic (impairment draws come
-/// from seeded per-link RNG lanes; the envelope from seed-jittered runs)
-/// except that stall counts can vary with host load when a watchdog
-/// deadline is armed.
+/// detection envelope the verdicts were judged against, the escalation
+/// tally and the chaos journal tallies. Everything here is deterministic:
+/// impairment draws come from seeded per-link RNG lanes, the envelope from
+/// seed-jittered runs, and chaos faults are scheduled by strategy id and
+/// write ordinal.
 fn robustness_section(result: &CampaignResult, snapshot: &RecorderSnapshot) -> Value {
     let c = |name: &str| Value::U64(snapshot.counter(name));
     let envelope = &result.envelope;
@@ -199,14 +198,6 @@ fn robustness_section(result: &CampaignResult, snapshot: &RecorderSnapshot) -> V
                     "target_width_fraction",
                     Value::F64(envelope.target_width_fraction()),
                 ),
-            ]),
-        ),
-        (
-            "watchdog",
-            obj([
-                ("stalls", Value::U64(result.stalls as u64)),
-                ("stall_retries", c("campaign.stall_retries")),
-                ("quarantined", Value::U64(result.quarantined as u64)),
             ]),
         ),
         ("escalated", Value::U64(result.escalated as u64)),

@@ -92,8 +92,6 @@ mod tests {
                 crate::detect::DEFAULT_THRESHOLD,
             ),
             escalated: 0,
-            stalls: 0,
-            quarantined: 0,
         }
     }
 

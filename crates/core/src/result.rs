@@ -19,12 +19,6 @@ pub enum OutcomeKind {
     /// cut short; the verdict is empty because partial throughput cannot
     /// be compared against a full-length baseline.
     Truncated,
-    /// The evaluation produced no outcome within the watchdog's wall-clock
-    /// deadline, was retried up to the retry budget, and was quarantined.
-    /// The metrics are zeroed and the verdict is empty; the campaign
-    /// continues instead of hanging (see
-    /// [`CampaignConfigBuilder::deadline`](crate::CampaignConfigBuilder::deadline)).
-    Stalled,
 }
 
 impl OutcomeKind {
@@ -34,7 +28,6 @@ impl OutcomeKind {
             OutcomeKind::Ok => "ok",
             OutcomeKind::Errored => "errored",
             OutcomeKind::Truncated => "truncated",
-            OutcomeKind::Stalled => "stalled",
         }
     }
 }
@@ -136,12 +129,6 @@ pub struct CampaignResult {
     /// Borderline verdicts escalated to a confirmatory re-test (only
     /// tallied when `baseline_reps > 1`).
     pub escalated: usize,
-    /// Watchdog deadline expiries, counting every attempt (one strategy
-    /// retried twice contributes three).
-    pub stalls: usize,
-    /// Strategies quarantined as [`OutcomeKind::Stalled`] after the
-    /// watchdog's retry budget ran out.
-    pub quarantined: usize,
 }
 
 impl CampaignResult {
@@ -213,12 +200,11 @@ impl CampaignResult {
             .count()
     }
 
-    /// Strategies quarantined by the watchdog as stalled.
+    /// Always 0: verdicts depend only on the seed, so no outcome is
+    /// "stalled" any more. Kept so the benchmark harness, which still sums
+    /// it into its failure count, builds unchanged.
     pub fn stalled(&self) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.outcome_kind == OutcomeKind::Stalled)
-            .count()
+        0
     }
 
     /// Exports every strategy outcome as tab-separated values (one row per

@@ -10,8 +10,8 @@
 //! scenario (by value, plus a digest it must independently recompute) and
 //! contiguous strategy-index ranges, evaluates them through its own
 //! [`PlannedExecutor`](crate::scenario::PlannedExecutor) — snapshot-fork,
-//! the memo proofs and the stall watchdog all intact — and streams
-//! back one outcome message per strategy.
+//! memoization and the panic boundary all intact — and streams back one
+//! outcome message per strategy.
 //!
 //! # Wire format
 //!
@@ -87,9 +87,10 @@ use snake_observe::Observer;
 use snake_proxy::Strategy;
 use snake_tcp::{AbortStyle, InvalidFlagPolicy, Profile};
 
+use crate::admission::WorkerCounters;
 use crate::chaos::ChaosPlan;
 use crate::config::CampaignConfig;
-use crate::evaluate::{evaluate_watched, SharedCtx};
+use crate::evaluate::{evaluate_guarded, SharedCtx};
 use crate::journal::{checksummed_line, counters_json, read_raw_line, verify_line};
 use crate::result::StrategyOutcome;
 use crate::scenario::{
@@ -98,9 +99,9 @@ use crate::scenario::{
 use crate::strategen::GenerationParams;
 
 /// Wire protocol version; bumped whenever a message shape changes. A
-/// worker refuses a `hello` carrying any other version. Version 5 dropped
-/// the `hello`'s `segment` field.
-pub(crate) const WIRE_VERSION: u64 = 5;
+/// worker refuses a `hello` carrying any other version. Version 6 dropped
+/// the `hello`'s three per-evaluation watchdog fields.
+pub(crate) const WIRE_VERSION: u64 = 6;
 
 /// Exit code a worker uses when the `SNAKE_SHARD_EXIT_AFTER` test hook
 /// fires (distinguishable from a panic's 101 in test assertions).
@@ -140,12 +141,10 @@ const WORKER_COUNTERS: &[&str] = &[
     "netsim.impair.flap_dropped",
     "shard.outcome_batches",
     "campaign.escalated",
-    "campaign.stalls",
-    "campaign.stall_retries",
-    "campaign.quarantined",
 ];
 
-/// Interns a wire counter name against [`WORKER_COUNTERS`].
+/// Interns a counter name read off the wire or a journal line against
+/// [`WORKER_COUNTERS`]; `None` for a name outside the table.
 pub(crate) fn intern_counter(name: &str) -> Option<&'static str> {
     WORKER_COUNTERS.iter().copied().find(|known| *known == name)
 }
@@ -575,9 +574,6 @@ struct WorkerJob {
     retest: bool,
     snapshot_fork: bool,
     memoize: bool,
-    deadline: Option<Duration>,
-    stall_retries: usize,
-    stall_backoff: Duration,
     /// Chaos: hang forever after this many outcomes, so the controller's
     /// progress deadline is exercised.
     hang_after: Option<u64>,
@@ -602,18 +598,6 @@ fn encode_hello(
         ("snapshot_fork", Value::Bool(config.snapshot_fork)),
         ("memoize", Value::Bool(memoize)),
         (
-            "deadline_nanos",
-            match config.deadline {
-                None => Value::Null,
-                Some(deadline) => Value::U64(deadline.as_nanos() as u64),
-            },
-        ),
-        ("stall_retries", Value::U64(config.stall_retries as u64)),
-        (
-            "stall_backoff_nanos",
-            Value::U64(config.stall_backoff.as_nanos() as u64),
-        ),
-        (
             "hang_after",
             match hang_after {
                 None => Value::Null,
@@ -630,12 +614,6 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
             "shard wire version mismatch: controller speaks {version}, worker speaks {WIRE_VERSION}"
         )));
     }
-    let deadline = match message.req("deadline_nanos")? {
-        Value::Null => None,
-        nanos => Some(Duration::from_nanos(nanos.as_u64().ok_or_else(|| {
-            JsonError::decode("deadline_nanos: expected integer")
-        })?)),
-    };
     let hang_after = match message.req("hang_after")? {
         Value::Null => None,
         count => Some(
@@ -653,9 +631,6 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
         retest: message.req_bool("retest")?,
         snapshot_fork: message.req_bool("snapshot_fork")?,
         memoize: message.req_bool("memoize")?,
-        deadline,
-        stall_retries: decode_usize(message, "stall_retries")?,
-        stall_backoff: Duration::from_nanos(message.req_u64("stall_backoff_nanos")?),
         hang_after,
     })
 }
@@ -788,9 +763,6 @@ pub fn run_shard_worker() -> io::Result<()> {
         fault_hook: None,
         chaos: None,
         baseline_reps: job.baseline_reps,
-        deadline: job.deadline,
-        stall_retries: job.stall_retries,
-        stall_backoff: job.stall_backoff,
         observer,
         shards: 0,
         shard_worker_bin: None,
@@ -829,7 +801,7 @@ pub fn run_shard_worker() -> io::Result<()> {
                 for (offset, encoded) in strategies.iter().enumerate() {
                     let strategy = Strategy::from_json(encoded).map_err(decode_err)?;
                     let began = Instant::now();
-                    let outcome = evaluate_watched(&shared, strategy);
+                    let outcome = evaluate_guarded(&shared, strategy);
                     let busy_nanos = began.elapsed().as_nanos() as u64;
                     let index = start + offset as u64;
                     let reply = obj([
@@ -887,8 +859,8 @@ pub(crate) enum ShardEvent {
         index: usize,
         /// Worker wall-clock spent evaluating, for busy/idle accounting.
         busy_nanos: u64,
-        /// Counter deltas the worker's observer accumulated.
-        counters: Vec<(String, u64)>,
+        /// Counter deltas the worker's observer accumulated, interned.
+        counters: WorkerCounters,
         /// The evaluated outcome, in journal encoding.
         outcome: Box<StrategyOutcome>,
     },
@@ -919,13 +891,15 @@ fn decode_outcome_event(shard: usize, message: &Value) -> Result<ShardEvent, Jso
     let index =
         usize::try_from(index).map_err(|_| JsonError::decode("outcome index overflows usize"))?;
     let counters = match message.req("counters")? {
+        // Names outside the intern table are dropped here, once: a worker
+        // cannot invent controller-side state.
         Value::Obj(pairs) => pairs
             .iter()
-            .map(|(name, delta)| {
-                delta
-                    .as_u64()
-                    .map(|delta| (name.clone(), delta))
-                    .ok_or_else(|| JsonError::decode(format!("counter {name}: expected integer")))
+            .filter_map(|(name, delta)| match delta.as_u64() {
+                Some(delta) => intern_counter(name).map(|name| Ok((name, delta))),
+                None => Some(Err(JsonError::decode(format!(
+                    "counter {name}: expected integer"
+                )))),
             })
             .collect::<Result<Vec<_>, _>>()?,
         _ => return Err(JsonError::decode("outcome.counters: expected object")),
@@ -1396,5 +1370,60 @@ mod tests {
             read_message(&mut wire).unwrap().is_none(),
             "then end of stream"
         );
+    }
+    /// Counter names are interned once, where the frame is decoded: a
+    /// name outside the worker table (a retired or invented one) is
+    /// dropped there, while a non-integer delta still refuses the frame.
+    #[test]
+    fn outcome_counters_are_interned_at_decode() {
+        use crate::detect::Verdict;
+        use crate::result::OutcomeKind;
+        use crate::scenario::TestMetrics;
+        use snake_proxy::{BasicAttack, Endpoint, StrategyKind};
+
+        let outcome = StrategyOutcome {
+            strategy: Strategy {
+                id: 3,
+                kind: StrategyKind::OnPacket {
+                    endpoint: Endpoint::Client,
+                    state: "ESTABLISHED".into(),
+                    packet_type: "ACK".into(),
+                    attack: BasicAttack::Drop { percent: 100 },
+                },
+            },
+            verdict: Verdict::default(),
+            metrics: TestMetrics::empty(),
+            repeatable: false,
+            on_path: false,
+            false_positive: false,
+            outcome_kind: OutcomeKind::Ok,
+            error: None,
+            memo: None,
+        };
+        let message = |counters: Value| {
+            obj([
+                ("type", Value::Str("outcome".to_owned())),
+                ("index", Value::U64(3)),
+                ("busy_nanos", Value::U64(10)),
+                ("counters", counters),
+                ("outcome", outcome.to_json()),
+            ])
+        };
+        let known_and_not = counters_json([
+            ("netsim.events", 5),
+            ("not.a.counter", 9),
+            ("campaign.escalated", 2),
+        ]);
+        let Ok(ShardEvent::Outcome { counters, .. }) =
+            decode_outcome_event(1, &message(known_and_not))
+        else {
+            panic!("a sound outcome frame decodes");
+        };
+        assert_eq!(
+            counters,
+            vec![("netsim.events", 5), ("campaign.escalated", 2)]
+        );
+        let not_integer = obj([("not.a.counter", Value::Str("9".to_owned()))]);
+        assert!(decode_outcome_event(1, &message(not_integer)).is_err());
     }
 }

@@ -642,8 +642,6 @@ mod tests {
             baseline_reps: 1,
             envelope: Envelope::from_baseline(&TestMetrics::empty(), DEFAULT_THRESHOLD),
             escalated: 0,
-            stalls: 0,
-            quarantined: 0,
         }
     }
 

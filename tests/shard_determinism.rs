@@ -5,8 +5,8 @@
 //! mid-campaign.
 //!
 //! Why this holds by construction: workers only *evaluate* strategies;
-//! every admission decision (memo-ledger lookup and insert, journal
-//! append, outcome accounting) happens on the controller, strictly in
+//! every admission decision (worker counter folding, journal append,
+//! outcome accounting) happens on the controller, strictly in
 //! strategy-index order through the same reorder buffer the thread-pool
 //! path uses. A dead shard's unfinished indices are re-dispatched to the
 //! surviving shards, so a crash changes only who evaluated a strategy,
