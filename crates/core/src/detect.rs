@@ -270,7 +270,7 @@ impl Envelope {
         Envelope::from_members(std::slice::from_ref(baseline), threshold)
     }
 
-    /// Whether `attacked` lands within [`BORDERLINE_MARGIN`] of a
+    /// Whether `attacked` lands within `BORDERLINE_MARGIN` (10 %) of a
     /// throughput edge (either side) or exactly on the leak edge — close
     /// enough that the campaign escalates the verdict to a re-test instead
     /// of trusting one draw of the noise.

@@ -33,7 +33,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 use snake_json::{obj, FromJson, JsonError, ObjExt, ToJson, Value};
-use snake_proxy::{ProxyReport, Strategy};
+use snake_proxy::Strategy;
 
 use crate::detect::Verdict;
 use crate::result::{Memo, OutcomeKind, StrategyOutcome};
@@ -84,90 +84,6 @@ impl FromJson for Verdict {
             fairness_collapse: opt_bool("fairness_collapse")?,
             flow_starvation: opt_bool("flow_starvation")?,
             table_exhaustion: opt_bool("table_exhaustion")?,
-        })
-    }
-}
-
-impl ToJson for TestMetrics {
-    fn to_json(&self) -> Value {
-        obj([
-            ("target_bytes", Value::U64(self.target_bytes)),
-            ("competing_bytes", Value::U64(self.competing_bytes)),
-            ("leaked_sockets", Value::U64(self.leaked_sockets as u64)),
-            (
-                "leaked_close_wait",
-                Value::U64(self.leaked_close_wait as u64),
-            ),
-            (
-                "leaked_with_queue",
-                Value::U64(self.leaked_with_queue as u64),
-            ),
-            ("truncated", Value::Bool(self.truncated)),
-            ("sim_events", Value::U64(self.sim_events)),
-            (
-                "flow_bytes",
-                Value::Arr(self.flow_bytes.iter().map(|&b| Value::U64(b)).collect()),
-            ),
-            ("server_sockets", Value::U64(self.server_sockets as u64)),
-            ("leaked_total", Value::U64(self.leaked_total as u64)),
-            ("proxy", self.proxy.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TestMetrics {
-    fn from_json(value: &Value) -> Result<TestMetrics, JsonError> {
-        let count = |key: &str| -> Result<usize, JsonError> {
-            usize::try_from(value.req_u64(key)?)
-                .map_err(|_| JsonError::decode(format!("field `{key}` out of range")))
-        };
-        let target_bytes = value.req_u64("target_bytes")?;
-        let competing_bytes = value.req_u64("competing_bytes")?;
-        let leaked_sockets = count("leaked_sockets")?;
-        // The cross-flow fields postdate the journal format. An old line
-        // decodes to the values its classic two-flow run would have
-        // measured: the two known per-flow byte counts, no occupancy
-        // reading, and the attacked server's leaks as the total.
-        let flow_bytes = match value.get("flow_bytes") {
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| JsonError::decode("field `flow_bytes` is not an array"))?
-                .iter()
-                .map(|b| {
-                    b.as_u64()
-                        .ok_or_else(|| JsonError::decode("flow_bytes entries must be u64"))
-                })
-                .collect::<Result<Vec<u64>, JsonError>>()?,
-            None => vec![target_bytes, competing_bytes],
-        };
-        let server_sockets = if value.get("server_sockets").is_some() {
-            count("server_sockets")?
-        } else {
-            0
-        };
-        let leaked_total = if value.get("leaked_total").is_some() {
-            count("leaked_total")?
-        } else {
-            leaked_sockets
-        };
-        Ok(TestMetrics {
-            target_bytes,
-            competing_bytes,
-            leaked_sockets,
-            leaked_close_wait: count("leaked_close_wait")?,
-            leaked_with_queue: count("leaked_with_queue")?,
-            truncated: value.req_bool("truncated")?,
-            // Journals written before event accounting lack the field;
-            // default to zero rather than rejecting the whole journal.
-            sim_events: if value.get("sim_events").is_some() {
-                value.req_u64("sim_events")?
-            } else {
-                0
-            },
-            flow_bytes,
-            server_sockets,
-            leaked_total,
-            proxy: std::sync::Arc::new(ProxyReport::from_json(value.req("proxy")?)?),
         })
     }
 }

@@ -77,15 +77,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use snake_dccp::DccpProfile;
 use snake_json::{obj, FromJson, JsonError, ObjExt, ToJson, Value};
-use snake_netsim::{
-    Aqm, DumbbellSpec, FlapSpec, Impairment, LinkSpec, SimDuration, SimTime, TopologyGenSpec,
-    TopologyKind,
-};
 use snake_observe::Observer;
 use snake_proxy::Strategy;
-use snake_tcp::{AbortStyle, InvalidFlagPolicy, Profile};
 
 use crate::admission::WorkerCounters;
 use crate::chaos::ChaosPlan;
@@ -93,9 +87,7 @@ use crate::config::CampaignConfig;
 use crate::evaluate::{evaluate_guarded, SharedCtx};
 use crate::journal::{checksummed_line, counters_json, read_raw_line, verify_line};
 use crate::result::StrategyOutcome;
-use crate::scenario::{
-    scenario_digest, FlowGroup, FlowRole, ProtocolKind, ScenarioSpec, TopologySpec,
-};
+use crate::scenario::{scenario_digest, ScenarioSpec};
 use crate::strategen::GenerationParams;
 
 /// Wire protocol version; bumped whenever a message shape changes. A
@@ -192,374 +184,6 @@ fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Value>> {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario encoding
-//
-// `ScenarioSpec` has no journal serialisation (the journal stores only the
-// scenario digest), so the wire carries a dedicated encoding. The digest
-// handshake makes this encoding self-verifying: the worker recomputes
-// `scenario_digest` from the decoded spec, so any field this code drops or
-// distorts shows up as a mismatch, not as silently different results.
-// ---------------------------------------------------------------------------
-
-fn encode_duration(duration: SimDuration) -> Value {
-    Value::U64(duration.as_nanos())
-}
-
-fn decode_duration(value: &Value, what: &str) -> Result<SimDuration, JsonError> {
-    value
-        .as_u64()
-        .map(SimDuration::from_nanos)
-        .ok_or_else(|| JsonError::decode(format!("{what}: expected nanoseconds")))
-}
-
-fn decode_usize(message: &Value, key: &str) -> Result<usize, JsonError> {
-    let raw = message.req_u64(key)?;
-    usize::try_from(raw).map_err(|_| JsonError::decode(format!("{key}: {raw} overflows usize")))
-}
-
-fn decode_u32(message: &Value, key: &str) -> Result<u32, JsonError> {
-    let raw = message.req_u64(key)?;
-    u32::try_from(raw).map_err(|_| JsonError::decode(format!("{key}: {raw} overflows u32")))
-}
-
-fn encode_impairment(impair: &Impairment) -> Value {
-    obj([
-        ("loss_ppm", Value::U64(u64::from(impair.loss_ppm))),
-        ("dup_ppm", Value::U64(u64::from(impair.dup_ppm))),
-        ("corrupt_ppm", Value::U64(u64::from(impair.corrupt_ppm))),
-        ("reorder_ppm", Value::U64(u64::from(impair.reorder_ppm))),
-        ("jitter", encode_duration(impair.jitter)),
-        (
-            "flap",
-            match impair.flap {
-                None => Value::Null,
-                Some(flap) => obj([
-                    ("first_down", Value::U64(flap.first_down.as_nanos())),
-                    ("down_for", encode_duration(flap.down_for)),
-                    ("period", encode_duration(flap.period)),
-                ]),
-            },
-        ),
-    ])
-}
-
-fn decode_impairment(value: &Value) -> Result<Impairment, JsonError> {
-    let flap = match value.req("flap")? {
-        Value::Null => None,
-        flap => Some(FlapSpec {
-            first_down: SimTime::from_nanos(flap.req_u64("first_down")?),
-            down_for: decode_duration(flap.req("down_for")?, "flap.down_for")?,
-            period: decode_duration(flap.req("period")?, "flap.period")?,
-        }),
-    };
-    Ok(Impairment {
-        loss_ppm: decode_u32(value, "loss_ppm")?,
-        dup_ppm: decode_u32(value, "dup_ppm")?,
-        corrupt_ppm: decode_u32(value, "corrupt_ppm")?,
-        reorder_ppm: decode_u32(value, "reorder_ppm")?,
-        jitter: decode_duration(value.req("jitter")?, "jitter")?,
-        flap,
-    })
-}
-
-fn encode_link(link: &LinkSpec) -> Value {
-    obj([
-        ("bandwidth_bps", Value::U64(link.bandwidth_bps)),
-        ("delay", encode_duration(link.delay)),
-        ("queue_packets", Value::U64(link.queue_packets as u64)),
-        (
-            "aqm",
-            Value::Str(
-                match link.aqm {
-                    Aqm::DropTail => "drop_tail",
-                    Aqm::Red => "red",
-                }
-                .to_owned(),
-            ),
-        ),
-        ("impair", encode_impairment(&link.impair)),
-    ])
-}
-
-fn decode_link(value: &Value) -> Result<LinkSpec, JsonError> {
-    let aqm = match value.req_str("aqm")? {
-        "drop_tail" => Aqm::DropTail,
-        "red" => Aqm::Red,
-        other => return Err(JsonError::decode(format!("unknown aqm `{other}`"))),
-    };
-    Ok(LinkSpec {
-        bandwidth_bps: value.req_u64("bandwidth_bps")?,
-        delay: decode_duration(value.req("delay")?, "link.delay")?,
-        queue_packets: decode_usize(value, "queue_packets")?,
-        aqm,
-        impair: decode_impairment(value.req("impair")?)?,
-    })
-}
-
-fn encode_tcp_profile(profile: &Profile) -> Value {
-    obj([
-        ("name", Value::Str(profile.name.clone())),
-        (
-            "initial_cwnd_segments",
-            Value::U64(u64::from(profile.initial_cwnd_segments)),
-        ),
-        (
-            "max_data_retries",
-            Value::U64(u64::from(profile.max_data_retries)),
-        ),
-        ("min_rto", encode_duration(profile.min_rto)),
-        ("max_rto", encode_duration(profile.max_rto)),
-        (
-            "naive_ack_counting",
-            Value::Bool(profile.naive_ack_counting),
-        ),
-        (
-            "harsh_dupack_response",
-            Value::Bool(profile.harsh_dupack_response),
-        ),
-        (
-            "invalid_flags",
-            Value::Str(
-                match profile.invalid_flags {
-                    InvalidFlagPolicy::BestEffort => "best_effort",
-                    InvalidFlagPolicy::Ignore => "ignore",
-                    InvalidFlagPolicy::RstAlwaysWins => "rst_always_wins",
-                }
-                .to_owned(),
-            ),
-        ),
-        (
-            "abort_style",
-            Value::Str(
-                match profile.abort_style {
-                    AbortStyle::FinThenRst => "fin_then_rst",
-                    AbortStyle::RstOnly => "rst_only",
-                }
-                .to_owned(),
-            ),
-        ),
-        ("dsack", Value::Bool(profile.dsack)),
-        (
-            "sack_loss_evidence",
-            Value::Bool(profile.sack_loss_evidence),
-        ),
-        ("sack_recovery", Value::Bool(profile.sack_recovery)),
-        ("syn_retries", Value::U64(u64::from(profile.syn_retries))),
-        ("time_wait", encode_duration(profile.time_wait)),
-        ("app_close_delay", encode_duration(profile.app_close_delay)),
-    ])
-}
-
-fn decode_tcp_profile(value: &Value) -> Result<Profile, JsonError> {
-    let invalid_flags = match value.req_str("invalid_flags")? {
-        "best_effort" => InvalidFlagPolicy::BestEffort,
-        "ignore" => InvalidFlagPolicy::Ignore,
-        "rst_always_wins" => InvalidFlagPolicy::RstAlwaysWins,
-        other => {
-            return Err(JsonError::decode(format!(
-                "unknown invalid_flags policy `{other}`"
-            )))
-        }
-    };
-    let abort_style = match value.req_str("abort_style")? {
-        "fin_then_rst" => AbortStyle::FinThenRst,
-        "rst_only" => AbortStyle::RstOnly,
-        other => return Err(JsonError::decode(format!("unknown abort_style `{other}`"))),
-    };
-    Ok(Profile {
-        name: value.req_str("name")?.to_owned(),
-        initial_cwnd_segments: decode_u32(value, "initial_cwnd_segments")?,
-        max_data_retries: decode_u32(value, "max_data_retries")?,
-        min_rto: decode_duration(value.req("min_rto")?, "min_rto")?,
-        max_rto: decode_duration(value.req("max_rto")?, "max_rto")?,
-        naive_ack_counting: value.req_bool("naive_ack_counting")?,
-        harsh_dupack_response: value.req_bool("harsh_dupack_response")?,
-        invalid_flags,
-        abort_style,
-        dsack: value.req_bool("dsack")?,
-        sack_loss_evidence: value.req_bool("sack_loss_evidence")?,
-        sack_recovery: value.req_bool("sack_recovery")?,
-        syn_retries: decode_u32(value, "syn_retries")?,
-        time_wait: decode_duration(value.req("time_wait")?, "time_wait")?,
-        app_close_delay: decode_duration(value.req("app_close_delay")?, "app_close_delay")?,
-    })
-}
-
-fn encode_dccp_profile(profile: &DccpProfile) -> Value {
-    obj([
-        ("name", Value::Str(profile.name.clone())),
-        (
-            "initial_cwnd_packets",
-            Value::U64(u64::from(profile.initial_cwnd_packets)),
-        ),
-        ("seq_window", Value::U64(profile.seq_window)),
-        ("ack_ratio", Value::U64(u64::from(profile.ack_ratio))),
-        ("tx_qlen", Value::U64(profile.tx_qlen as u64)),
-        ("min_rto", encode_duration(profile.min_rto)),
-        ("max_rto", encode_duration(profile.max_rto)),
-        (
-            "request_retries",
-            Value::U64(u64::from(profile.request_retries)),
-        ),
-        (
-            "close_retries",
-            Value::U64(u64::from(profile.close_retries)),
-        ),
-        (
-            "type_check_before_seq",
-            Value::Bool(profile.type_check_before_seq),
-        ),
-        ("time_wait", encode_duration(profile.time_wait)),
-    ])
-}
-
-fn decode_dccp_profile(value: &Value) -> Result<DccpProfile, JsonError> {
-    Ok(DccpProfile {
-        name: value.req_str("name")?.to_owned(),
-        initial_cwnd_packets: decode_u32(value, "initial_cwnd_packets")?,
-        seq_window: value.req_u64("seq_window")?,
-        ack_ratio: decode_u32(value, "ack_ratio")?,
-        tx_qlen: decode_usize(value, "tx_qlen")?,
-        min_rto: decode_duration(value.req("min_rto")?, "min_rto")?,
-        max_rto: decode_duration(value.req("max_rto")?, "max_rto")?,
-        request_retries: decode_u32(value, "request_retries")?,
-        close_retries: decode_u32(value, "close_retries")?,
-        type_check_before_seq: value.req_bool("type_check_before_seq")?,
-        time_wait: decode_duration(value.req("time_wait")?, "time_wait")?,
-    })
-}
-
-fn encode_topology(topology: &TopologySpec) -> Value {
-    match topology {
-        TopologySpec::Dumbbell(d) => obj([
-            ("kind", Value::Str("dumbbell".to_owned())),
-            ("bottleneck", encode_link(&d.bottleneck)),
-            ("access", encode_link(&d.access)),
-        ]),
-        TopologySpec::Generated(g) => obj([
-            ("kind", Value::Str(g.kind.label().to_owned())),
-            ("hosts", Value::U64(g.hosts as u64)),
-            // The topology seed is carried explicitly: ensemble reseeding
-            // rewrites the scenario seed but must leave the generated
-            // network identical across members.
-            ("topo_seed", Value::U64(g.seed)),
-            ("bottleneck", encode_link(&g.bottleneck)),
-            ("access", encode_link(&g.access)),
-        ]),
-    }
-}
-
-fn decode_topology(value: &Value) -> Result<TopologySpec, JsonError> {
-    let bottleneck = decode_link(value.req("bottleneck")?)?;
-    let access = decode_link(value.req("access")?)?;
-    match value.req_str("kind")? {
-        "dumbbell" => Ok(TopologySpec::Dumbbell(DumbbellSpec { bottleneck, access })),
-        label => {
-            let kind = TopologyKind::from_label(label)
-                .ok_or_else(|| JsonError::decode(format!("unknown topology kind `{label}`")))?;
-            Ok(TopologySpec::Generated(TopologyGenSpec {
-                kind,
-                hosts: decode_usize(value, "hosts")?,
-                seed: value.req_u64("topo_seed")?,
-                bottleneck,
-                access,
-            }))
-        }
-    }
-}
-
-fn encode_flows(flows: &Option<Vec<FlowGroup>>) -> Value {
-    match flows {
-        None => Value::Null,
-        Some(groups) => Value::Arr(
-            groups
-                .iter()
-                .map(|g| {
-                    obj([
-                        ("role", Value::Str(g.role.label().to_owned())),
-                        ("count", Value::U64(g.count as u64)),
-                    ])
-                })
-                .collect(),
-        ),
-    }
-}
-
-fn decode_flows(value: &Value) -> Result<Option<Vec<FlowGroup>>, JsonError> {
-    match value {
-        Value::Null => Ok(None),
-        Value::Arr(entries) => {
-            let mut groups = Vec::with_capacity(entries.len());
-            for entry in entries {
-                let label = entry.req_str("role")?;
-                let role = FlowRole::from_label(label)
-                    .ok_or_else(|| JsonError::decode(format!("unknown flow role `{label}`")))?;
-                groups.push(FlowGroup {
-                    role,
-                    count: decode_usize(entry, "count")?,
-                });
-            }
-            Ok(Some(groups))
-        }
-        _ => Err(JsonError::decode("flows: expected null or array")),
-    }
-}
-
-pub(crate) fn encode_scenario(spec: &ScenarioSpec) -> Value {
-    let (protocol, profile) = match &spec.protocol {
-        ProtocolKind::Tcp(profile) => ("tcp", encode_tcp_profile(profile)),
-        ProtocolKind::Dccp(profile) => ("dccp", encode_dccp_profile(profile)),
-    };
-    obj([
-        ("protocol", Value::Str(protocol.to_owned())),
-        ("profile", profile),
-        ("topology", encode_topology(&spec.topology)),
-        ("flows", encode_flows(&spec.flows)),
-        ("data_secs", Value::U64(spec.data_secs)),
-        ("grace_secs", Value::U64(spec.grace_secs)),
-        ("seed", Value::U64(spec.seed)),
-        (
-            "target_connections",
-            Value::U64(spec.target_connections as u64),
-        ),
-        (
-            "event_budget",
-            match spec.event_budget {
-                None => Value::Null,
-                Some(budget) => Value::U64(budget),
-            },
-        ),
-    ])
-}
-
-pub(crate) fn decode_scenario(value: &Value) -> Result<ScenarioSpec, JsonError> {
-    let profile = value.req("profile")?;
-    let protocol = match value.req_str("protocol")? {
-        "tcp" => ProtocolKind::Tcp(decode_tcp_profile(profile)?),
-        "dccp" => ProtocolKind::Dccp(decode_dccp_profile(profile)?),
-        other => return Err(JsonError::decode(format!("unknown protocol `{other}`"))),
-    };
-    let event_budget = match value.req("event_budget")? {
-        Value::Null => None,
-        budget => Some(
-            budget
-                .as_u64()
-                .ok_or_else(|| JsonError::decode("event_budget: expected integer"))?,
-        ),
-    };
-    Ok(ScenarioSpec {
-        protocol,
-        topology: decode_topology(value.req("topology")?)?,
-        flows: decode_flows(value.req("flows")?)?,
-        data_secs: value.req_u64("data_secs")?,
-        grace_secs: value.req_u64("grace_secs")?,
-        seed: value.req_u64("seed")?,
-        target_connections: decode_usize(value, "target_connections")?,
-        event_budget,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Handshake
 // ---------------------------------------------------------------------------
 
@@ -591,19 +215,13 @@ fn encode_hello(
         ("version", Value::U64(WIRE_VERSION)),
         ("shard", Value::U64(shard as u64)),
         ("digest", Value::U64(digest)),
-        ("scenario", encode_scenario(&config.scenario)),
+        ("scenario", config.scenario.to_json()),
         ("threshold", Value::F64(config.threshold)),
         ("baseline_reps", Value::U64(config.baseline_reps as u64)),
         ("retest", Value::Bool(config.retest)),
         ("snapshot_fork", Value::Bool(config.snapshot_fork)),
         ("memoize", Value::Bool(memoize)),
-        (
-            "hang_after",
-            match hang_after {
-                None => Value::Null,
-                Some(count) => Value::U64(count),
-            },
-        ),
+        ("hang_after", hang_after.map_or(Value::Null, Value::U64)),
     ])
 }
 
@@ -614,24 +232,16 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
             "shard wire version mismatch: controller speaks {version}, worker speaks {WIRE_VERSION}"
         )));
     }
-    let hang_after = match message.req("hang_after")? {
-        Value::Null => None,
-        count => Some(
-            count
-                .as_u64()
-                .ok_or_else(|| JsonError::decode("hang_after: expected integer"))?,
-        ),
-    };
     Ok(WorkerJob {
         shard: message.req_u64("shard")?,
         digest: message.req_u64("digest")?,
-        spec: decode_scenario(message.req("scenario")?)?,
+        spec: ScenarioSpec::from_json(message.req("scenario")?)?,
         threshold: message.req_f64("threshold")?,
-        baseline_reps: decode_usize(message, "baseline_reps")?,
+        baseline_reps: message.req_usize("baseline_reps")?,
         retest: message.req_bool("retest")?,
         snapshot_fork: message.req_bool("snapshot_fork")?,
         memoize: message.req_bool("memoize")?,
-        hang_after,
+        hang_after: message.req_opt_u64("hang_after")?,
     })
 }
 
@@ -887,9 +497,7 @@ fn decode_outcome_event(shard: usize, message: &Value) -> Result<ShardEvent, Jso
     if message.req_str("type")? != "outcome" {
         return Err(JsonError::decode("expected an outcome message"));
     }
-    let index = message.req_u64("index")?;
-    let index =
-        usize::try_from(index).map_err(|_| JsonError::decode("outcome index overflows usize"))?;
+    let index = message.req_usize("index")?;
     let counters = match message.req("counters")? {
         // Names outside the intern table are dropped here, once: a worker
         // cannot invent controller-side state.

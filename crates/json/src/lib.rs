@@ -156,6 +156,14 @@ impl std::error::Error for JsonError {}
 pub trait ObjExt {
     fn req(&self, key: &str) -> Result<&Value, JsonError>;
     fn req_u64(&self, key: &str) -> Result<u64, JsonError>;
+    /// [`req_u64`](ObjExt::req_u64), narrowed to `u32`; overflow is a
+    /// decode error.
+    fn req_u32(&self, key: &str) -> Result<u32, JsonError>;
+    /// [`req_u64`](ObjExt::req_u64), narrowed to `usize`; overflow is a
+    /// decode error.
+    fn req_usize(&self, key: &str) -> Result<usize, JsonError>;
+    /// A field that must be present and is either `null` or a `u64`.
+    fn req_opt_u64(&self, key: &str) -> Result<Option<u64>, JsonError>;
     fn req_f64(&self, key: &str) -> Result<f64, JsonError>;
     fn req_bool(&self, key: &str) -> Result<bool, JsonError>;
     fn req_str(&self, key: &str) -> Result<&str, JsonError>;
@@ -171,6 +179,21 @@ impl ObjExt for Value {
         self.req(key)?
             .as_u64()
             .ok_or_else(|| JsonError::decode(format!("field `{key}` is not a u64")))
+    }
+
+    fn req_u32(&self, key: &str) -> Result<u32, JsonError> {
+        narrow(key, self.req_u64(key)?, "u32")
+    }
+
+    fn req_usize(&self, key: &str) -> Result<usize, JsonError> {
+        narrow(key, self.req_u64(key)?, "usize")
+    }
+
+    fn req_opt_u64(&self, key: &str) -> Result<Option<u64>, JsonError> {
+        match self.req(key)? {
+            Value::Null => Ok(None),
+            _ => self.req_u64(key).map(Some),
+        }
     }
 
     fn req_f64(&self, key: &str) -> Result<f64, JsonError> {
@@ -190,6 +213,10 @@ impl ObjExt for Value {
             .as_str()
             .ok_or_else(|| JsonError::decode(format!("field `{key}` is not a string")))
     }
+}
+
+fn narrow<T: TryFrom<u64>>(key: &str, raw: u64, to: &str) -> Result<T, JsonError> {
+    T::try_from(raw).map_err(|_| JsonError::decode(format!("field `{key}` = {raw} overflows {to}")))
 }
 
 fn write_value(value: &Value, out: &mut impl fmt::Write) -> fmt::Result {

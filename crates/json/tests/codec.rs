@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use snake_json::{parse, Value as Json};
+use snake_json::{parse, ObjExt, Value as Json};
 
 /// Characters a generated string draws from: both delimiters, every kind
 /// of escape the writer emits, raw control characters, and multi-byte
@@ -167,6 +167,49 @@ fn malformed_input_is_rejected_with_its_position() {
     ] {
         let err = parse(text).expect_err(text);
         assert_eq!(err.to_string(), message, "{text}");
+    }
+}
+
+#[test]
+fn narrowing_and_nullable_decoders_refuse_overflow_and_absence() {
+    let message =
+        parse(r#"{"fits":4294967295,"wide":4294967296,"neg":-1,"text":"7","none":null}"#).unwrap();
+    assert_eq!(message.req_u32("fits"), Ok(u32::MAX));
+    assert_eq!(message.req_opt_u64("none"), Ok(None));
+    assert_eq!(message.req_opt_u64("wide"), Ok(Some(1 << 32)));
+    #[cfg(target_pointer_width = "64")]
+    assert_eq!(message.req_usize("wide"), Ok(1 << 32));
+    for (result, text) in [
+        (
+            message.req_u32("wide").map(|_| ()),
+            "field `wide` = 4294967296 overflows u32",
+        ),
+        (
+            message.req_u32("absent").map(|_| ()),
+            "missing field `absent`",
+        ),
+        (
+            message.req_usize("absent").map(|_| ()),
+            "missing field `absent`",
+        ),
+        (
+            message.req_u32("neg").map(|_| ()),
+            "field `neg` is not a u64",
+        ),
+        (
+            message.req_usize("text").map(|_| ()),
+            "field `text` is not a u64",
+        ),
+        (
+            message.req_opt_u64("absent").map(|_| ()),
+            "missing field `absent`",
+        ),
+        (
+            message.req_opt_u64("text").map(|_| ()),
+            "field `text` is not a u64",
+        ),
+    ] {
+        assert_eq!(result.unwrap_err().to_string(), text);
     }
 }
 

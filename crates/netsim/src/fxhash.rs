@@ -79,10 +79,10 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` producing [`FxHasher`]s with no per-process key material.
+/// `BuildHasher` producing `FxHasher`s with no per-process key material.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` using the deterministic [`FxHasher`].
+/// A `HashMap` using the deterministic `FxHasher`.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]

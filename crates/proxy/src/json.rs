@@ -232,8 +232,7 @@ impl FromJson for InjectionAttack {
                 packet_type: value.req_str("packet_type")?.to_owned(),
                 seq: SeqChoice::from_json(value.req("seq")?)?,
                 direction: InjectDirection::from_json(value.req("direction")?)?,
-                repeat: u32::try_from(value.req_u64("repeat")?)
-                    .map_err(|_| JsonError::decode("inject repeat out of range"))?,
+                repeat: value.req_u32("repeat")?,
             },
             "hit_seq_window" => InjectionAttack::HitSeqWindow {
                 packet_type: value.req_str("packet_type")?.to_owned(),
