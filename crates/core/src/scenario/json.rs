@@ -57,7 +57,7 @@ impl FromJson for ScenarioSpec {
             "dccp" => ProtocolKind::Dccp(decode_dccp_profile(profile)?),
             other => return Err(JsonError::decode(format!("unknown protocol `{other}`"))),
         };
-        Ok(ScenarioSpec {
+        let spec = ScenarioSpec {
             protocol,
             topology: decode_topology(value.req("topology")?)?,
             flows: decode_flows(value.req("flows")?)?,
@@ -66,7 +66,10 @@ impl FromJson for ScenarioSpec {
             seed: value.req_u64("seed")?,
             target_connections: value.req_usize("target_connections")?,
             event_budget: value.req_opt_u64("event_budget")?,
-        })
+        };
+        spec.validate()
+            .map_err(|err| JsonError::decode(err.to_string()))?;
+        Ok(spec)
     }
 }
 

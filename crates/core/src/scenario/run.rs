@@ -346,7 +346,7 @@ impl Session {
             }
             TopologySpec::Generated(g) => {
                 let layout =
-                    TopologyGen::generate(g).expect("generated topology validated by the builder");
+                    TopologyGen::generate(g).expect("`ScenarioSpec::validate` generated it");
                 let built = layout.build(&mut sim);
                 Wiring {
                     proxy_link: built.proxy_link,

@@ -119,8 +119,8 @@ pub struct FlowGroup {
     pub count: usize,
 }
 
-/// Errors from [`ScenarioSpecBuilder::build`] — the scenario-level analogue
-/// of the campaign builder's `InvalidConfig`.
+/// Errors from [`ScenarioSpec::validate`] — the scenario-level analogue of
+/// the campaign builder's `InvalidConfig`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScenarioError {
     /// A builder setting is degenerate or contradictory.
@@ -145,8 +145,9 @@ impl std::error::Error for ScenarioError {}
 ///
 /// Construct via [`ScenarioSpec::builder`] (validating) or the
 /// [`evaluation`](ScenarioSpec::evaluation) / [`quick`](ScenarioSpec::quick)
-/// presets; fields are read through accessors. Every spec this type can
-/// hold has passed the builder's validation.
+/// presets, or decode one with `from_json`; fields are read through
+/// accessors. Every spec this type can hold has passed
+/// [`validate`](ScenarioSpec::validate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Protocol and implementation under test (all hosts run it).
@@ -215,6 +216,84 @@ impl ScenarioSpec {
             .quick()
             .build()
             .expect("quick preset is valid")
+    }
+
+    /// The checks every spec passes before it runs: [`build`] applies
+    /// them to what a builder assembled, `from_json` to what a wire or file
+    /// carried, so an unrealizable scenario is refused, never run.
+    ///
+    /// [`build`]: ScenarioSpecBuilder::build
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        fn invalid(detail: String) -> Result<(), ScenarioError> {
+            Err(ScenarioError::InvalidConfig { detail })
+        }
+        if self.data_secs == 0 {
+            return invalid("data phase must be at least one second".into());
+        }
+        // The run's end, `data_secs + grace_secs` in nanoseconds, must fit
+        // the simulated clock: an overflow would wrap to a shorter run.
+        let run_nanos = (self.data_secs.checked_add(self.grace_secs))
+            .and_then(|secs| secs.checked_mul(1_000_000_000));
+        if run_nanos.is_none() {
+            return invalid("data and grace phases overflow the simulated clock".into());
+        }
+        let (bottleneck, access) = match &self.topology {
+            TopologySpec::Dumbbell(d) => (&d.bottleneck, &d.access),
+            TopologySpec::Generated(g) => (&g.bottleneck, &g.access),
+        };
+        for (what, link) in [("bottleneck", bottleneck), ("access", access)] {
+            if link.bandwidth_bps == 0 {
+                return invalid(format!("{what} link bandwidth must be positive"));
+            }
+            if link.queue_packets == 0 {
+                return invalid(format!("{what} link queue must hold at least one packet"));
+            }
+        }
+        match (&self.topology, &self.flows) {
+            (TopologySpec::Dumbbell(_), None) => {}
+            (TopologySpec::Dumbbell(_), Some(_)) => {
+                return invalid(
+                    "flow groups need a generated topology; call topology(...) too".into(),
+                )
+            }
+            (TopologySpec::Generated(_), None) => {
+                return invalid("a generated topology needs a flow mix; call flows(...) too".into())
+            }
+            (TopologySpec::Generated(gen), Some(flows)) => {
+                if flows.is_empty() {
+                    return invalid("the flow mix must name at least one group".into());
+                }
+                if let Some(g) = flows.iter().find(|g| g.count == 0) {
+                    return invalid(format!("{} flow count must be positive", g.role.label()));
+                }
+                let attacked: Vec<_> = flows
+                    .iter()
+                    .filter(|g| g.role == FlowRole::Attacked)
+                    .collect();
+                match attacked.as_slice() {
+                    [one] if one.count == self.target_connections => {}
+                    [_] => {
+                        return invalid(
+                            "target connections must equal the attacked group's count".into(),
+                        )
+                    }
+                    [] => return invalid("the flow mix needs exactly one attacked group".into()),
+                    _ => {
+                        return invalid(
+                            "the flow mix must not contain more than one attacked group".into(),
+                        )
+                    }
+                }
+                // Generating is cheap and proves the layout is realizable.
+                if let Err(detail) = TopologyGen::generate(gen) {
+                    return invalid(detail);
+                }
+            }
+        }
+        if self.target_connections == 0 {
+            return invalid("target connection count must be positive".into());
+        }
+        Ok(())
     }
 
     /// Protocol and implementation under test.
@@ -401,74 +480,26 @@ impl ScenarioSpecBuilder {
 
     /// Validates and builds the spec.
     pub fn build(self) -> Result<ScenarioSpec, ScenarioError> {
-        fn invalid<T>(detail: String) -> Result<T, ScenarioError> {
-            Err(ScenarioError::InvalidConfig { detail })
-        }
-        if self.data_secs == 0 {
-            return invalid("data phase must be at least one second".into());
-        }
-        if self.target_connections == 0 {
-            return invalid("target connection count must be positive".into());
-        }
-        for (what, link) in [("bottleneck", &self.bottleneck), ("access", &self.access)] {
-            if link.bandwidth_bps == 0 {
-                return invalid(format!("{what} link bandwidth must be positive"));
-            }
-            if link.queue_packets == 0 {
-                return invalid(format!("{what} link queue must hold at least one packet"));
-            }
-        }
-        let mut target_connections = self.target_connections;
         let topology = match self.generated {
-            None => {
-                if self.flows.is_some() {
-                    return invalid(
-                        "flow groups need a generated topology; call topology(...) too".into(),
-                    );
-                }
-                TopologySpec::Dumbbell(DumbbellSpec {
-                    bottleneck: self.bottleneck,
-                    access: self.access,
-                })
-            }
-            Some((kind, hosts)) => {
-                let Some(flows) = &self.flows else {
-                    return invalid(
-                        "a generated topology needs a flow mix; call flows(...) too".into(),
-                    );
-                };
-                if flows.is_empty() {
-                    return invalid("the flow mix must name at least one group".into());
-                }
-                if let Some(g) = flows.iter().find(|g| g.count == 0) {
-                    return invalid(format!("{} flow count must be positive", g.role.label()));
-                }
-                let attacked: Vec<_> = flows
-                    .iter()
-                    .filter(|g| g.role == FlowRole::Attacked)
-                    .collect();
-                match attacked.as_slice() {
-                    [one] => target_connections = one.count,
-                    [] => return invalid("the flow mix needs exactly one attacked group".into()),
-                    _ => {
-                        return invalid(
-                            "the flow mix must not contain more than one attacked group".into(),
-                        )
-                    }
-                }
-                let gen = TopologyGenSpec {
-                    kind,
-                    hosts,
-                    seed: self.seed,
-                    bottleneck: self.bottleneck,
-                    access: self.access,
-                };
-                // Generating is cheap and proves the layout is realizable.
-                if let Err(detail) = TopologyGen::generate(&gen) {
-                    return invalid(detail);
-                }
-                TopologySpec::Generated(gen)
-            }
+            None => TopologySpec::Dumbbell(DumbbellSpec {
+                bottleneck: self.bottleneck,
+                access: self.access,
+            }),
+            Some((kind, hosts)) => TopologySpec::Generated(TopologyGenSpec {
+                kind,
+                hosts,
+                seed: self.seed,
+                bottleneck: self.bottleneck,
+                access: self.access,
+            }),
+        };
+        // On a generated topology the one attacked group sets the count.
+        let attacked: Vec<_> = (self.flows.iter().flatten())
+            .filter(|g| g.role == FlowRole::Attacked)
+            .collect();
+        let target_connections = match (self.generated, attacked.as_slice()) {
+            (Some(_), [one]) => one.count,
+            _ => self.target_connections,
         };
         let mut spec = ScenarioSpec {
             protocol: self.protocol,
@@ -480,6 +511,7 @@ impl ScenarioSpecBuilder {
             target_connections,
             event_budget: self.event_budget,
         };
+        spec.validate()?;
         if let Some(impair) = self.impair {
             spec = spec.with_impairment(impair);
         }

@@ -123,6 +123,7 @@ fn builder_rejects_degenerate_settings() {
         other => panic!("expected InvalidConfig, got {other:?}"),
     };
     assert!(detail(b().data_secs(0).build()).contains("data phase"));
+    assert!(detail(b().data_secs(u64::MAX / 1_000_000_000).build()).contains("overflow"));
     assert!(detail(b().target_connections(0).build()).contains("target connection"));
     let good = *ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13())).bottleneck();
     let dead = LinkSpec {

@@ -7,10 +7,9 @@ use crate::sim::{Command, NodeId};
 use crate::time::{SimDuration, SimTime};
 
 /// Handle for a pending timer, used to cancel it. Carries the timer's fire
-/// time: the timer wheel locates the pending entry by handle id alone, but
-/// the reference heap scheduler needs the fire time to purge cancellation
-/// records once the deadline passes (a cancelled timer can never fire
-/// after it).
+/// time for the queue's one purge rule: a cancellation record is dropped
+/// once a run passes that time, since its entry can no longer pop (it
+/// popped as a ghost, or the cancel came after the fire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerHandle {
     pub(crate) id: u64,

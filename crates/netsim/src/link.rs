@@ -780,6 +780,209 @@ mod tests {
         }
     }
 
+    /// How one offered packet, or its duplicate, left a channel.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Fate {
+        Flap,
+        Lost,
+        Corrupted,
+        /// Tail drop or RED.
+        QueueDrop,
+        Delivered(SimTime),
+    }
+
+    /// Offer `index`, numbered in its header.
+    fn offer(index: usize, payload: u32) -> Packet {
+        Packet::new(
+            Addr::new(NodeId::from_index(0), 1),
+            Addr::new(NodeId::from_index(1), 1),
+            Protocol::Other(0),
+            (index as u32).to_be_bytes(),
+            payload,
+        )
+    }
+
+    /// Feeds `offers` (`(time, payload)`, in time order) to a `Channel`,
+    /// completing each transmission once it is due (before an offer at the
+    /// same instant), and reports each offer's fates.
+    fn channel_fates(spec: LinkSpec, seed: u64, offers: &[(SimTime, u32)]) -> Vec<Vec<Fate>> {
+        let mut c = TestChan::new(spec, seed);
+        let mut fates = vec![Vec::new(); offers.len()];
+        let mut done = None;
+        for i in 0..=offers.len() {
+            let now = offers.get(i).map_or(SimTime::MAX, |o| o.0);
+            while let Some(t) = done.filter(|&t| t <= now) {
+                let delay = c.delivery_delay();
+                let (packet, next) = c.dequeue(t);
+                let index = u32::from_be_bytes(packet.header.as_slice().try_into().unwrap());
+                fates[index as usize].push(Fate::Delivered(t + delay));
+                done = next;
+            }
+            let Some(&(_, payload)) = offers.get(i) else {
+                break;
+            };
+            let before = c.stats;
+            done = done.or(c.enqueue(offer(i, payload), now));
+            let s = c.stats;
+            for (count, fate) in [
+                (s.flap_dropped - before.flap_dropped, Fate::Flap),
+                (s.lost - before.lost, Fate::Lost),
+                (s.corrupted - before.corrupted, Fate::Corrupted),
+                (s.dropped - before.dropped, Fate::QueueDrop),
+            ] {
+                fates[i].extend(std::iter::repeat_n(fate, count as usize));
+            }
+        }
+        fates
+    }
+
+    /// One channel direction written from the contract in [`Channel`]'s
+    /// docs, not from its code: a flap window drops without a draw; then
+    /// loss and corruption, each its own impairment-lane draw and only when
+    /// its rate is non-zero; a duplicate is admitted right behind its
+    /// original; admission tail-drops at capacity, else RED draws from the
+    /// AQM lane; each completion adds, with the reorder rate, a uniform
+    /// extra delay in `(0, jitter]` to the propagation delay.
+    struct LinkModel {
+        spec: LinkSpec,
+        impair: SmallRng,
+        aqm: SmallRng,
+        /// Waiting packets: offer index and wire length.
+        queue: VecDeque<(usize, u32)>,
+        /// The packet on the wire and when its transmission ends.
+        sending: Option<(usize, SimTime)>,
+    }
+
+    impl LinkModel {
+        fn chance(&mut self, ppm: u32) -> bool {
+            ppm > 0 && self.impair.gen_range(0..PPM) < ppm
+        }
+
+        fn red_drops(&mut self) -> bool {
+            let (cap, backlog) = (self.spec.queue_packets, self.queue.len());
+            let min = cap / 4;
+            if self.spec.aqm != Aqm::Red || backlog < min {
+                return false;
+            }
+            let p = 0.15 * (backlog - min) as f64 / (cap - min).max(1) as f64;
+            self.aqm.gen::<f64>() < p
+        }
+
+        fn fates(spec: LinkSpec, seed: u64, offers: &[(SimTime, u32)]) -> Vec<Vec<Fate>> {
+            let lane = |salt| SmallRng::seed_from_u64(lane_seed(seed, 0, salt));
+            let mut m = LinkModel {
+                spec,
+                impair: lane(LANE_IMPAIR),
+                aqm: lane(LANE_AQM),
+                queue: VecDeque::new(),
+                sending: None,
+            };
+            let (impair, tx) = (spec.impair, |len| tx_delay(len, spec.bandwidth_bps));
+            let mut fates = vec![Vec::new(); offers.len()];
+            for i in 0..=offers.len() {
+                let now = offers.get(i).map_or(SimTime::MAX, |o| o.0);
+                while let Some((j, end)) = m.sending.filter(|s| s.1 <= now) {
+                    let mut at = end + spec.delay;
+                    if m.chance(impair.reorder_ppm) && impair.jitter > SimDuration::ZERO {
+                        at += SimDuration::from_nanos(
+                            m.impair.gen_range(1..=impair.jitter.as_nanos()),
+                        );
+                    }
+                    fates[j].push(Fate::Delivered(at));
+                    m.sending = m.queue.pop_front().map(|(k, len)| (k, end + tx(len)));
+                }
+                let Some(&(_, payload)) = offers.get(i) else {
+                    break;
+                };
+                let dropped = if impair.flap.is_some_and(|f| f.is_down(now)) {
+                    Some(Fate::Flap)
+                } else if m.chance(impair.loss_ppm) {
+                    Some(Fate::Lost)
+                } else if m.chance(impair.corrupt_ppm) {
+                    Some(Fate::Corrupted)
+                } else {
+                    None
+                };
+                if let Some(fate) = dropped {
+                    fates[i].push(fate);
+                    continue;
+                }
+                let len = offer(i, payload).wire_len();
+                for _ in 0..1 + usize::from(m.chance(impair.dup_ppm)) {
+                    if m.sending.is_none() {
+                        m.sending = Some((i, now + tx(len)));
+                    } else if m.queue.len() >= spec.queue_packets || m.red_drops() {
+                        fates[i].push(Fate::QueueDrop);
+                    } else {
+                        m.queue.push_back((i, len));
+                    }
+                }
+            }
+            fates
+        }
+    }
+
+    /// `Channel` against [`LinkModel`] on seeded offer streams, packet for
+    /// packet: each offer's drop reason or delivery time, duplicates
+    /// included. Three specs rotate: everything at once on a RED link with
+    /// flap windows; loss and reorder off, so their draws must not happen;
+    /// reorder with zero jitter, which draws but delays nothing.
+    #[test]
+    fn channel_matches_an_independent_link_model() {
+        let flap = crate::impair::FlapSpec {
+            first_down: SimTime::from_millis(2),
+            down_for: SimDuration::from_millis(1),
+            period: SimDuration::from_millis(9),
+        };
+        let specs = [
+            Impairment {
+                loss_ppm: 80_000,
+                corrupt_ppm: 60_000,
+                dup_ppm: 100_000,
+                reorder_ppm: 200_000,
+                jitter: SimDuration::from_micros(700),
+                flap: Some(flap),
+            },
+            Impairment {
+                corrupt_ppm: 100_000,
+                dup_ppm: 150_000,
+                ..Impairment::NONE
+            },
+            Impairment {
+                loss_ppm: 50_000,
+                reorder_ppm: 300_000,
+                ..Impairment::NONE
+            },
+        ];
+        for seed in 0..24u64 {
+            let mut spec = LinkSpec::new(8_000_000, SimDuration::from_millis(1), 8)
+                .with_impairment(specs[seed as usize % specs.len()]);
+            if seed % 2 == 0 {
+                spec = spec.with_red();
+            }
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut now = SimTime::ZERO;
+            let offers: Vec<(SimTime, u32)> = (0..400)
+                .map(|_| {
+                    // Bursts, gaps shorter than a transmission, and idle
+                    // stretches.
+                    let gap: [u64; 3] = [0, rng.gen_range(1..300), rng.gen_range(300..3_000)];
+                    now += SimDuration::from_micros(gap[rng.gen_range(0..3usize)]);
+                    (now, rng.gen_range(0..1_200))
+                })
+                .collect();
+            let sorted = |mut fates: Vec<Vec<Fate>>| {
+                fates.iter_mut().for_each(|f| f.sort());
+                fates
+            };
+            assert_eq!(
+                sorted(channel_fates(spec, seed, &offers)),
+                sorted(LinkModel::fates(spec, seed, &offers)),
+                "seed {seed}"
+            );
+        }
+    }
+
     /// Helper namespace so the flap test reads clearly.
     struct FlapSpecFor;
     impl FlapSpecFor {

@@ -1,16 +1,15 @@
-//! Event schedulers for the simulator's run loop.
+//! The simulator's event queue.
 //!
-//! [`Queue`] pairs an ordering backend with the one cancel rule every
-//! backend shares. The production backend is a **two-tier hierarchical
-//! timer wheel** ([`Wheel`]): a near-horizon binary heap of imminent events
-//! fed by eight levels of 64 coarse far-horizon slots. Far events cost O(1)
-//! to insert; they cascade toward the near lane as simulated time reaches
-//! them, each event moving at most `LEVELS - 1` times over its lifetime.
-//! Dispatch order is total on `(at, seq)` — exactly the order one plain
-//! binary heap over every pending event pops. That heap is the reference
-//! backend (compiled into test builds and by the `heap-sched` feature),
-//! the ordering oracle the randomized test in this module and the
-//! whole-simulator differential tests in `sim.rs` hold the wheel to.
+//! [`Queue`] pairs the scheduler with the cancel rule. The scheduler is a
+//! **two-tier hierarchical timer wheel** ([`Wheel`]): a near-horizon binary
+//! heap of imminent events fed by eight levels of 64 coarse far-horizon
+//! slots. Far events cost O(1) to insert; they cascade toward the near lane
+//! as simulated time reaches them, each event moving at most `LEVELS - 1`
+//! times over its lifetime. Dispatch order is total on `(at, seq)` — exactly
+//! the order one plain binary heap over every pending event would pop. The
+//! model test in this module holds the queue to an ordered map, and the
+//! simulator's debug builds assert that every dispatched key is strictly
+//! greater than the last.
 //!
 //! ## Why dispatch order is preserved
 //!
@@ -30,9 +29,10 @@
 //! entry's own `(at, seq)` key, which advances the clock, dispatches
 //! nothing and consumes no event budget. Records whose fire time a run has
 //! passed — a cancel issued after the fire, or an entry a spent budget
-//! left queued for good — are purged when the run ends. Written
-//! once, above the backends, the rule cannot make their pending-event
-//! horizons — and with them deadline and budget checks — differ.
+//! left queued for good — are purged when the run ends. Because a ghost
+//! stays queued until its key comes up, the pending-event horizon — and
+//! with it every deadline and budget check — is the same as if the timer
+//! had been live.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -100,9 +100,10 @@ impl Ord for Scheduled {
 
 /// Result of popping the scheduler.
 pub(crate) enum Popped {
-    /// A cancelled timer's entry: advances the clock, dispatches nothing,
-    /// and is not counted against the event budget.
-    Ghost(SimTime),
+    /// A cancelled timer's entry, at its `(at, seq)` key: advances the
+    /// clock, dispatches nothing, and is not counted against the event
+    /// budget.
+    Ghost((SimTime, u64)),
     /// A live event to dispatch.
     Event(Scheduled),
 }
@@ -265,22 +266,11 @@ impl Wheel {
     }
 }
 
-/// The ordering backend behind a [`Queue`]. Release builds carry only the
-/// wheel; test and `heap-sched` builds can select the reference heap per
-/// simulator (`SNAKE_NETSIM_SCHED=heap`).
-#[derive(Debug, Clone)]
-enum Order {
-    Wheel(Wheel),
-    /// The reference: one binary heap over every pending event.
-    #[cfg(any(test, feature = "heap-sched"))]
-    Heap(BinaryHeap<Scheduled>),
-}
-
-/// The simulator's event queue: an ordering backend plus the cancel rule
-/// (see module docs) both backends share.
+/// The simulator's event queue: the wheel plus the cancel rule (see module
+/// docs).
 #[derive(Debug, Clone)]
 pub(crate) struct Queue {
-    order: Order,
+    wheel: Wheel,
     /// Cancelled timers by handle, with the time each would have fired.
     cancelled: FxHashMap<u64, SimTime>,
     /// Records purged after their fire time passed.
@@ -288,47 +278,17 @@ pub(crate) struct Queue {
 }
 
 impl Queue {
-    fn with_order(order: Order) -> Queue {
+    pub(crate) fn new() -> Queue {
         Queue {
-            order,
+            wheel: Wheel::new(),
             cancelled: FxHashMap::default(),
             timers_purged: 0,
         }
     }
 
-    pub(crate) fn new_wheel() -> Queue {
-        Queue::with_order(Order::Wheel(Wheel::new()))
-    }
-
-    #[cfg(any(test, feature = "heap-sched"))]
-    pub(crate) fn new_heap() -> Queue {
-        Queue::with_order(Order::Heap(BinaryHeap::new()))
-    }
-
-    /// Whether the wheel drives this queue; per-channel delivery batching
-    /// applies only then (the reference heap must reproduce the per-packet
-    /// event stream).
-    pub(crate) fn batches_deliveries(&self) -> bool {
-        matches!(self.order, Order::Wheel(_))
-    }
-
-    /// Human name, for bench/manifest labelling and the differential CI
-    /// check.
-    pub(crate) fn name(&self) -> &'static str {
-        if self.batches_deliveries() {
-            "wheel"
-        } else {
-            "heap"
-        }
-    }
-
     /// Pending entries, cancelled timers' included.
     pub(crate) fn len(&self) -> usize {
-        match &self.order {
-            Order::Wheel(w) => w.len(),
-            #[cfg(any(test, feature = "heap-sched"))]
-            Order::Heap(h) => h.len(),
-        }
+        self.wheel.len()
     }
 
     /// Live cancellation records, for the deterministic fork-cost estimate.
@@ -337,38 +297,21 @@ impl Queue {
     }
 
     pub(crate) fn push(&mut self, ev: Scheduled) {
-        match &mut self.order {
-            Order::Wheel(w) => w.push(ev),
-            #[cfg(any(test, feature = "heap-sched"))]
-            Order::Heap(h) => h.push(ev),
-        }
+        self.wheel.push(ev);
     }
 
     /// The `(at, seq)` key the next pop will observe, advancing the wheel
     /// if its near lane ran dry.
     pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.order {
-            Order::Wheel(w) => w.peek_key(),
-            #[cfg(any(test, feature = "heap-sched"))]
-            Order::Heap(h) => h.peek().map(|ev| (ev.at, ev.seq)),
-        }
+        self.wheel.peek_key()
     }
 
     /// Pops the next entry if its key is at or before `deadline`.
     pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<Popped> {
-        let ev = match &mut self.order {
-            Order::Wheel(w) => w.pop_due(deadline)?,
-            #[cfg(any(test, feature = "heap-sched"))]
-            Order::Heap(h) => {
-                if h.peek()?.at > deadline {
-                    return None;
-                }
-                h.pop()?
-            }
-        };
+        let ev = self.wheel.pop_due(deadline)?;
         if let EventKind::TimerFire { handle, .. } = ev.kind {
             if !self.cancelled.is_empty() && self.cancelled.remove(&handle).is_some() {
-                return Some(Popped::Ghost(ev.at));
+                return Some(Popped::Ghost((ev.at, ev.seq)));
             }
         }
         Some(Popped::Event(ev))
@@ -402,23 +345,23 @@ impl Queue {
     /// Every pending entry, in no particular order (tests only).
     #[cfg(test)]
     pub(crate) fn pending(&self) -> Vec<Scheduled> {
-        match &self.order {
-            Order::Wheel(w) => w
-                .near
-                .iter()
-                .chain(w.slots.iter().flatten())
-                .copied()
-                .collect(),
-            Order::Heap(h) => h.iter().copied().collect(),
-        }
+        let w = &self.wheel;
+        w.near
+            .iter()
+            .chain(w.slots.iter().flatten())
+            .copied()
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
 
     fn timer(at: u64, seq: u64, handle: u64) -> Scheduled {
         Scheduled {
@@ -440,27 +383,30 @@ mod tests {
         }
     }
 
-    /// Drains a queue, recording `(at, seq, is_ghost)` per pop.
-    fn drain(queue: &mut Queue) -> Vec<(u64, u64, bool)> {
+    /// A pop as `(at, seq, is_ghost)`.
+    type Pop = (u64, u64, bool);
+
+    fn observe(popped: Popped) -> Pop {
+        match popped {
+            Popped::Ghost((at, seq)) => (at.as_nanos(), seq, true),
+            Popped::Event(ev) => (ev.at.as_nanos(), ev.seq, false),
+        }
+    }
+
+    /// Drains a queue, recording each pop.
+    fn drain(queue: &mut Queue) -> Vec<Pop> {
         let mut log = Vec::new();
-        while let Some(key) = queue.peek_key() {
-            match queue.pop().expect("peeked") {
-                Popped::Ghost(at) => {
-                    assert_eq!(at, key.0, "ghost must pop at its peeked key");
-                    log.push((at.as_nanos(), key.1, true));
-                }
-                Popped::Event(ev) => {
-                    assert_eq!((ev.at, ev.seq), key, "pop must match peek");
-                    log.push((ev.at.as_nanos(), ev.seq, false));
-                }
-            }
+        while let Some((at, seq)) = queue.peek_key() {
+            let pop = observe(queue.pop().expect("peeked"));
+            assert_eq!((pop.0, pop.1), (at.as_nanos(), seq), "pop must match peek");
+            log.push(pop);
         }
         log
     }
 
     #[test]
     fn wheel_pops_in_total_order() {
-        let mut q = Queue::new_wheel();
+        let mut q = Queue::new();
         // Same tick, far ticks, boundary ticks, MAX — pushed out of order.
         let times = [
             u64::MAX,
@@ -489,7 +435,7 @@ mod tests {
     /// pops as a ghost at its own key ahead of the live event after it.
     #[test]
     fn wheel_cancel_is_native_and_ghosts_preserve_keys() {
-        let mut q = Queue::new_wheel();
+        let mut q = Queue::new();
         q.push(timer(5 << TICK_SHIFT, 0, 100));
         q.push(control(6 << TICK_SHIFT, 1));
         q.cancel_timer(100, SimTime::from_nanos(5 << TICK_SHIFT));
@@ -507,7 +453,7 @@ mod tests {
 
     #[test]
     fn wheel_cancel_of_near_resident_timer_tombstones() {
-        let mut q = Queue::new_wheel();
+        let mut q = Queue::new();
         q.push(timer(10, 0, 7)); // tick 0 == elapsed → near lane
         q.cancel_timer(7, SimTime::from_nanos(10));
         assert_eq!(q.timers_purged(), 0, "near cancels are tombstoned");
@@ -519,7 +465,7 @@ mod tests {
     /// its record only waits for the purge that follows its fire time.
     #[test]
     fn wheel_cancel_after_fire_is_a_noop() {
-        let mut q = Queue::new_wheel();
+        let mut q = Queue::new();
         q.push(timer(10, 0, 7));
         assert_eq!(drain(&mut q), vec![(10, 0, false)]);
         q.cancel_timer(7, SimTime::from_nanos(10));
@@ -532,108 +478,144 @@ mod tests {
         assert_eq!(q.timers_purged(), 1);
     }
 
-    /// The randomized differential oracle: the wheel must reproduce the
-    /// reference heap's pop stream — keys, ghost pops, everything — under
-    /// schedules mixing same-tick bursts, far-future pushes, cancellations,
-    /// purges and interleaved pops.
-    #[test]
-    fn differential_heap_vs_wheel_random_schedules() {
-        for seed in 0..60u64 {
-            let mut rng = SmallRng::seed_from_u64(seed * 7919 + 1);
-            let mut wheel = Queue::new_wheel();
-            let mut heap = Queue::new_heap();
-            let mut now = 0u64;
-            let mut seq = 0u64;
-            let mut handle = 0u64;
-            let mut pending: Vec<(u64, SimTime)> = Vec::new();
-            let mut wheel_log = Vec::new();
-            let mut heap_log = Vec::new();
-            for _ in 0..400 {
-                match rng.gen_range(0..10) {
-                    // Push a burst of events at assorted horizons.
-                    0..=4 => {
-                        for _ in 0..rng.gen_range(1..4) {
-                            let offset = match rng.gen_range(0..6) {
-                                0 => 0,
-                                1 => rng.gen_range(0..1 << TICK_SHIFT), // same tick-ish
-                                2 => rng.gen_range(0..1 << 22),         // near levels
-                                3 => rng.gen_range(0..1 << 34),         // mid levels
-                                4 => rng.gen_range(0..1 << 50),         // far levels
-                                // MAX-adjacent (offset is added to `now`)
-                                _ => (u64::MAX - now).saturating_sub(rng.gen_range(0..4u64)),
-                            };
-                            let at = SimTime::from_nanos(now.saturating_add(offset));
-                            let ev = if rng.gen_bool(0.5) {
-                                handle += 1;
-                                pending.push((handle, at));
-                                timer(at.as_nanos(), seq, handle)
-                            } else {
-                                control(at.as_nanos(), seq)
-                            };
-                            seq += 1;
-                            wheel.push(ev);
-                            heap.push(ev);
+    /// The queue's contract restated over an ordered map, with its own
+    /// cancel set: entries pop in `(at, seq)` order; a timer whose handle
+    /// has a record pops as a ghost and consumes it; a purge drops the
+    /// records that fire at or before its `now`.
+    #[derive(Debug, Clone, Default)]
+    struct Model {
+        /// Pending entries by `(at, seq)`, with the handle of a timer.
+        pending: BTreeMap<(u64, u64), Option<u64>>,
+        /// Cancel records: handle → fire time.
+        cancelled: BTreeMap<u64, u64>,
+        purged: u64,
+    }
+
+    impl Model {
+        fn peek_key(&self) -> Option<(SimTime, u64)> {
+            let (&(at, seq), _) = self.pending.first_key_value()?;
+            Some((SimTime::from_nanos(at), seq))
+        }
+
+        fn pop_due(&mut self, deadline: u64) -> Option<Pop> {
+            let (&(at, seq), &handle) = self.pending.first_key_value()?;
+            if at > deadline {
+                return None;
+            }
+            self.pending.remove(&(at, seq));
+            let ghost = handle.is_some_and(|h| self.cancelled.remove(&h).is_some());
+            Some((at, seq, ghost))
+        }
+
+        fn purge(&mut self, now: u64) {
+            let before = self.cancelled.len();
+            self.cancelled.retain(|_, at| *at > now);
+            self.purged += (before - self.cancelled.len()) as u64;
+        }
+
+        fn assert_matches(&self, queue: &mut Queue, context: &str) {
+            assert_eq!(queue.peek_key(), self.peek_key(), "{context}: peek key");
+            assert_eq!(queue.len(), self.pending.len(), "{context}: len");
+            let cancelled = (queue.cancelled_len(), queue.timers_purged());
+            assert_eq!(
+                cancelled,
+                (self.cancelled.len(), self.purged),
+                "{context}: records"
+            );
+        }
+    }
+
+    /// An offset from the clock `now`: a few nanoseconds, up to one tick,
+    /// one either side of a level's span (`64^l` ticks) from `now` or from
+    /// the next boundary of that span, or next to `SimTime::MAX`.
+    fn offset(rng: &mut TestRng, now: u64) -> u64 {
+        let level = rng.next_u64() % LEVELS as u64;
+        let span = 1u64 << (TICK_SHIFT as u64 + 6 * level);
+        let nudge = |x: u64| [x.saturating_sub(1), x, x.saturating_add(1)];
+        match rng.next_u64() % 8 {
+            0..=1 => rng.next_u64() % 4,
+            2 => rng.next_u64() % (1 << TICK_SHIFT),
+            3..=4 => nudge(span)[(rng.next_u64() % 3) as usize],
+            5..=6 => nudge(span - now % span)[(rng.next_u64() % 3) as usize],
+            _ => (u64::MAX - now).saturating_sub(rng.next_u64() % 4),
+        }
+    }
+
+    /// One random schedule of pushes, cancels (of live and fired timers),
+    /// partial and full `pop_due` runs, purges and forks, checked step by
+    /// step against [`Model`]. A fork parks clones of the queue and its
+    /// model while the originals go on; every parked pair drains at the end.
+    fn check_against_model(seed: u64) {
+        let mut rng = TestRng::from_seed(seed);
+        let (mut queue, mut model) = (Queue::new(), Model::default());
+        let mut parked = Vec::new();
+        let (mut now, mut seq) = (0u64, 0u64);
+        let mut timers: Vec<(u64, u64)> = Vec::new();
+        for step in 0..120 {
+            let context = format!("seed {seed} step {step}");
+            match rng.next_u64() % 16 {
+                0..=5 => {
+                    for _ in 0..1 + rng.next_u64() % 3 {
+                        let at = now.saturating_add(offset(&mut rng, now));
+                        let is_timer = rng.next_u64() & 1 == 1;
+                        if is_timer {
+                            timers.push((seq, at));
+                            queue.push(timer(at, seq, seq));
+                        } else {
+                            queue.push(control(at, seq));
                         }
-                    }
-                    // Cancel a random still-known timer (possibly fired).
-                    5..=6 => {
-                        if !pending.is_empty() {
-                            let i = rng.gen_range(0..pending.len());
-                            let (h, at) = pending.swap_remove(i);
-                            wheel.cancel_timer(h, at);
-                            heap.cancel_timer(h, at);
-                        }
-                    }
-                    // Pop a few events, advancing the clock, then purge
-                    // the records before it: every entry due then popped.
-                    _ => {
-                        for _ in 0..rng.gen_range(1..6) {
-                            let wk = wheel.peek_key();
-                            let hk = heap.peek_key();
-                            assert_eq!(wk, hk, "seed {seed}: peek keys diverged");
-                            let (Some(_), Some(_)) = (wk, hk) else { break };
-                            match wheel.pop().expect("peeked") {
-                                Popped::Ghost(at) => {
-                                    now = now.max(at.as_nanos());
-                                    wheel_log.push((at.as_nanos(), u64::MAX, true));
-                                }
-                                Popped::Event(ev) => {
-                                    now = now.max(ev.at.as_nanos());
-                                    wheel_log.push((ev.at.as_nanos(), ev.seq, false));
-                                }
-                            }
-                            match heap.pop().expect("peeked") {
-                                Popped::Ghost(at) => heap_log.push((at.as_nanos(), u64::MAX, true)),
-                                Popped::Event(ev) => {
-                                    heap_log.push((ev.at.as_nanos(), ev.seq, false))
-                                }
-                            }
-                        }
-                        let passed = SimTime::from_nanos(now.saturating_sub(1));
-                        wheel.purge_cancelled(passed);
-                        heap.purge_cancelled(passed);
+                        model.pending.insert((at, seq), is_timer.then_some(seq));
+                        seq += 1;
                     }
                 }
-                assert_eq!(wheel.len(), heap.len(), "seed {seed}: queue lengths");
-                assert_eq!(wheel.cancelled_len(), heap.cancelled_len());
-            }
-            // Drain the remainder in lockstep.
-            loop {
-                assert_eq!(wheel.peek_key(), heap.peek_key(), "seed {seed}: tail peek");
-                let (w, h) = (wheel.pop(), heap.pop());
-                match (w, h) {
-                    (None, None) => break,
-                    (Some(Popped::Ghost(a)), Some(Popped::Ghost(b))) => {
-                        assert_eq!(a, b, "seed {seed}: ghost keys")
+                6..=8 => {
+                    if let Some(pick) = (rng.next_u64() as usize).checked_rem(timers.len()) {
+                        let (handle, at) = timers[pick];
+                        queue.cancel_timer(handle, SimTime::from_nanos(at));
+                        model.cancelled.insert(handle, at);
                     }
-                    (Some(Popped::Event(a)), Some(Popped::Event(b))) => {
-                        assert_eq!((a.at, a.seq), (b.at, b.seq), "seed {seed}: event keys")
-                    }
-                    _ => panic!("seed {seed}: ghost/event divergence"),
                 }
+                9..=12 => {
+                    // Up to `max` pops; draining everything due ends the
+                    // run at its deadline, as `run_until` does.
+                    let deadline = now.saturating_add(offset(&mut rng, now));
+                    for _ in 0..1 + rng.next_u64() % 8 {
+                        let want = model.pop_due(deadline);
+                        let got = queue.pop_due(SimTime::from_nanos(deadline));
+                        assert_eq!(got.map(observe), want, "{context}: pop");
+                        let Some((at, ..)) = want else {
+                            now = deadline;
+                            break;
+                        };
+                        now = at;
+                    }
+                }
+                13..=14 => {
+                    queue.purge_cancelled(SimTime::from_nanos(now));
+                    model.purge(now);
+                }
+                _ => parked.push((queue.clone(), model.clone())),
             }
-            assert_eq!(wheel_log, heap_log, "seed {seed}: pop streams diverged");
-            assert_eq!(wheel.timers_purged(), heap.timers_purged());
+            model.assert_matches(&mut queue, &context);
+        }
+        parked.push((queue, model));
+        for (mut queue, mut model) in parked {
+            let want: Vec<Pop> = std::iter::from_fn(|| model.pop_due(u64::MAX)).collect();
+            assert_eq!(drain(&mut queue), want, "seed {seed}: drain");
+            queue.purge_cancelled(SimTime::MAX);
+            model.purge(u64::MAX);
+            model.assert_matches(&mut queue, &format!("seed {seed}: drained"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The queue pops exactly what an ordered map with its own cancel
+        /// set pops: keys, ghosts, lengths and record counts, step by step.
+        #[test]
+        fn queue_matches_an_ordered_map_model(seed in any::<u64>()) {
+            check_against_model(seed);
         }
     }
 
@@ -675,7 +657,7 @@ mod tests {
     fn cascade_boundaries_preserve_order() {
         // Events straddling every level boundary, popped after partial
         // drains so cascades interleave with fresh same-tick pushes.
-        let mut q = Queue::new_wheel();
+        let mut q = Queue::new();
         let mut expect = Vec::new();
         let mut seq = 0;
         for level in 0..LEVELS as u32 {

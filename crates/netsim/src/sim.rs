@@ -65,8 +65,8 @@ struct NodeSlot {
 /// One pending delivery parked in a channel's in-order FIFO instead of the
 /// global event queue (see [`Simulator::push_delivery`]). `seq` is a real
 /// global sequence number — the entry consumed it at push time, exactly as
-/// a per-packet `Deliver` event would have, so the batched and reference
-/// schedulers allocate identical sequence streams.
+/// a per-packet `Deliver` event would have, so batching moves no other
+/// event's key.
 #[derive(Debug, Clone, Copy)]
 struct FifoEntry {
     at: SimTime,
@@ -80,12 +80,11 @@ struct ChanSlot {
     from: NodeId,
     to: NodeId,
     link: usize,
-    /// Wheel-mode delivery FIFO: consecutive deliveries of an in-order
-    /// channel drain inline from here without a global-queue round trip
-    /// per packet. Always key-sorted: entries are appended in
-    /// nondecreasing `(at, seq)` order because an in-order channel's
-    /// transmissions complete in time order and its delivery delay is
-    /// constant.
+    /// Delivery FIFO: consecutive deliveries of an in-order channel drain
+    /// inline from here without a global-queue round trip per packet.
+    /// Always key-sorted: entries are appended in nondecreasing
+    /// `(at, seq)` order because an in-order channel's transmissions
+    /// complete in time order and its delivery delay is constant.
     fifo: VecDeque<FifoEntry>,
 }
 
@@ -109,12 +108,10 @@ type ControlFn = Arc<dyn Fn(&mut dyn Agent, &mut Ctx<'_>) + Send + Sync>;
 /// callers that care read them once after a run. They are deliberately
 /// *not* part of any run-equality comparison: `timers_purged` depends on
 /// how often `run_until` is re-entered (a record consumed by its entry's
-/// pop is not a purge), and `queue_depth_hwm` on the scheduler backend
-/// (the wheel parks in-order deliveries in per-channel FIFOs behind one
-/// marker). For the same sequence of calls every other counter is
-/// identical across backends — the cancel rule and the arena are shared
-/// code — which the differential tests prove; equality comparisons should
-/// still go through run outcomes, not these internals.
+/// pop is not a purge), and `queue_depth_hwm` on delivery batching (an
+/// in-order channel parks its deliveries in a FIFO behind one queue
+/// marker). Equality comparisons go through run outcomes, not these
+/// internals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Events dispatched (dead timer fires excluded).
@@ -153,9 +150,7 @@ pub struct Simulator {
     queue: Queue,
     /// Where every packet in the network is parked, from the send or tap
     /// emission that hands it over until an agent or tap receives it:
-    /// channels, delivery FIFOs and events carry 4-byte refs. Used
-    /// identically by both scheduler backends, so the allocation stream
-    /// never depends on the backend.
+    /// channels, delivery FIFOs and events carry 4-byte refs.
     arena: PacketArena,
     nodes: Vec<NodeSlot>,
     chans: Vec<ChanSlot>,
@@ -185,13 +180,16 @@ pub struct Simulator {
     budget_exhausted: bool,
     pending: Vec<Command>,
     trace: Option<Trace>,
+    /// The last dispatched `(at, seq)` key, ghosts and inline deliveries
+    /// included: debug builds assert every dispatch is strictly after it.
+    #[cfg(debug_assertions)]
+    last_key: Option<(SimTime, u64)>,
 }
 
 impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
-            .field("scheduler", &self.queue.name())
             .field("nodes", &self.nodes.len())
             .field("links", &self.links.len())
             .field("pending_events", &(self.queue.len() + self.fifo_len))
@@ -201,40 +199,13 @@ impl std::fmt::Debug for Simulator {
 }
 
 impl Simulator {
-    /// Creates an empty simulator with a deterministic RNG seed, driven by
-    /// the hierarchical timer-wheel scheduler. Builds carrying the
-    /// `heap-sched` feature (tests always do) honour
-    /// `SNAKE_NETSIM_SCHED=heap` to select the legacy binary-heap
-    /// scheduler instead — how the cross-crate equivalence suites replay
-    /// entire campaigns against the reference implementation.
+    /// Creates an empty simulator with a deterministic RNG seed.
     pub fn new(seed: u64) -> Simulator {
-        #[cfg(any(test, feature = "heap-sched"))]
-        if std::env::var_os("SNAKE_NETSIM_SCHED").is_some_and(|v| v == "heap") {
-            return Simulator::with_queue(seed, Queue::new_heap());
-        }
-        Simulator::with_queue(seed, Queue::new_wheel())
-    }
-
-    /// Creates a simulator driven by the legacy binary-heap scheduler, the
-    /// reference implementation the differential tests compare the wheel
-    /// against.
-    #[cfg(any(test, feature = "heap-sched"))]
-    pub fn new_with_heap_scheduler(seed: u64) -> Simulator {
-        Simulator::with_queue(seed, Queue::new_heap())
-    }
-
-    /// The name of the scheduler backend driving this simulator:
-    /// `"wheel"` (production) or `"heap"` (differential-test reference).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.queue.name()
-    }
-
-    fn with_queue(seed: u64, queue: Queue) -> Simulator {
         Simulator {
             now: SimTime::ZERO,
             seq: 0,
             seed,
-            queue,
+            queue: Queue::new(),
             arena: PacketArena::default(),
             nodes: Vec::new(),
             chans: Vec::new(),
@@ -256,6 +227,8 @@ impl Simulator {
             budget_exhausted: false,
             pending: Vec::new(),
             trace: None,
+            #[cfg(debug_assertions)]
+            last_key: None,
         }
     }
 
@@ -387,10 +360,10 @@ impl Simulator {
     /// arena (every parked packet, channel residents included), the
     /// channels' packet refs and bookkeeping maps. Agent/tap internals are
     /// opaque boxes, so this is a lower bound — useful for comparing fork
-    /// costs, not for accounting exact allocations. The estimate depends on
-    /// the scheduler backend (the wheel holds a batched channel's pending
-    /// deliveries as FIFO entries behind one queue marker), so equivalence
-    /// comparisons must not include it.
+    /// costs, not for accounting exact allocations. Like
+    /// [`SimStats::queue_depth_hwm`], it sees delivery batching (a batched
+    /// channel's pending deliveries are FIFO entries behind one queue
+    /// marker), so run-equality comparisons must not include it.
     pub fn approx_clone_bytes(&self) -> u64 {
         let queue = self.queue.len() * std::mem::size_of::<Scheduled>();
         let fifos = self.fifo_len * std::mem::size_of::<FifoEntry>();
@@ -503,6 +476,8 @@ impl Simulator {
             budget_exhausted: self.budget_exhausted,
             pending: Vec::new(),
             trace: self.trace.clone(),
+            #[cfg(debug_assertions)]
+            last_key: self.last_key,
         })
     }
 
@@ -582,12 +557,14 @@ impl Simulator {
             match popped {
                 // A cancelled timer's entry: advance the clock and move
                 // on. Ghosts are not dispatched and not counted.
-                Popped::Ghost(at) => {
-                    debug_assert!(at >= self.now, "time went backwards");
-                    self.now = at;
+                Popped::Ghost(key) => {
+                    #[cfg(debug_assertions)]
+                    self.check_dispatch_order(key);
+                    self.now = key.0;
                 }
                 Popped::Event(ev) => {
-                    debug_assert!(ev.at >= self.now, "time went backwards");
+                    #[cfg(debug_assertions)]
+                    self.check_dispatch_order((ev.at, ev.seq));
                     self.now = ev.at;
                     self.events_processed += 1;
                     self.dispatch(ev.kind);
@@ -604,6 +581,25 @@ impl Simulator {
                 tap.on_finish(deadline);
             }
         }
+    }
+
+    /// Every pushed key lands after the key being dispatched, so keys that
+    /// strictly increase across dispatches mean each dispatch took the
+    /// global minimum: the `(at, seq)` order one binary heap over every
+    /// pending event would pop, delivery batching included.
+    #[cfg(debug_assertions)]
+    fn check_dispatch_order(&mut self, key: (SimTime, u64)) {
+        assert!(
+            key.0 >= self.now,
+            "time went backwards: {key:?} at {:?}",
+            self.now
+        );
+        assert!(
+            Some(key) > self.last_key,
+            "dispatch order broken: {key:?} after {:?}",
+            self.last_key
+        );
+        self.last_key = Some(key);
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -662,17 +658,15 @@ impl Simulator {
 
     /// Schedules delivery of a packet that finished transmitting on `chan`.
     ///
-    /// Under the wheel scheduler, deliveries of an in-order channel park in
-    /// the channel's FIFO; only the FIFO head is represented in the global
-    /// queue, by a `ChanDeliver` marker carrying the head's exact
-    /// `(at, seq)` key. Every entry still consumes one global sequence
-    /// number at push time — the same one its per-packet `Deliver` event
-    /// would have consumed under the reference heap — so both schedulers
-    /// observe identical sequence streams and therefore identical total
-    /// event order. Reorder-jittered channels are not FIFO and take the
-    /// per-packet path unconditionally.
+    /// Deliveries of an in-order channel park in the channel's FIFO; only
+    /// the FIFO head is represented in the global queue, by a `ChanDeliver`
+    /// marker carrying the head's exact `(at, seq)` key. Every entry still
+    /// consumes one global sequence number at push time — the one its
+    /// per-packet `Deliver` event would have consumed — so batching leaves
+    /// the total event order unchanged. Reorder-jittered channels are not
+    /// FIFO and take the per-packet path.
     fn push_delivery(&mut self, chan: usize, to: NodeId, at: SimTime, packet: PacketRef) {
-        if !(self.queue.batches_deliveries() && self.chans[chan].chan.delivers_in_order()) {
+        if !self.chans[chan].chan.delivers_in_order() {
             self.push(
                 at,
                 EventKind::Deliver {
@@ -708,8 +702,8 @@ impl Simulator {
     /// validated and counted by the run loop, since the marker carries the
     /// head's key), then drains consecutive entries inline while each
     /// remains the globally next event — re-applying the run loop's
-    /// deadline/budget checks per delivery so truncation behaviour
-    /// matches the reference scheduler's per-packet events byte for byte.
+    /// deadline/budget checks per delivery so truncation lands exactly
+    /// where per-packet `Deliver` events would have stopped.
     fn dispatch_chan_deliver(&mut self, chan: usize) {
         let entry = self.chans[chan]
             .fifo
@@ -744,6 +738,8 @@ impl Simulator {
             }
             let entry = self.chans[chan].fifo.pop_front().expect("peeked front");
             self.fifo_len -= 1;
+            #[cfg(debug_assertions)]
+            self.check_dispatch_order(key);
             self.now = entry.at;
             self.events_processed += 1;
             let to = self.chans[chan].to;
@@ -1443,35 +1439,15 @@ mod tests {
         fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
     }
 
-    #[test]
-    fn heap_sched_purges_cancelled_records_after_fire_time() {
-        let mut sim = Simulator::new_with_heap_scheduler(1);
-        let n = sim.add_node("n");
-        sim.set_agent(n, Canceller);
-        sim.run_until(SimTime::from_millis(5));
-        assert_eq!(
-            sim.queue.cancelled_len(),
-            10,
-            "records live until fire time"
-        );
-        sim.run_until(SimTime::from_millis(50));
-        // The dead TimerFire events popped during the second run and
-        // consumed their records (uncounted); anything left over would
-        // have been purged by fire time.
-        assert_eq!(sim.queue.cancelled_len(), 0);
-        assert_eq!(sim.stats().timers_purged, 0);
-    }
-
-    /// The wheel removes cancelled timers by the rule the heap uses: each
-    /// dead entry pops as a ghost that consumes its record, dispatches
-    /// nothing and leaves nothing to purge.
+    /// Each cancelled timer's entry stays queued until its fire time, then
+    /// pops as a ghost that consumes its record, dispatches nothing and
+    /// leaves nothing to purge.
     #[test]
     fn wheel_removes_cancelled_timers_natively() {
         let mut sim = Simulator::new(1);
         let n = sim.add_node("n");
         sim.set_agent(n, Canceller);
         sim.run_until(SimTime::from_millis(5));
-        assert_eq!(sim.scheduler_name(), "wheel");
         assert_eq!(sim.queue.len(), 10, "dead entries stay queued");
         assert_eq!(
             sim.queue.cancelled_len(),
@@ -1483,6 +1459,29 @@ mod tests {
         assert_eq!(sim.queue.cancelled_len(), 0);
         assert_eq!(sim.stats().timers_purged, 0);
         assert_eq!(sim.stats().events_processed, 0, "no dead timer dispatched");
+    }
+
+    /// The boundary of the same rule: a cancelled record outlives a run
+    /// that stops one nanosecond short of its fire time and is consumed by
+    /// a run whose deadline is exactly that time.
+    #[test]
+    fn cancelled_records_are_consumed_exactly_at_fire_time() {
+        let fire = SimTime::from_millis(10);
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node("n");
+        sim.set_agent(n, Canceller);
+        sim.run_until(SimTime::from_nanos(fire.as_nanos() - 1));
+        assert_eq!(sim.queue.len(), 10);
+        assert_eq!(
+            sim.queue.cancelled_len(),
+            10,
+            "records live until fire time"
+        );
+        sim.run_until(fire);
+        assert_eq!(sim.queue.len(), 0);
+        assert_eq!(sim.queue.cancelled_len(), 0, "consumed at fire time");
+        assert_eq!(sim.stats().timers_purged, 0);
+        assert_eq!(sim.stats().events_processed, 0);
     }
 
     /// Arms three timers, cancels the second before it fires and the first
@@ -1508,59 +1507,42 @@ mod tests {
         }
     }
 
-    /// The cancel contract, one rule on both backends: a cancelled timer
-    /// pops as a ghost at its own key, consumes no event budget, and its
-    /// record is gone once its fire time passes — consumed by the pop, or
-    /// purged at the end of the run for a cancel issued after the fire.
+    /// The cancel contract: a cancelled timer pops as a ghost at its own
+    /// key, consumes no event budget, and its record is gone once its fire
+    /// time passes — consumed by the pop, or purged at the end of the run
+    /// for a cancel issued after the fire.
     #[test]
-    fn differential_cancel_contract_holds_on_both_backends() {
-        let run = |heap: bool| {
-            let mut sim = if heap {
-                Simulator::new_with_heap_scheduler(1)
-            } else {
-                Simulator::new(1)
-            };
-            let n = sim.add_node("n");
-            sim.set_agent(n, CancelProbe::default());
-            // Two live timers fit the budget only if the ghost is free.
-            sim.set_event_budget(2);
-            sim.run_until(SimTime::from_millis(15));
-            // Timer 1 fired and was cancelled afterwards: its record was
-            // purged as the run ended. The dead timer 2 is still queued
-            // under its own key (fire time, push sequence 1).
-            assert_eq!(sim.stats().timers_purged, 1);
-            assert_eq!(sim.queue.cancelled_len(), 1);
-            assert_eq!(sim.queue.peek_key(), Some((SimTime::from_millis(20), 1)));
-            let events = sim.events_processed();
-            sim.run_until(SimTime::from_millis(20));
-            // It popped as a ghost at its key: nothing dispatched, the
-            // record consumed, timer 3 next.
-            assert_eq!(sim.events_processed(), events);
-            assert_eq!(sim.queue.cancelled_len(), 0);
-            assert_eq!(sim.queue.peek_key(), Some((SimTime::from_millis(30), 2)));
-            sim.run_until(SimTime::from_millis(40));
-            assert!(!sim.budget_exhausted(), "the ghost must not spend budget");
-            let probe = sim.agent::<CancelProbe>(n).unwrap();
-            (probe.fired.clone(), sim.stats())
-        };
-        let (fired, wheel) = run(false);
-        assert_eq!(fired, vec![(1, 10), (3, 30)]);
-        assert_eq!(wheel.events_processed, 2);
-        assert_eq!(wheel.timers_cancelled, 2);
-        let (heap_fired, heap) = run(true);
-        assert_eq!(heap_fired, fired);
-        assert_eq!(
-            (
-                heap.events_processed,
-                heap.timers_cancelled,
-                heap.timers_purged
-            ),
-            (
-                wheel.events_processed,
-                wheel.timers_cancelled,
-                wheel.timers_purged
-            ),
+    fn cancel_contract_holds() {
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node("n");
+        sim.set_agent(n, CancelProbe::default());
+        // Two live timers fit the budget only if the ghost is free.
+        sim.set_event_budget(2);
+        sim.run_until(SimTime::from_millis(15));
+        // Timer 1 fired and was cancelled afterwards: its record was
+        // purged as the run ended. The dead timer 2 is still queued under
+        // its own key (fire time, push sequence 1).
+        assert_eq!(sim.stats().timers_purged, 1);
+        assert_eq!(sim.queue.cancelled_len(), 1);
+        assert_eq!(sim.queue.peek_key(), Some((SimTime::from_millis(20), 1)));
+        let events = sim.events_processed();
+        sim.run_until(SimTime::from_millis(20));
+        // It popped as a ghost at its key: nothing dispatched, the record
+        // consumed, timer 3 next.
+        assert_eq!(sim.events_processed(), events);
+        assert_eq!(sim.queue.cancelled_len(), 0);
+        assert_eq!(sim.queue.peek_key(), Some((SimTime::from_millis(30), 2)));
+        sim.run_until(SimTime::from_millis(40));
+        assert!(!sim.budget_exhausted(), "the ghost must not spend budget");
+        let probe = sim.agent::<CancelProbe>(n).unwrap();
+        assert_eq!(probe.fired, vec![(1, 10), (3, 30)]);
+        let stats = sim.stats();
+        let counts = (
+            stats.events_processed,
+            stats.timers_cancelled,
+            stats.timers_purged,
         );
+        assert_eq!(counts, (2, 2, 1));
     }
 
     /// A deliberately chaotic agent exercising every scheduler-visible
@@ -1648,46 +1630,26 @@ mod tests {
         }
     }
 
-    /// Everything observable about a finished chaotic run.
-    #[allow(clippy::type_complexity)]
-    fn chaos_observables(
-        sim: &Simulator,
-        a: NodeId,
-        b: NodeId,
-        link: LinkId,
-    ) -> (
-        u64,
-        bool,
-        u64,
-        Vec<(u64, u64)>,
-        Vec<(u64, u64)>,
-        Vec<(u64, u64)>,
-        Vec<(u64, u64)>,
-        ChannelStats,
-        ChannelStats,
-    ) {
-        let (ab, ba) = sim.link_stats(link);
-        let pa = sim.agent::<Chaotic>(a).unwrap();
-        let pb = sim.agent::<Chaotic>(b).unwrap();
-        (
-            sim.events_processed(),
-            sim.budget_exhausted(),
-            sim.stats().timers_cancelled,
-            pa.fired.clone(),
-            pa.got.clone(),
-            pb.fired.clone(),
-            pb.got.clone(),
-            ab,
-            ba,
+    /// Everything observable about a finished chaotic run, rendered.
+    fn chaos_observables(sim: &Simulator, a: NodeId, b: NodeId, link: LinkId) -> String {
+        let stats = sim.stats();
+        let (pa, pb) = (
+            sim.agent::<Chaotic>(a).unwrap(),
+            sim.agent::<Chaotic>(b).unwrap(),
+        );
+        format!(
+            "{:?}",
+            (
+                (stats.events_processed, sim.budget_exhausted()),
+                (stats.timers_cancelled, stats.arena_alloc, stats.arena_reuse),
+                (&pa.fired, &pa.got, &pb.fired, &pb.got),
+                sim.link_stats(link),
+            )
         )
     }
 
-    fn chaos_sim(heap: bool, seed: u64, impaired: bool) -> (Simulator, NodeId, NodeId, LinkId) {
-        let mut sim = if heap {
-            Simulator::new_with_heap_scheduler(seed)
-        } else {
-            Simulator::new(seed)
-        };
+    fn chaos_sim(seed: u64, impaired: bool) -> (Simulator, NodeId, NodeId, LinkId) {
+        let mut sim = Simulator::new(seed);
         let a = sim.add_node("a");
         let b = sim.add_node("b");
         sim.set_agent(a, Chaotic::new(b));
@@ -1713,60 +1675,74 @@ mod tests {
         (sim, a, b, link)
     }
 
-    /// The whole-simulator differential oracle: under chaotic timer and
-    /// traffic schedules — staged deadlines, mid-run forks, impaired and
-    /// clean links, tight budgets — the wheel-driven simulator must
-    /// reproduce the heap-driven reference observable for observable.
+    /// Runs to `deadline`, then checks the run contract and the arena.
+    /// Without a budget trip nothing due by the deadline is left pending,
+    /// in the queue or a delivery FIFO; with one, the budget was spent
+    /// exactly.
+    fn run_checked(sim: &mut Simulator, deadline: SimTime) {
+        sim.run_until(deadline);
+        if sim.budget_exhausted() {
+            assert_eq!(Some(sim.events_processed()), sim.event_budget);
+        } else {
+            let queued = sim.queue.pending().into_iter().map(|ev| ev.at);
+            let parked = sim.chans.iter().flat_map(|c| c.fifo.iter().map(|e| e.at));
+            let due = queued.chain(parked).filter(|&at| at <= deadline).min();
+            assert_eq!(due, None, "an entry due by {deadline:?} outlived the run");
+        }
+        assert_no_leaked_packets(sim);
+    }
+
+    /// FNV-1a over every chaotic run's observables, recorded while a
+    /// reference binary-heap scheduler still reproduced them run for run.
+    const CHAOS_DIGEST: u64 = 0xf28c_89d1_931a_87f5;
+
+    /// Chaotic timer and traffic schedules — staged deadlines, mid-run
+    /// forks, impaired and clean links, tight budgets — over 12 seeds:
+    /// every `run_until` keeps the run contract and leaks no packet, a
+    /// fork replays its parent, and the 48 runs' observables, arena totals
+    /// included, hash to [`CHAOS_DIGEST`]. Debug builds also check the
+    /// dispatch order of every event on the way.
     #[test]
-    fn differential_wheel_matches_heap_reference() {
+    fn chaos_runs_keep_the_run_contract_and_their_digest() {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut reused = 0;
         for seed in 0..12u64 {
-            for &impaired in &[false, true] {
-                for &budget in &[None, Some(150u64)] {
-                    let run = |heap: bool| {
-                        let (mut sim, a, b, link) = chaos_sim(heap, seed, impaired);
-                        if let Some(x) = budget {
-                            sim.set_event_budget(x);
-                        }
-                        // Staged deadlines force scheduler maintenance
-                        // (purges, wheel advances) at identical points.
-                        sim.run_until(SimTime::from_micros(300));
-                        assert_no_leaked_packets(&sim);
-                        sim.run_until(SimTime::from_millis(7));
-                        assert_no_leaked_packets(&sim);
-                        let mut fork = sim.fork().expect("chaotic agents clone");
-                        sim.run_until(SimTime::from_millis(90));
-                        fork.run_until(SimTime::from_millis(90));
-                        assert_no_leaked_packets(&sim);
-                        assert_no_leaked_packets(&fork);
-                        let parent = chaos_observables(&sim, a, b, link);
-                        let forked = chaos_observables(&fork, a, b, link);
-                        assert_eq!(parent, forked, "fork must replay its parent");
-                        parent
-                    };
-                    let wheel = run(false);
-                    let heap = run(true);
-                    assert_eq!(
-                        wheel, heap,
-                        "seed {seed} impaired {impaired} budget {budget:?}: \
-                         wheel and heap runs diverged"
-                    );
+            for impaired in [false, true] {
+                for budget in [None, Some(150u64)] {
+                    let (mut sim, a, b, link) = chaos_sim(seed, impaired);
+                    if let Some(x) = budget {
+                        sim.set_event_budget(x);
+                    }
+                    // Staged deadlines force scheduler maintenance (purges,
+                    // wheel advances) between runs.
+                    run_checked(&mut sim, SimTime::from_micros(300));
+                    run_checked(&mut sim, SimTime::from_millis(7));
+                    let mut fork = sim.fork().expect("chaotic agents clone");
+                    run_checked(&mut sim, SimTime::from_millis(90));
+                    run_checked(&mut fork, SimTime::from_millis(90));
+                    let parent = chaos_observables(&sim, a, b, link);
+                    let forked = chaos_observables(&fork, a, b, link);
+                    assert_eq!(parent, forked, "fork must replay its parent");
+                    digest = parent.bytes().fold(digest, |h, byte| {
+                        (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+                    });
+                    reused += sim.stats().arena_reuse;
                 }
             }
         }
+        assert!(reused > 0, "steady traffic must recycle arena slots");
+        assert_eq!(digest, CHAOS_DIGEST, "chaotic runs moved: {digest:#018x}");
     }
 
-    /// Arena alloc/reuse streams are also backend-independent: both
-    /// schedulers park and take packets at identical points.
+    /// Arena alloc/reuse totals of one clean chaotic run, recorded while a
+    /// reference binary-heap scheduler still parked and took packets at
+    /// the same points.
     #[test]
-    fn arena_counters_match_across_schedulers() {
-        let run = |heap: bool| {
-            let (mut sim, _a, _b, _link) = chaos_sim(heap, 3, false);
-            sim.run_until(SimTime::from_millis(60));
-            (sim.stats().arena_alloc, sim.stats().arena_reuse)
-        };
-        let wheel = run(false);
-        assert_eq!(wheel, run(true));
-        assert!(wheel.1 > 0, "steady traffic must recycle arena slots");
+    fn arena_counters_hold_their_recorded_totals() {
+        let (mut sim, _a, _b, _link) = chaos_sim(3, false);
+        sim.run_until(SimTime::from_millis(60));
+        let totals = (sim.stats().arena_alloc, sim.stats().arena_reuse);
+        assert_eq!(totals, (21, 99), "arena alloc/reuse moved");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Golden runs: fixed outcome digests recorded from known-good builds.
 //!
-//! The heap-vs-wheel suites (`tests/sched_equivalence.rs`, the
-//! `differential` tests in `snake-netsim`) compare two scheduler backends
-//! against each other, so they cannot see a bug in code both backends
-//! share — the packet arena, the channels, the delivery FIFOs, the
-//! cancel rule. These checks share no code with the simulator: each one
-//! pins a number a correct simulator reproduces exactly, so any change to
-//! event order, impairment draws or packet contents moves it.
+//! The simulator's own checks (the queue model test, the link model test,
+//! the debug-build dispatch-order assertion and the chaos digest in
+//! `snake-netsim`) each look at one seam. These checks look at whole
+//! campaigns and share no code with the simulator: each one pins a number
+//! a correct simulator reproduces exactly, so any change to event order,
+//! impairment draws or packet contents moves it.
 //!
 //! Each digest is the FNV-1a 64 of `CampaignResult::export_outcomes_tsv()`
 //! for a cap-40 campaign with snapshot fork, memoization and re-tests off,

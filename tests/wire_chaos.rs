@@ -304,6 +304,29 @@ fn a_worker_refuses_a_closed_or_malformed_stdin_with_a_protocol_error() {
     }
 }
 
+/// A scenario the builder would reject arrives as well-formed JSON: the
+/// worker refuses it while decoding, before it echoes a digest or builds
+/// a simulator.
+#[test]
+fn a_worker_refuses_an_unrealizable_scenario_without_panicking() {
+    let star_of_two = hello(0)
+        .replace(
+            r#""topology":{"kind":"dumbbell","#,
+            r#""topology":{"kind":"star","hosts":2,"topo_seed":7,"#,
+        )
+        .replace(
+            r#""flows":null"#,
+            r#""flows":[{"role":"attacked","count":1}]"#,
+        );
+    assert!(star_of_two.contains(r#""hosts":2"#) && star_of_two.contains("attacked"));
+    let stdout = assert_refused(
+        "star with two hosts",
+        &frame(&star_of_two),
+        "invalid scenario",
+    );
+    assert!(stdout.is_empty(), "nothing may reach the wire");
+}
+
 #[test]
 fn a_worker_echoes_its_own_digest_before_refusing_a_mismatched_hello() {
     let stdout = assert_refused(
