@@ -16,6 +16,8 @@
 //! being silently ignored — and `snake help` renders its text from the
 //! very same table.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,6 +31,23 @@ use snake_core::{
 use snake_dccp::DccpProfile;
 use snake_netsim::{preset_names, Impairment, LinkSpec, SimDuration};
 use snake_tcp::Profile;
+
+/// `print!` and `println!` through [`emit`].
+macro_rules! out { ($($arg:tt)*) => { emit(format_args!($($arg)*)) }; }
+macro_rules! outln { ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) }; }
+
+/// Writes to stdout. A reader that has stopped reading (`snake list |
+/// head -1`) ends the process quietly and successfully, as it ends a shell
+/// tool: it has all the output it asked for. Any other write error is
+/// still a crash.
+fn emit(text: fmt::Arguments<'_>) {
+    if let Err(err) = io::stdout().write_fmt(text) {
+        if err.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {err}");
+    }
+}
 
 const IMPLEMENTATIONS: &[(&str, &str)] = &[
     ("linux-3.0.0", "TCP, Linux kernel 3.0.0"),
@@ -143,7 +162,7 @@ const COMMANDS: &[CommandSpec] = &[
             value(
                 "--chaos",
                 "PLAN",
-                "inject chaos faults (panics, journal, mayhem)",
+                "inject chaos faults by preset name (an unknown name lists them all)",
             ),
             value("--tsv", "FILE", "export per-strategy outcomes as TSV"),
             value("--journal", "FILE", "stream outcomes to a JSONL journal"),
@@ -476,14 +495,14 @@ fn parse_flows(raw: &str) -> Result<Vec<FlowGroup>, String> {
 }
 
 fn cmd_list() -> Result<(), String> {
-    println!("implementations (--impl):");
+    outln!("implementations (--impl):");
     for (name, desc) in IMPLEMENTATIONS {
-        println!("  {name:<22} {desc}");
+        outln!("  {name:<22} {desc}");
     }
-    println!("\nattacks (--attack):");
+    outln!("\nattacks (--attack):");
     for attack in KnownAttack::NAMED {
         let (protocol, _) = attack.witness().expect("named attacks have a witness");
-        println!(
+        outln!(
             "  {:<22} {} (replays on {})",
             attack.slug(),
             attack.name(),
@@ -496,27 +515,28 @@ fn cmd_list() -> Result<(), String> {
 fn cmd_baseline(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), String> {
     let spec = parse_scenario(command, flags)?;
     let m = Executor::run(&spec, None);
-    println!("implementation : {}", spec.protocol().implementation_name());
-    println!(
+    outln!("implementation : {}", spec.protocol().implementation_name());
+    outln!(
         "data phase     : {} s (+{} s observation)",
         spec.data_secs(),
         spec.grace_secs()
     );
-    println!(
+    outln!(
         "target flow    : {} bytes ({:.2} Mbit/s)",
         m.target_bytes,
         mbps(m.target_bytes, spec.data_secs())
     );
-    println!(
+    outln!(
         "competing flow : {} bytes ({:.2} Mbit/s)",
         m.competing_bytes,
         mbps(m.competing_bytes, spec.data_secs())
     );
-    println!("leaked sockets : {}", m.leaked_sockets);
-    println!("packets seen   : {}", m.proxy.packets_seen);
-    println!(
+    outln!("leaked sockets : {}", m.leaked_sockets);
+    outln!("packets seen   : {}", m.proxy.packets_seen);
+    outln!(
         "final states   : client {} / server {}",
-        m.proxy.client_final_state, m.proxy.server_final_state
+        m.proxy.client_final_state,
+        m.proxy.server_final_state
     );
     Ok(())
 }
@@ -632,8 +652,8 @@ fn cmd_campaign(command: &CommandSpec, flags: &ParsedFlags<'_>) -> Result<(), St
             result.resumed, result.journal_lines_skipped
         );
     }
-    println!("{}", render_table1(std::slice::from_ref(&result)));
-    println!("{}", render_table2(std::slice::from_ref(&result)));
+    outln!("{}", render_table1(std::slice::from_ref(&result)));
+    outln!("{}", render_table2(std::slice::from_ref(&result)));
     if let Some(path) = flags.get("--tsv") {
         std::fs::write(path, result.export_outcomes_tsv())
             .map_err(|e| format!("writing {path}: {e}"))?;
@@ -748,19 +768,21 @@ fn cmd_replay(flags: &ParsedFlags<'_>) -> Result<(), String> {
     let baseline = Executor::run(&spec, None);
     let attacked = Executor::run(&spec, Some(strategy.clone()));
     let verdict = detect(&baseline, &attacked, DEFAULT_THRESHOLD);
-    println!("attack   : {name}");
-    println!("strategy : {}", strategy.describe());
-    println!("impl     : {}", spec.protocol().implementation_name());
-    println!(
+    outln!("attack   : {name}");
+    outln!("strategy : {}", strategy.describe());
+    outln!("impl     : {}", spec.protocol().implementation_name());
+    outln!(
         "baseline : {:.2} Mbit/s, attacked: {:.2} Mbit/s",
         mbps(baseline.target_bytes, spec.data_secs()),
         mbps(attacked.target_bytes, spec.data_secs())
     );
-    println!(
+    outln!(
         "sockets  : {} leaked (CLOSE_WAIT {}, queue-wedged {})",
-        attacked.leaked_sockets, attacked.leaked_close_wait, attacked.leaked_with_queue
+        attacked.leaked_sockets,
+        attacked.leaked_close_wait,
+        attacked.leaked_with_queue
     );
-    println!(
+    outln!(
         "verdict  : flagged={} {:?}",
         verdict.flagged(),
         verdict.labels()
@@ -773,7 +795,7 @@ fn cmd_replay(flags: &ParsedFlags<'_>) -> Result<(), String> {
 /// not hold.
 fn cmd_tables() -> Result<(), String> {
     let tables = Tables::collect().map_err(|e| e.to_string())?;
-    print!("{}", tables.render());
+    out!("{}", tables.render());
     let failures = shape_failures(&tables);
     if failures.is_empty() {
         eprintln!("every paper-shape check holds");

@@ -9,13 +9,14 @@ use snake_proxy::Strategy;
 /// *evaluation* fault forces memoization off — an elided strategy would
 /// never meet its scheduled fault.
 ///
-/// The `wire_*`, `hang_worker_after` and `kill_controller_at` fields are
-/// the distributed-campaign fault lane: they perturb the shard wire (by
-/// outcome-frame ordinal, so timing noise cannot change which frame is
-/// hit), hang a worker mid-campaign, or kill the
-/// whole controller process at a chosen admission index. Wire faults
-/// require `shards > 0` and leave evaluation untouched, so memoization
-/// stays on and recovery must reproduce the unperturbed output exactly.
+/// The `wire_*`, `hang_worker_after`, `worker_exit_after` and
+/// `kill_controller_at` fields are the distributed-campaign fault lane:
+/// they perturb the shard wire's raw frames (by frame ordinal, so timing
+/// noise cannot change which frame is hit), hang or end a worker
+/// mid-campaign, or kill the whole controller process at a chosen
+/// admission index. Wire faults require `shards > 0` and leave evaluation
+/// untouched, so memoization stays on and recovery must reproduce the
+/// unperturbed output exactly.
 ///
 /// Chaos plans exist to prove the campaign runtime survives its
 /// environment: panics must isolate, journal faults must be retried,
@@ -35,10 +36,10 @@ pub struct ChaosPlan {
     /// one, it misses the progress deadline — and it is killed; its range
     /// is re-dispatched.
     pub wire_drop_every: Option<u64>,
-    /// Truncate every Nth outcome frame (torn line: checksum missing).
-    pub wire_truncate_every: Option<u64>,
-    /// Corrupt every Nth outcome frame (payload flipped under an intact
-    /// length: checksum mismatch).
+    /// Flip one payload byte of every Nth outcome frame as it comes off
+    /// the pipe, before the checksum is checked. The frame still parses,
+    /// so only the checksum can catch it, and a caught frame kills its
+    /// shard.
     pub wire_corrupt_every: Option<u64>,
     /// Delay every Nth outcome frame by [`wire_delay_ms`](Self::wire_delay_ms)
     /// before delivering it (a slow-but-alive worker; nothing may die).
@@ -49,6 +50,10 @@ pub struct ChaosPlan {
     /// sending this many outcomes — the shape of a livelocked worker; the
     /// controller's progress deadline must fire.
     pub hang_worker_after: Option<u64>,
+    /// Make shard 0's worker exit (code 17) after sending this many
+    /// outcomes (`0`: right after its handshake) — a worker that dies
+    /// mid-range; its unfinished work must be re-dispatched.
+    pub worker_exit_after: Option<u64>,
     /// Kill the whole controller process (exit code 23) immediately after
     /// admitting and journaling this many outcomes. A subsequent resume
     /// must rebuild the identical result from the journal.
@@ -61,11 +66,11 @@ const NO_CHAOS: ChaosPlan = ChaosPlan {
     panic_every: None,
     journal_fail_every: None,
     wire_drop_every: None,
-    wire_truncate_every: None,
     wire_corrupt_every: None,
     wire_delay_every: None,
     wire_delay_ms: 0,
     hang_worker_after: None,
+    worker_exit_after: None,
     kill_controller_at: None,
 };
 
@@ -103,13 +108,6 @@ impl ChaosPlan {
                 },
             ),
             (
-                "wire-truncate",
-                ChaosPlan {
-                    wire_truncate_every: Some(5),
-                    ..NO_CHAOS
-                },
-            ),
-            (
                 "wire-corrupt",
                 ChaosPlan {
                     wire_corrupt_every: Some(5),
@@ -132,6 +130,13 @@ impl ChaosPlan {
                 },
             ),
             (
+                "worker-exit",
+                ChaosPlan {
+                    worker_exit_after: Some(2),
+                    ..NO_CHAOS
+                },
+            ),
+            (
                 "controller-kill",
                 ChaosPlan {
                     kill_controller_at: Some(6),
@@ -150,7 +155,8 @@ impl ChaosPlan {
             .map(|(_, p)| *p)
     }
 
-    fn hits(every: Option<u64>, id: u64) -> bool {
+    /// Whether a lane that fires every `every`th time hits ordinal `id`.
+    pub(crate) fn hits(every: Option<u64>, id: u64) -> bool {
         every.is_some_and(|n| n > 0 && id.is_multiple_of(n))
     }
 
@@ -175,15 +181,15 @@ impl ChaosPlan {
         self.panic_every.is_some() || self.journal_fail_every.is_some()
     }
 
-    /// Whether this plan injects shard-wire faults (frame drop / truncate
-    /// / corrupt / delay, worker hang). These need a wire to act on, so
+    /// Whether this plan injects shard-wire faults (frame drop / corrupt
+    /// / delay, worker hang or exit). These need a wire to act on, so
     /// they require `shards > 0`; the controller kill-switch is not
     /// counted here because it works in-process too.
     pub fn has_wire_faults(&self) -> bool {
         self.wire_drop_every.is_some()
-            || self.wire_truncate_every.is_some()
             || self.wire_corrupt_every.is_some()
             || self.wire_delay_every.is_some()
             || self.hang_worker_after.is_some()
+            || self.worker_exit_after.is_some()
     }
 }

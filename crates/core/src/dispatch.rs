@@ -1,9 +1,8 @@
-//! Dispatch: the two batch drivers that turn strategies into outcomes.
-//! Both are pure producers into [`Admission`] — worker threads in this
-//! process, and the event loop over a pool of shard worker processes —
+//! Dispatch: hands each batch to the campaign's executors. Both are pure
+//! producers into [`Admission`] — worker threads in this process, and a
+//! [`ShardPool`] of worker processes, which supervises its own wire —
 //! so neither knows how an outcome becomes part of the campaign.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -11,10 +10,9 @@ use snake_observe::{self as observe, Observer};
 use snake_proxy::Strategy;
 
 use crate::admission::Admission;
-use crate::config::CampaignConfig;
 use crate::evaluate::{evaluate_guarded, Shared};
 use crate::result::StrategyOutcome;
-use crate::shard::{PoolWait, ShardEvent, ShardPool};
+use crate::shard::ShardPool;
 
 /// The campaign's executors (paper §V): worker threads in this process
 /// or, with `shards > 0`, a pool of worker processes. The pool is
@@ -81,7 +79,7 @@ impl Dispatcher {
     ) -> Vec<StrategyOutcome> {
         admission.begin_batch(strategies.len());
         let todo = match &mut self.pool {
-            Some(pool) => run_sharded(&self.shared.config, admission, &strategies, pool),
+            Some(pool) => pool.run_batch(admission, &strategies),
             None => (0..strategies.len()).collect(),
         };
         run_in_process(&self.shared, admission, &strategies, &todo);
@@ -170,177 +168,4 @@ fn run_in_process(shared: &Shared, admission: &Admission, strategies: &[Strategy
             });
         }
     });
-}
-
-/// Groups ascending indices into contiguous `(start, len)` ranges.
-fn contiguous_ranges(indices: impl IntoIterator<Item = usize>) -> Vec<(usize, usize)> {
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
-    for index in indices {
-        match ranges.last_mut() {
-            Some((start, len)) if *start + *len == index => *len += 1,
-            _ => ranges.push((index, 1)),
-        }
-    }
-    ranges
-}
-
-/// Returns a dead shard's not-yet-received indices to the dispatch queue
-/// as contiguous ranges, front of the queue so the lowest indices (the
-/// ones holding back admission) go back out first. Returns how many
-/// ranges were re-created, for the re-dispatch tally.
-fn requeue_outstanding(
-    queue: &mut VecDeque<(usize, usize)>,
-    outstanding: &mut VecDeque<usize>,
-) -> u64 {
-    let ranges = contiguous_ranges(outstanding.drain(..));
-    let count = ranges.len() as u64;
-    for range in ranges.into_iter().rev() {
-        queue.push_front(range);
-    }
-    count
-}
-
-/// Evaluates a batch on the shard worker pool and returns the indices it
-/// could not get evaluated (empty unless every shard died), for the
-/// in-process driver to finish — results identical, only slower.
-///
-/// Dispatch is pull-ish: the work is cut into contiguous ranges of about
-/// a quarter of a shard's fair share, and each shard holds at most two
-/// ranges' worth of outstanding work, so a slow shard strands little.
-/// A shard that disconnects, breaks the framing, answers out of contract
-/// (wrong index order, an index it was never given or already delivered,
-/// a strategy id that does not match), or misses its progress deadline is
-/// killed and its unfinished indices are re-dispatched.
-fn run_sharded(
-    config: &CampaignConfig,
-    admission: &Admission,
-    strategies: &[Strategy],
-    pool: &mut ShardPool,
-) -> Vec<usize> {
-    let n = strategies.len();
-    let chunk = n.div_ceil(pool.live().max(1) * 4).max(1);
-    let mut delivered = vec![false; n];
-    let mut queue: VecDeque<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|start| (start, chunk.min(n - start)))
-        .collect();
-    let mut remaining = n;
-    let mut outstanding: Vec<VecDeque<usize>> = vec![VecDeque::new(); pool.len()];
-    // Kills a shard and puts its unfinished work back on the queue.
-    let redispatch = |pool: &mut ShardPool,
-                      queue: &mut VecDeque<(usize, usize)>,
-                      outstanding: &mut VecDeque<usize>,
-                      shard: usize| {
-        pool.kill(shard);
-        pool.ranges_redispatched += requeue_outstanding(queue, outstanding);
-    };
-
-    // The progress deadline, the pool's one clock. EOF, a write error or
-    // a refused frame report a dead shard by themselves; what no byte can
-    // reveal — a worker hung mid-range, an outcome frame lost on the wire
-    // — shows only as a shard holding dispatched work for a whole
-    // `shard_timeout` without delivering an outcome.
-    let window = config.shard_timeout;
-    let mut progress: Vec<Instant> = vec![Instant::now(); pool.len()];
-    while remaining > 0 && pool.live() > 0 {
-        let mut wait = window;
-        for shard in 0..pool.len() {
-            if !pool.is_live(shard) || outstanding[shard].is_empty() {
-                continue;
-            }
-            let held = progress[shard].elapsed();
-            if held >= window {
-                pool.deadlines_missed += 1;
-                redispatch(pool, &mut queue, &mut outstanding[shard], shard);
-            } else {
-                wait = wait.min(window - held);
-            }
-        }
-        // Top-up: hand queued ranges to the least-loaded live shards.
-        loop {
-            let target = (0..pool.len())
-                .filter(|&s| pool.is_live(s) && outstanding[s].len() < 2 * chunk)
-                .min_by_key(|&s| outstanding[s].len());
-            let Some(shard) = target else { break };
-            let Some((start, len)) = queue.pop_front() else {
-                break;
-            };
-            if pool.send_range(shard, start, &strategies[start..start + len]) {
-                outstanding[shard].extend(start..start + len);
-                progress[shard] = Instant::now();
-            } else {
-                queue.push_front((start, len));
-            }
-        }
-        if pool.live() == 0 {
-            break;
-        }
-        match pool.next_event_timeout(wait) {
-            // The next pass checks the deadlines.
-            PoolWait::Idle => {}
-            PoolWait::Closed => {
-                // Every reader thread is gone; nothing further can arrive.
-                for shard in 0..pool.len() {
-                    pool.kill(shard);
-                }
-                break;
-            }
-            // A worker that answered after the launch deadline was
-            // killed already.
-            PoolWait::Event(ShardEvent::Ready { .. }) => {}
-            PoolWait::Event(ShardEvent::Dead { shard }) => {
-                // Not gated on liveness: a failed `send_range` kills the
-                // link without draining its outstanding indices, and this
-                // event owns that. After any other kill the shard holds
-                // nothing and this requeues nothing.
-                redispatch(pool, &mut queue, &mut outstanding[shard], shard);
-            }
-            PoolWait::Event(ShardEvent::Outcome {
-                shard,
-                index,
-                busy_nanos,
-                counters,
-                outcome,
-            }) => {
-                if !pool.is_live(shard) {
-                    // Late traffic from a shard already declared dead;
-                    // its indices were re-queued, so this result is stale.
-                    continue;
-                }
-                let in_contract = outstanding[shard].front() == Some(&index)
-                    && delivered.get(index) == Some(&false)
-                    && outcome.strategy.id == strategies[index].id;
-                if !in_contract {
-                    redispatch(pool, &mut queue, &mut outstanding[shard], shard);
-                    continue;
-                }
-                outstanding[shard].pop_front();
-                progress[shard] = Instant::now();
-                pool.record_busy(shard, busy_nanos);
-                delivered[index] = true;
-                remaining -= 1;
-                admission.offer(index, *outcome, counters);
-            }
-        }
-    }
-
-    (0..n).filter(|&index| !delivered[index]).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn requeued_work_goes_back_out_first_as_contiguous_ranges() {
-        let mut queue: VecDeque<(usize, usize)> = VecDeque::from([(20, 4)]);
-        let mut outstanding: VecDeque<usize> = VecDeque::from([3, 4, 5, 9, 11, 12]);
-        assert_eq!(requeue_outstanding(&mut queue, &mut outstanding), 3);
-        assert!(outstanding.is_empty());
-        assert_eq!(
-            Vec::from(queue),
-            vec![(3, 3), (9, 1), (11, 2), (20, 4)],
-            "lowest indices first, ahead of what was already queued"
-        );
-    }
 }

@@ -22,23 +22,23 @@
 //!   renamed into place, so a crash during journal creation can never
 //!   leave a half-written header behind.
 //!
-//! Checksums are mandatory on read: a line without one is damage (a tail
-//! torn off mid-write), counted as malformed like any other. The file is
-//! read as bytes, not text, so damage that leaves a line invalid UTF-8 is
-//! that line's problem and not an I/O error for the whole journal.
+//! The line format is the `framed` module's, shared with the shard
+//! wire. Checksums are mandatory on read: a line without one is damage (a
+//! tail torn off mid-write), counted as malformed like any other. The file
+//! is read as bytes, not text, so damage that leaves a line invalid UTF-8
+//! is that line's problem and not an I/O error for the whole journal.
 
-use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::path::Path;
 
 use snake_json::{obj, FromJson, JsonError, ObjExt, ToJson, Value};
 use snake_proxy::Strategy;
 
 use crate::detect::Verdict;
+use crate::framed::{checksummed_line, Damage, FrameReader};
 use crate::result::{Memo, OutcomeKind, StrategyOutcome};
 use crate::scenario::TestMetrics;
-use crate::shard::intern_counter;
 
 impl ToJson for Verdict {
     fn to_json(&self) -> Value {
@@ -289,97 +289,79 @@ impl FromJson for JournalHeader {
     }
 }
 
-/// Encodes worker counter deltas as a JSON object (`name -> count`), the
-/// shape they travel in on the shard wire and in journal outcome lines.
-pub(crate) fn counters_json<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> Value {
-    Value::Obj(
-        counters
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), Value::U64(v)))
-            .collect(),
-    )
+/// The counters a worker may report per outcome, interned so the
+/// controller can replay them into its own observer
+/// ([`Observer::counter_add`](snake_observe::Observer::counter_add) takes
+/// `&'static str`). Everything outside this table is dropped: a worker
+/// cannot invent controller-side state.
+const WORKER_COUNTERS: &[&str] = &[
+    "exec.runs.from_scratch",
+    "exec.runs.forked",
+    "exec.runs.elided",
+    "netsim.events",
+    "netsim.timers_cancelled",
+    "netsim.timers_purged",
+    "netsim.queue.depth_hwm",
+    "netsim.arena.alloc",
+    "netsim.arena.reuse",
+    "netsim.snapshot_forks",
+    "netsim.snapshot_clone_bytes",
+    "netsim.forks",
+    "netsim.fork_clone_bytes",
+    "netsim.impair.lost",
+    "netsim.impair.duplicated",
+    "netsim.impair.corrupted",
+    "netsim.impair.reordered",
+    "netsim.impair.flap_dropped",
+    "shard.outcome_batches",
+    "campaign.escalated",
+];
+
+/// Encodes one outcome record: the outcome, plus the worker counter deltas
+/// its evaluation produced when there are any (`counters`, `name ->
+/// count`). It is the journal's outcome line as is; the shard wire's
+/// outcome frame is the same object with `index` and `busy_nanos` appended.
+pub(crate) fn encode_record(outcome: &StrategyOutcome, counters: &[(&str, u64)]) -> Value {
+    let mut json = outcome.to_json();
+    if let (false, Value::Obj(pairs)) = (counters.is_empty(), &mut json) {
+        let counters = counters
+            .iter()
+            .map(|&(name, delta)| (name.to_owned(), Value::U64(delta)))
+            .collect();
+        pairs.push(("counters".to_owned(), Value::Obj(counters)));
+    }
+    json
 }
 
-/// Decodes a counters object back into interned pairs. Tolerant by
-/// design: a missing or malformed field is an empty delta (journals
-/// written before counters existed have no field at all), and non-numeric
-/// entries and names outside the worker counter table (such as a retired
-/// counter an older build wrote) are dropped rather than poisoning the
-/// line.
-pub(crate) fn decode_counters(value: Option<&Value>) -> Vec<(&'static str, u64)> {
-    match value {
+/// Decodes an outcome record written by [`encode_record`], from a journal
+/// line or a wire frame. The one counters rule: no field is no deltas
+/// (most lines carry none), a name outside the worker table is dropped (a
+/// counter an older build wrote, or one a worker invented), and a field
+/// that is not an object of integers refuses the whole record.
+pub(crate) fn decode_record(value: &Value) -> Result<JournalEntry, JsonError> {
+    if value.req_str("type")? != "outcome" {
+        return Err(JsonError::decode("expected an outcome record"));
+    }
+    let counters = match value.get("counters") {
+        None => Vec::new(),
         Some(Value::Obj(pairs)) => pairs
             .iter()
-            .filter_map(|(k, v)| Some((intern_counter(k)?, v.as_u64()?)))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// FNV-1a 64-bit hash of a line's JSON payload — the per-line checksum.
-/// Small, dependency-free, and plenty for detecting torn or bit-rotted
-/// lines (this guards against accidents, not adversaries). Shared with the
-/// shard wire, which uses the same framing.
-pub(crate) fn line_checksum(payload: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in payload {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// Completes one journal line in place: the compact JSON payload gains a
-/// tab, its checksum as 16 lowercase hex digits, and the newline. The tab
-/// can never appear inside the payload (the JSON writer escapes control
-/// characters), so the loader can split unambiguously from the right.
-pub(crate) fn checksummed_line(mut payload: String) -> String {
-    debug_assert!(!payload.contains('\n'), "journal lines must be single-line");
-    debug_assert!(
-        !payload.contains('\t'),
-        "payload tabs would break the checksum split"
-    );
-    let checksum = line_checksum(payload.as_bytes());
-    writeln!(payload, "\t{checksum:016x}").expect("writing to a String cannot fail");
-    payload
-}
-
-/// Reads the next raw line into `line` (cleared first) without its line
-/// ending; `false` at end of input. Bytes, not text: a damaged line may no
-/// longer be UTF-8, and that is for [`verify_line`] to reject, not for the
-/// read to fail on.
-pub(crate) fn read_raw_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<bool> {
-    line.clear();
-    if reader.read_until(b'\n', line)? == 0 {
-        return Ok(false);
-    }
-    if line.last() == Some(&b'\n') {
-        line.pop();
-        if line.last() == Some(&b'\r') {
-            line.pop();
-        }
-    }
-    Ok(true)
-}
-
-/// Splits a loaded line into its JSON payload, verifying the checksum.
-/// Returns `None` for a damaged line: a checksum that does not match, none
-/// at all (every writer appends one, so a bare line is a torn one), or a
-/// payload that is not UTF-8 — checked last and once, so the checksum
-/// gate has already passed by then.
-pub(crate) fn verify_line(line: &[u8]) -> Option<&str> {
-    let (payload, suffix) = line.split_at(line.len().checked_sub(17)?);
-    let (b'\t', digits) = suffix.split_first()? else {
-        return None;
+            .filter_map(|(name, delta)| match delta.as_u64() {
+                Some(delta) => WORKER_COUNTERS
+                    .iter()
+                    .find(|known| **known == name)
+                    .map(|known| Ok((*known, delta))),
+                None => Some(Err(JsonError::decode(format!(
+                    "counter {name}: expected integer"
+                )))),
+            })
+            .collect::<Result<_, _>>()?,
+        Some(_) => return Err(JsonError::decode("field `counters` must be an object")),
     };
-    let mut expected = 0u64;
-    for &digit in digits {
-        expected = expected << 4 | u64::from(char::from(digit).to_digit(16)?);
-    }
-    if line_checksum(payload) != expected {
-        return None;
-    }
-    std::str::from_utf8(payload).ok()
+    Ok(JournalEntry {
+        outcome: StrategyOutcome::from_json(value)?,
+        counters,
+    })
 }
 
 /// Appends outcomes to a journal file, flushing after every line so a
@@ -451,16 +433,7 @@ impl JournalWriter {
         outcome: &StrategyOutcome,
         counters: &[(&str, u64)],
     ) -> io::Result<()> {
-        let mut json = outcome.to_json();
-        if !counters.is_empty() {
-            if let Value::Obj(pairs) = &mut json {
-                pairs.push((
-                    "counters".to_owned(),
-                    counters_json(counters.iter().copied()),
-                ));
-            }
-        }
-        let line = checksummed_line(json.to_string_compact());
+        let line = checksummed_line(encode_record(outcome, counters).to_string_compact());
         self.file.write_all(line.as_bytes())?;
         self.file.flush()
     }
@@ -500,15 +473,10 @@ pub struct LoadedJournal {
 #[derive(Debug)]
 pub struct JournalReader {
     /// `None` for a missing file or once the file is exhausted.
-    file: Option<BufReader<File>>,
-    /// The raw line being classified; one buffer serves the whole file.
-    line: Vec<u8>,
-    /// Raw line index of the next line to be read (blank and malformed
-    /// lines count, exactly as [`load`]'s enumeration did).
-    line_index: usize,
+    frames: Option<FrameReader<BufReader<File>>>,
     header: Option<JournalHeader>,
-    /// An outcome sitting at raw line 0 (a headerless journal), decoded
-    /// during `open` and handed out by the first `next_outcome` call.
+    /// An outcome on the first line (a headerless journal), decoded
+    /// during `open` and handed out by the first `next_entry` call.
     pending: Option<Box<JournalEntry>>,
     malformed_lines: usize,
 }
@@ -518,26 +486,24 @@ impl JournalReader {
     /// header is available immediately. A missing file is an empty
     /// journal, not an error.
     pub fn open(path: &Path) -> io::Result<JournalReader> {
-        let file = match File::open(path) {
-            Ok(f) => Some(BufReader::new(f)),
+        let frames = match File::open(path) {
+            Ok(f) => Some(FrameReader::new(BufReader::new(f))),
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e),
         };
         let mut reader = JournalReader {
-            file,
-            line: Vec::new(),
-            line_index: 0,
+            frames,
             header: None,
             pending: None,
             malformed_lines: 0,
         };
-        // Classify raw line 0 eagerly: it is the only line a header may
-        // legitimately occupy, and callers decide resume-vs-fresh from
-        // `header()` before replaying anything.
+        // Classify the first line eagerly: raw line 0 is the only line a
+        // header may legitimately occupy, and callers decide
+        // resume-vs-fresh from `header()` before replaying anything.
         match reader.next_classified()? {
             Some(Classified::Header(header)) => reader.header = Some(header),
             Some(Classified::Outcome(outcome)) => reader.pending = Some(outcome),
-            Some(Classified::Blank | Classified::Malformed) | None => {}
+            Some(Classified::Malformed) | None => {}
         }
         Ok(reader)
     }
@@ -548,20 +514,15 @@ impl JournalReader {
     }
 
     /// Malformed lines encountered *so far*. Equals [`load`]'s total once
-    /// [`next_outcome`](JournalReader::next_outcome) has returned `None`.
+    /// [`next_entry`](JournalReader::next_entry) has returned `None`.
     pub fn malformed_lines(&self) -> usize {
         self.malformed_lines
     }
 
-    /// Returns the next well-formed outcome, or `None` at end of file.
-    /// I/O errors abort; damaged lines are skipped and counted.
-    pub fn next_outcome(&mut self) -> io::Result<Option<StrategyOutcome>> {
-        Ok(self.next_entry()?.map(|entry| entry.outcome))
-    }
-
-    /// Like [`next_outcome`](JournalReader::next_outcome), but keeps the
-    /// worker counter deltas embedded in the line (empty for lines
-    /// written without any), so resuming campaigns can re-fold them.
+    /// Returns the next well-formed outcome with the worker counter deltas
+    /// embedded in its line (empty for lines written without any), so
+    /// resuming campaigns can re-fold them; `None` at end of file. I/O
+    /// errors abort; damaged lines are skipped and counted.
     pub fn next_entry(&mut self) -> io::Result<Option<JournalEntry>> {
         if let Some(pending) = self.pending.take() {
             return Ok(Some(*pending));
@@ -574,18 +535,17 @@ impl JournalReader {
         Ok(None)
     }
 
-    /// Reads and classifies the next raw line, counting it when it is
-    /// malformed; `None` at end of file.
+    /// Reads and classifies the next non-blank line, counting it when it
+    /// is malformed; `None` at end of file.
     fn next_classified(&mut self) -> io::Result<Option<Classified>> {
-        let Some(file) = &mut self.file else {
+        let Some(frames) = &mut self.frames else {
             return Ok(None);
         };
-        if !read_raw_line(file, &mut self.line)? {
-            self.file = None;
+        let Some(frame) = frames.next_frame()? else {
+            self.frames = None;
             return Ok(None);
-        }
-        let classified = classify(&self.line, self.line_index);
-        self.line_index += 1;
+        };
+        let classified = classify(frame, frames.lines_read() == 1);
         if matches!(classified, Classified::Malformed) {
             self.malformed_lines += 1;
         }
@@ -596,34 +556,20 @@ impl JournalReader {
 enum Classified {
     Header(JournalHeader),
     Outcome(Box<JournalEntry>),
-    /// An empty line: skipped without being counted.
-    Blank,
-    /// Failed its checksum, failed to parse, or carried an unexpected type.
+    /// Damaged, refused by its decoder, or of an unexpected type.
     Malformed,
 }
 
-fn classify(line: &[u8], index: usize) -> Classified {
-    if line.trim_ascii().is_empty() {
-        return Classified::Blank;
-    }
-    // Checksum gate first: a damaged line must not be trusted even if
-    // it still happens to parse as JSON.
-    let Some(parsed) = verify_line(line).and_then(|payload| snake_json::parse(payload).ok()) else {
+fn classify(frame: Result<Value, Damage>, first_line: bool) -> Classified {
+    let Ok(parsed) = frame else {
         return Classified::Malformed;
     };
-    match parsed.req_str("type") {
-        Ok("campaign") if index == 0 => {
-            JournalHeader::from_json(&parsed).map_or(Classified::Malformed, Classified::Header)
-        }
-        Ok("outcome") => match StrategyOutcome::from_json(&parsed) {
-            Ok(outcome) => Classified::Outcome(Box::new(JournalEntry {
-                outcome,
-                counters: decode_counters(parsed.get("counters")),
-            })),
-            Err(_) => Classified::Malformed,
-        },
-        _ => Classified::Malformed,
+    if first_line && parsed.req_str("type") == Ok("campaign") {
+        return JournalHeader::from_json(&parsed).map_or(Classified::Malformed, Classified::Header);
     }
+    decode_record(&parsed).map_or(Classified::Malformed, |entry| {
+        Classified::Outcome(Box::new(entry))
+    })
 }
 
 /// Loads a whole journal into memory, tolerating a missing file (empty
@@ -633,8 +579,8 @@ fn classify(line: &[u8], index: usize) -> Classified {
 pub fn load(path: &Path) -> io::Result<LoadedJournal> {
     let mut reader = JournalReader::open(path)?;
     let mut outcomes = Vec::new();
-    while let Some(outcome) = reader.next_outcome()? {
-        outcomes.push(outcome);
+    while let Some(entry) = reader.next_entry()? {
+        outcomes.push(entry.outcome);
     }
     Ok(LoadedJournal {
         header: reader.header.take(),
@@ -820,9 +766,8 @@ mod tests {
         // left it, checksum intact: only its kind is no longer known.
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<String> = text.lines().map(|l| format!("{l}\n")).collect();
-        let payload = verify_line(lines[3].trim_end().as_bytes())
-            .unwrap()
-            .to_owned();
+        let (payload, _checksum) = lines[3].trim_end().rsplit_once('\t').unwrap();
+        let payload = payload.to_owned();
         let stalled = payload.replace(r#""outcome":"ok""#, r#""outcome":"stalled""#);
         assert_ne!(stalled, payload, "line 3 is an ok outcome");
         lines[3] = checksummed_line(stalled);

@@ -73,6 +73,7 @@ mod config;
 mod detect;
 mod dispatch;
 mod evaluate;
+mod framed;
 pub mod journal;
 mod manifest;
 mod report;

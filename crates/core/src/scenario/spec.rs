@@ -384,7 +384,7 @@ impl ScenarioSpec {
 /// any representational change (a new field, a reordered one) moves the
 /// digest and rejects old data in the safe direction.
 pub fn scenario_digest(spec: &ScenarioSpec, threshold: f64, baseline_reps: usize) -> u64 {
-    crate::journal::line_checksum(
+    crate::framed::line_checksum(
         format!("{spec:?}|threshold={threshold}|baseline_reps={baseline_reps}").as_bytes(),
     )
 }

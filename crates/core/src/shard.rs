@@ -16,31 +16,31 @@
 //! # Wire format
 //!
 //! Every message is one line of compact JSON framed exactly like a journal
-//! line: `payload\tFNV64(payload)\n` (see `journal::checksummed_line`).
-//! Unlike the on-disk journal, where a corrupt line is skipped and
-//! counted, a checksum failure on the wire is a protocol error: the
-//! controller declares the shard dead and re-dispatches its outstanding
-//! range. A shard can therefore never contribute a damaged outcome.
+//! line (see [`framed`](crate::framed)). Unlike the on-disk journal, where
+//! a damaged line is skipped and counted, a damaged frame on the wire is a
+//! protocol error: the controller declares the shard dead and re-dispatches
+//! its outstanding range. A shard can therefore never contribute a damaged
+//! outcome.
 //!
 //! Controller → worker:
 //!
-//! * `hello` — protocol version, the worker's shard index, the scenario
-//!   spec and every evaluation-relevant knob, and the controller's
-//!   scenario digest. The worker re-derives the digest from the *decoded*
-//!   spec and echoes it in `ready`; any encode/decode drift surfaces as a
-//!   digest mismatch and the shard is dropped before it can run anything.
+//! * `hello` — protocol version, the scenario spec and every
+//!   evaluation-relevant knob, the controller's scenario digest, and the
+//!   chaos plan's worker fault, if it targets this shard.
+//!   The worker re-derives the digest from the *decoded* spec and echoes
+//!   it in `ready`; any encode/decode drift surfaces as a digest mismatch
+//!   and the shard is dropped before it can run anything.
 //! * `range` — a starting strategy index plus the strategies themselves.
 //! * `shutdown` — the campaign is over; exit cleanly.
 //!
 //! Worker → controller:
 //!
 //! * `ready` — handshake acknowledgement carrying the recomputed digest.
-//! * `outcome` — one evaluated strategy: its global index, the worker's
-//!   wall-clock busy time, the counter deltas its observer accumulated
-//!   during the evaluation (so the controller's manifest tallies match a
-//!   single-process run), and the full
-//!   [`StrategyOutcome`](crate::StrategyOutcome) in journal
-//!   encoding.
+//! * `outcome` — one evaluated strategy: the journal's outcome record (the
+//!   [`StrategyOutcome`](crate::StrategyOutcome) plus the counter deltas
+//!   the worker's observer accumulated during the evaluation, so the
+//!   controller's manifest tallies match a single-process run) with its
+//!   global `index` and the worker's wall-clock `busy_nanos` appended.
 //!
 //! Determinism is owned entirely by the controller: workers never touch
 //! the journal or admission. Outcomes are admitted strictly in
@@ -55,20 +55,22 @@
 //!   shard dead at once. What no byte can reveal — a worker hung
 //!   mid-range, an outcome frame lost on the wire — shows as a shard that
 //!   holds dispatched work for `--shard-timeout` without delivering an
-//!   outcome; the dispatcher's progress deadline kills it. Either way its
-//!   outstanding indices are re-dispatched to the survivors, or run
-//!   in-process once none is left. The same window bounds the wait for
-//!   each worker's `ready`. A dead worker is not replaced.
+//!   outcome; the progress deadline kills it. Either way its outstanding
+//!   indices are re-dispatched to the survivors, or handed back for the
+//!   in-process threads once none is left. The same window bounds the
+//!   wait for each worker's `ready`. A dead worker is not replaced.
 //! * **Controller crash** — workers write nothing to disk. The journal
 //!   holds every admitted outcome, so a resumed controller re-dispatches
 //!   whatever was evaluated but still on the wire when it died.
 //!
-//! Wire-level chaos (dropped/truncated/corrupted/delayed outcome frames,
-//! worker hangs) is injected deterministically on the controller's read
-//! path under [`ChaosPlan`](crate::ChaosPlan) control, so the
-//! whole recovery matrix above is exercised by seeded tests.
+//! Wire chaos acts where real faults do. Under
+//! [`ChaosPlan`](crate::ChaosPlan) control, the controller's reader
+//! thread drops, corrupts or delays raw outcome frames by ordinal — a
+//! corrupted frame has one byte flipped before its checksum is checked —
+//! and shard 0's worker hangs or exits after a set number of outcomes, so
+//! the whole recovery matrix above is exercised by seeded tests.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::env;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -81,23 +83,26 @@ use snake_json::{obj, FromJson, JsonError, ObjExt, ToJson, Value};
 use snake_observe::Observer;
 use snake_proxy::Strategy;
 
-use crate::admission::WorkerCounters;
+use crate::admission::Admission;
 use crate::chaos::ChaosPlan;
 use crate::config::CampaignConfig;
 use crate::evaluate::{evaluate_guarded, SharedCtx};
-use crate::journal::{checksummed_line, counters_json, read_raw_line, verify_line};
+use crate::framed::{decode_line, write_frame, FrameReader};
+use crate::journal::{decode_record, encode_record, JournalEntry};
 use crate::result::StrategyOutcome;
 use crate::scenario::{scenario_digest, ScenarioSpec};
 use crate::strategen::GenerationParams;
 
 /// Wire protocol version; bumped whenever a message shape changes. A
-/// worker refuses a `hello` carrying any other version. Version 6 dropped
-/// the `hello`'s three per-evaluation watchdog fields.
-pub(crate) const WIRE_VERSION: u64 = 6;
+/// worker refuses a `hello` carrying any other version. Version 7 made the
+/// `outcome` frame the journal's outcome record plus `index` and
+/// `busy_nanos`; the `hello` lost its unread `shard` index, and its
+/// `hang_after` became `worker_fault`.
+pub(crate) const WIRE_VERSION: u64 = 7;
 
-/// Exit code a worker uses when the `SNAKE_SHARD_EXIT_AFTER` test hook
-/// fires (distinguishable from a panic's 101 in test assertions).
-const EXIT_AFTER_CODE: i32 = 17;
+/// Exit code of a worker acting out the chaos plan's worker exit
+/// (distinguishable from a panic's 101).
+const WORKER_EXIT_CODE: i32 = 17;
 
 /// Default `--shard-timeout`, the pool's one clock: how long a shard may
 /// hold dispatched work without delivering an outcome, and how long the
@@ -108,39 +113,6 @@ pub(crate) const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(10);
 /// shutdown message before killing it.
 const REAP_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The counters a worker may legitimately report per outcome, interned so
-/// the controller can replay them into its own observer
-/// ([`Observer::counter_add`] takes `&'static str`). Everything outside
-/// this table is dropped: a worker cannot invent controller-side state.
-const WORKER_COUNTERS: &[&str] = &[
-    "exec.runs.from_scratch",
-    "exec.runs.forked",
-    "exec.runs.elided",
-    "netsim.events",
-    "netsim.timers_cancelled",
-    "netsim.timers_purged",
-    "netsim.queue.depth_hwm",
-    "netsim.arena.alloc",
-    "netsim.arena.reuse",
-    "netsim.snapshot_forks",
-    "netsim.snapshot_clone_bytes",
-    "netsim.forks",
-    "netsim.fork_clone_bytes",
-    "netsim.impair.lost",
-    "netsim.impair.duplicated",
-    "netsim.impair.corrupted",
-    "netsim.impair.reordered",
-    "netsim.impair.flap_dropped",
-    "shard.outcome_batches",
-    "campaign.escalated",
-];
-
-/// Interns a counter name read off the wire or a journal line against
-/// [`WORKER_COUNTERS`]; `None` for a name outside the table.
-pub(crate) fn intern_counter(name: &str) -> Option<&'static str> {
-    WORKER_COUNTERS.iter().copied().find(|known| *known == name)
-}
-
 fn protocol_err(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
@@ -149,48 +121,70 @@ fn decode_err(err: JsonError) -> io::Error {
     protocol_err(format!("shard wire decode: {err}"))
 }
 
-/// Writes one checksummed message line and flushes it to the peer.
+/// Writes one framed message and flushes it to the peer.
 fn write_line(writer: &mut impl Write, message: &Value) -> io::Result<()> {
-    queue_line(writer, message)?;
+    write_frame(writer, message)?;
     writer.flush()
 }
 
-/// Writes one checksummed message line into the writer's buffer without
-/// flushing. Workers batch the outcome frames of a dispatched range this
-/// way and flush once per range, so an N-strategy range costs one syscall
-/// burst instead of N (the controller admits outcomes by index, so frame
-/// arrival granularity is invisible to campaign state).
-fn queue_line(writer: &mut impl Write, message: &Value) -> io::Result<()> {
-    let line = checksummed_line(message.to_string_compact());
-    writer.write_all(line.as_bytes())
-}
-
-/// Reads the next message line. `Ok(None)` means the peer closed its end
-/// of the pipe; a failed checksum or unparseable payload is an error — on
-/// the wire (unlike on disk) there is no tolerant skip.
-fn read_message(reader: &mut impl BufRead) -> io::Result<Option<Value>> {
-    let mut line = Vec::new();
-    while read_raw_line(reader, &mut line)? {
-        if line.is_empty() {
-            continue;
-        }
-        let payload = verify_line(&line)
-            .ok_or_else(|| protocol_err("shard wire line failed its checksum"))?;
-        let message = snake_json::parse(payload)
-            .map_err(|err| protocol_err(format!("shard wire line is not JSON: {err}")))?;
-        return Ok(Some(message));
+/// Reads the next message. `Ok(None)` means the peer closed its end of
+/// the pipe; a damaged frame is an error — on the wire (unlike on disk)
+/// there is no tolerant skip.
+fn read_message(frames: &mut FrameReader<impl BufRead>) -> io::Result<Option<Value>> {
+    match frames.next_frame()? {
+        None => Ok(None),
+        Some(Ok(message)) => Ok(Some(message)),
+        Some(Err(damage)) => Err(protocol_err(format!("shard wire line {damage}"))),
     }
-    Ok(None)
 }
 
 // ---------------------------------------------------------------------------
 // Handshake
 // ---------------------------------------------------------------------------
 
+/// The chaos plan's fault for shard 0's worker, acted out once the worker
+/// has sent `after` outcomes: it exits, or it hangs.
+#[derive(Debug, Clone, Copy)]
+struct WorkerFault {
+    exit: bool,
+    after: u64,
+}
+
+impl WorkerFault {
+    /// The plan's worker fault that fires first. The other one could
+    /// never fire: after either, the worker sends nothing more.
+    fn from_plan(plan: &ChaosPlan) -> Option<WorkerFault> {
+        let exit = plan
+            .worker_exit_after
+            .map(|after| WorkerFault { exit: true, after });
+        let hang = plan
+            .hang_worker_after
+            .map(|after| WorkerFault { exit: false, after });
+        exit.into_iter().chain(hang).min_by_key(|fault| fault.after)
+    }
+
+    /// Acts the fault out if it is due after `sent` outcomes. An exit
+    /// first flushes what is queued, so the outcomes before it reach the
+    /// wire. A hang goes silent without closing anything, the batch
+    /// still buffered — the shape of a livelocked worker, which the
+    /// controller's progress deadline must declare dead and kill.
+    fn act(self, sent: u64, writer: &mut impl Write) -> io::Result<()> {
+        if sent != self.after {
+            return Ok(());
+        }
+        if self.exit {
+            writer.flush()?;
+            std::process::exit(WORKER_EXIT_CODE);
+        }
+        loop {
+            std::thread::sleep(Duration::from_secs(60));
+        }
+    }
+}
+
 /// Everything a worker needs to stand up its executors, decoded from the
 /// controller's `hello`.
 struct WorkerJob {
-    shard: u64,
     digest: u64,
     spec: ScenarioSpec,
     threshold: f64,
@@ -198,22 +192,18 @@ struct WorkerJob {
     retest: bool,
     snapshot_fork: bool,
     memoize: bool,
-    /// Chaos: hang forever after this many outcomes, so the controller's
-    /// progress deadline is exercised.
-    hang_after: Option<u64>,
+    fault: Option<WorkerFault>,
 }
 
 fn encode_hello(
-    shard: usize,
     digest: u64,
     config: &CampaignConfig,
     memoize: bool,
-    hang_after: Option<u64>,
+    fault: Option<WorkerFault>,
 ) -> Value {
     obj([
         ("type", Value::Str("hello".to_owned())),
         ("version", Value::U64(WIRE_VERSION)),
-        ("shard", Value::U64(shard as u64)),
         ("digest", Value::U64(digest)),
         ("scenario", config.scenario.to_json()),
         ("threshold", Value::F64(config.threshold)),
@@ -221,7 +211,15 @@ fn encode_hello(
         ("retest", Value::Bool(config.retest)),
         ("snapshot_fork", Value::Bool(config.snapshot_fork)),
         ("memoize", Value::Bool(memoize)),
-        ("hang_after", hang_after.map_or(Value::Null, Value::U64)),
+        (
+            "worker_fault",
+            fault.map_or(Value::Null, |fault| {
+                obj([
+                    ("exit", Value::Bool(fault.exit)),
+                    ("after", Value::U64(fault.after)),
+                ])
+            }),
+        ),
     ])
 }
 
@@ -233,7 +231,6 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
         )));
     }
     Ok(WorkerJob {
-        shard: message.req_u64("shard")?,
         digest: message.req_u64("digest")?,
         spec: ScenarioSpec::from_json(message.req("scenario")?)?,
         threshold: message.req_f64("threshold")?,
@@ -241,7 +238,13 @@ fn decode_hello(message: &Value) -> Result<WorkerJob, JsonError> {
         retest: message.req_bool("retest")?,
         snapshot_fork: message.req_bool("snapshot_fork")?,
         memoize: message.req_bool("memoize")?,
-        hang_after: message.req_opt_u64("hang_after")?,
+        fault: match message.req("worker_fault")? {
+            Value::Null => None,
+            fault => Some(WorkerFault {
+                exit: fault.req_bool("exit")?,
+                after: fault.req_u64("after")?,
+            }),
+        },
     })
 }
 
@@ -261,8 +264,10 @@ struct CounterAccumulator {
 
 impl CounterAccumulator {
     /// Takes and resets the accumulated counter deltas.
-    fn drain(&self) -> BTreeMap<&'static str, u64> {
+    fn drain(&self) -> Vec<(&'static str, u64)> {
         std::mem::take(&mut *self.counters.lock().unwrap())
+            .into_iter()
+            .collect()
     }
 }
 
@@ -273,20 +278,6 @@ impl Observer for CounterAccumulator {
 
     fn counter_add(&self, name: &'static str, delta: u64) {
         *self.counters.lock().unwrap().entry(name).or_insert(0) += delta;
-    }
-}
-
-/// Parses the `SNAKE_SHARD_EXIT_AFTER="<shard>:<k>"` test hook: the
-/// matching worker calls `process::exit` after sending `k` outcomes
-/// (`k = 0` exits right after the `ready` handshake). Used by the
-/// shard-death determinism tests; ignored unless the shard index matches.
-fn exit_after_hook(shard: u64) -> Option<u64> {
-    let spec = env::var("SNAKE_SHARD_EXIT_AFTER").ok()?;
-    let (target, count) = spec.split_once(':')?;
-    if target.trim().parse::<u64>().ok()? == shard {
-        count.trim().parse().ok()
-    } else {
-        None
     }
 }
 
@@ -310,8 +301,8 @@ fn spawn_frame_reader() -> mpsc::Receiver<io::Result<Value>> {
     std::thread::Builder::new()
         .name("snake-shard-stdin".to_owned())
         .spawn(move || {
-            let mut stdin = io::stdin().lock();
-            while let Some(frame) = read_message(&mut stdin).transpose() {
+            let mut frames = FrameReader::new(io::stdin().lock());
+            while let Some(frame) = read_message(&mut frames).transpose() {
                 let refused = frame.is_err();
                 if tx.send(frame).is_err() || refused {
                     break;
@@ -334,8 +325,10 @@ fn spawn_frame_reader() -> mpsc::Receiver<io::Result<Value>> {
 /// indices elsewhere, and already-admitted outcomes are never re-run.
 pub fn run_shard_worker() -> io::Result<()> {
     let mut writer = BufWriter::new(io::stdout().lock());
-    let hello = read_message(&mut io::stdin().lock())?
-        .ok_or_else(|| protocol_err("controller closed the wire before hello"))?;
+    let frames = spawn_frame_reader();
+    let hello = frames
+        .recv()
+        .map_err(|_| protocol_err("controller closed the wire before hello"))??;
     if hello.req_str("type").map_err(decode_err)? != "hello" {
         return Err(protocol_err("expected hello as the first message"));
     }
@@ -350,7 +343,6 @@ pub fn run_shard_worker() -> io::Result<()> {
             job.digest
         )));
     }
-    let exit_after = exit_after_hook(job.shard);
 
     // Stand up the executors exactly as `Campaign::run` does, with a
     // counter-accumulating observer so evaluation tallies can be shipped
@@ -393,11 +385,11 @@ pub fn run_shard_worker() -> io::Result<()> {
 
     write_line(&mut writer, &ready_message(digest))?;
     let mut sent: u64 = 0;
-    if exit_after == Some(sent) {
-        std::process::exit(EXIT_AFTER_CODE);
+    if let Some(fault) = job.fault {
+        fault.act(sent, &mut writer)?;
     }
 
-    for message in spawn_frame_reader() {
+    for message in frames {
         let message = message?;
         match message.req_str("type").map_err(decode_err)? {
             "range" => {
@@ -414,31 +406,15 @@ pub fn run_shard_worker() -> io::Result<()> {
                     let outcome = evaluate_guarded(&shared, strategy);
                     let busy_nanos = began.elapsed().as_nanos() as u64;
                     let index = start + offset as u64;
-                    let reply = obj([
-                        ("type", Value::Str("outcome".to_owned())),
-                        ("index", Value::U64(index)),
-                        ("busy_nanos", Value::U64(busy_nanos)),
-                        ("counters", counters_json(accumulator.drain())),
-                        ("outcome", outcome.to_json()),
-                    ]);
-                    queue_line(&mut writer, &reply)?;
+                    let reply =
+                        encode_outcome_frame(index, busy_nanos, &outcome, &accumulator.drain());
+                    // Batched: one flush per range, not per outcome (the
+                    // controller admits by index, so frame arrival
+                    // granularity is invisible to campaign state).
+                    write_frame(&mut writer, &reply)?;
                     sent += 1;
-                    if exit_after == Some(sent) {
-                        // The hook simulates a worker dying *after*
-                        // this outcome reached the wire, so drain the
-                        // batch buffer before exiting.
-                        writer.flush()?;
-                        std::process::exit(EXIT_AFTER_CODE);
-                    }
-                    if job.hang_after == Some(sent) {
-                        // Chaos: go silent without closing anything.
-                        // The current batch stays buffered — exactly the
-                        // shape of a livelocked worker. The controller's
-                        // progress deadline must declare this shard
-                        // dead; the process is killed from outside.
-                        loop {
-                            std::thread::sleep(Duration::from_secs(60));
-                        }
+                    if let Some(fault) = job.fault {
+                        fault.act(sent, &mut writer)?;
                     }
                 }
                 writer.flush()?;
@@ -454,102 +430,62 @@ pub fn run_shard_worker() -> io::Result<()> {
 // Controller
 // ---------------------------------------------------------------------------
 
-/// One message from a shard's reader thread to the dispatcher.
-pub(crate) enum ShardEvent {
+/// One message from a shard's reader thread to the pool.
+enum ShardEvent {
     /// The worker answered `hello` with the controller's digest.
-    Ready {
-        /// Which shard is ready.
-        shard: usize,
-    },
-    /// A worker finished one strategy.
+    Ready { shard: usize },
+    /// A worker finished one strategy: its global index within the batch,
+    /// the worker's wall-clock evaluation time, and the outcome record.
     Outcome {
-        /// Which shard produced it.
         shard: usize,
-        /// Global strategy index within the batch.
         index: usize,
-        /// Worker wall-clock spent evaluating, for busy/idle accounting.
         busy_nanos: u64,
-        /// Counter deltas the worker's observer accumulated, interned.
-        counters: WorkerCounters,
-        /// The evaluated outcome, in journal encoding.
-        outcome: Box<StrategyOutcome>,
+        entry: Box<JournalEntry>,
     },
-    /// The shard's wire is unusable: closed, undecodable, or refused
-    /// (including a failed handshake). Always its reader's last event.
-    Dead {
-        /// Which shard died.
-        shard: usize,
-    },
+    /// The shard's wire is unusable: closed, damaged, undecodable, or
+    /// refused (including a failed handshake). Always its reader's last
+    /// event.
+    Dead { shard: usize },
 }
 
-/// What a bounded wait on the pool's event stream produced.
-pub(crate) enum PoolWait {
-    /// An event arrived within the deadline.
-    Event(ShardEvent),
-    /// Nothing arrived in time; the dispatcher checks its progress
-    /// deadlines.
-    Idle,
-    /// Every reader thread has exited; nothing further can arrive.
-    Closed,
+/// The wire's outcome frame: the journal's outcome record with the
+/// strategy's batch `index` and the worker's `busy_nanos` appended.
+fn encode_outcome_frame(
+    index: u64,
+    busy_nanos: u64,
+    outcome: &StrategyOutcome,
+    counters: &[(&str, u64)],
+) -> Value {
+    let mut frame = encode_record(outcome, counters);
+    if let Value::Obj(pairs) = &mut frame {
+        pairs.push(("index".to_owned(), Value::U64(index)));
+        pairs.push(("busy_nanos".to_owned(), Value::U64(busy_nanos)));
+    }
+    frame
 }
 
 fn decode_outcome_event(shard: usize, message: &Value) -> Result<ShardEvent, JsonError> {
-    if message.req_str("type")? != "outcome" {
-        return Err(JsonError::decode("expected an outcome message"));
-    }
-    let index = message.req_usize("index")?;
-    let counters = match message.req("counters")? {
-        // Names outside the intern table are dropped here, once: a worker
-        // cannot invent controller-side state.
-        Value::Obj(pairs) => pairs
-            .iter()
-            .filter_map(|(name, delta)| match delta.as_u64() {
-                Some(delta) => intern_counter(name).map(|name| Ok((name, delta))),
-                None => Some(Err(JsonError::decode(format!(
-                    "counter {name}: expected integer"
-                )))),
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err(JsonError::decode("outcome.counters: expected object")),
-    };
     Ok(ShardEvent::Outcome {
         shard,
-        index,
+        index: message.req_usize("index")?,
         busy_nanos: message.req_u64("busy_nanos")?,
-        counters,
-        outcome: Box::new(StrategyOutcome::from_json(message.req("outcome")?)?),
+        entry: Box::new(decode_record(message)?),
     })
 }
 
-/// The deterministic wire-fault lane of a [`ChaosPlan`], applied on the
-/// controller's read path by outcome-frame ordinal, so the same plan
-/// perturbs the same frames every run.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct WireFaults {
-    drop_every: Option<u64>,
-    truncate_every: Option<u64>,
-    corrupt_every: Option<u64>,
-    delay_every: Option<u64>,
-    delay: Duration,
-}
-
-impl WireFaults {
-    fn from_chaos(chaos: Option<&ChaosPlan>) -> WireFaults {
-        match chaos {
-            None => WireFaults::default(),
-            Some(plan) => WireFaults {
-                drop_every: plan.wire_drop_every,
-                truncate_every: plan.wire_truncate_every,
-                corrupt_every: plan.wire_corrupt_every,
-                delay_every: plan.wire_delay_every,
-                delay: Duration::from_millis(plan.wire_delay_ms),
-            },
-        }
+/// Wire chaos: flips the low bit of the last ASCII digit in a raw frame's
+/// payload (in an outcome frame, a digit of `busy_nanos`). A digit stays
+/// a digit, so the frame still parses and decodes: only the checksum can
+/// tell it was damaged.
+fn flip_payload_digit(line: &mut [u8]) {
+    let payload = line.len().saturating_sub(17);
+    if let Some(digit) = line[..payload]
+        .iter_mut()
+        .rev()
+        .find(|byte| byte.is_ascii_digit())
+    {
+        *digit ^= 1;
     }
-}
-
-fn fault_hits(every: Option<u64>, ordinal: u64) -> bool {
-    every.is_some_and(|n| n > 0 && ordinal.is_multiple_of(n))
 }
 
 fn shutdown_message() -> Value {
@@ -574,9 +510,9 @@ fn reap(child: &mut Child) {
 }
 
 /// Reads a worker's answer to `hello`: a `ready` echoing `digest`.
-fn read_ready(reader: &mut impl BufRead, digest: u64) -> io::Result<()> {
+fn read_ready(frames: &mut FrameReader<impl BufRead>, digest: u64) -> io::Result<()> {
     let ready =
-        read_message(reader)?.ok_or_else(|| protocol_err("worker closed the wire before ready"))?;
+        read_message(frames)?.ok_or_else(|| protocol_err("worker closed the wire before ready"))?;
     if ready.req_str("type").map_err(decode_err)? != "ready" {
         return Err(protocol_err("expected a ready message"));
     }
@@ -592,18 +528,21 @@ fn read_ready(reader: &mut impl BufRead, digest: u64) -> io::Result<()> {
 /// Drains one worker's stdout: first its `ready` (a pipe has no read
 /// timeout, so the handshake result travels over the event channel and
 /// the controller bounds the wait there), then its outcome frames. Ends
-/// with exactly one `Dead`.
+/// with exactly one `Dead`. The plan's wire faults act here, by frame
+/// ordinal, on the raw bytes: a dropped frame never happened, a corrupted
+/// one meets the checksum like real damage, a delayed one arrives late
+/// but intact.
 fn spawn_reader(
     shard: usize,
     digest: u64,
-    mut reader: BufReader<ChildStdout>,
+    mut frames: FrameReader<BufReader<ChildStdout>>,
     tx: mpsc::Sender<ShardEvent>,
-    wire: WireFaults,
+    chaos: Option<ChaosPlan>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("snake-shard-rx-{shard}"))
         .spawn(move || {
-            if let Err(err) = read_ready(&mut reader, digest) {
+            if let Err(err) = read_ready(&mut frames, digest) {
                 eprintln!("snake: shard {shard} failed its handshake and was dropped: {err}");
                 tx.send(ShardEvent::Dead { shard }).ok();
                 return;
@@ -611,40 +550,30 @@ fn spawn_reader(
             if tx.send(ShardEvent::Ready { shard }).is_err() {
                 return;
             }
-            let mut outcomes: u64 = 0;
-            loop {
-                let event = match read_message(&mut reader) {
-                    Ok(Some(message)) => match decode_outcome_event(shard, &message) {
-                        Ok(event) => {
-                            outcomes += 1;
-                            // Wire chaos, by outcome ordinal: a truncated
-                            // or corrupted frame would have failed its
-                            // checksum, which on the wire is a protocol
-                            // death; a dropped frame simply never
-                            // happened; a delayed frame arrives late but
-                            // intact.
-                            if fault_hits(wire.truncate_every, outcomes)
-                                || fault_hits(wire.corrupt_every, outcomes)
-                            {
-                                ShardEvent::Dead { shard }
-                            } else if fault_hits(wire.drop_every, outcomes) {
-                                continue;
-                            } else {
-                                if fault_hits(wire.delay_every, outcomes) {
-                                    std::thread::sleep(wire.delay);
-                                }
-                                event
-                            }
-                        }
-                        Err(_) => ShardEvent::Dead { shard },
-                    },
-                    Ok(None) | Err(_) => ShardEvent::Dead { shard },
-                };
-                let is_dead = matches!(event, ShardEvent::Dead { .. });
-                if tx.send(event).is_err() || is_dead {
+            let plan = chaos.unwrap_or_default();
+            let mut ordinal: u64 = 0;
+            while let Ok(Some(line)) = frames.next_line() {
+                ordinal += 1;
+                if ChaosPlan::hits(plan.wire_drop_every, ordinal) {
+                    continue;
+                }
+                if ChaosPlan::hits(plan.wire_corrupt_every, ordinal) {
+                    flip_payload_digit(line);
+                }
+                if ChaosPlan::hits(plan.wire_delay_every, ordinal) {
+                    std::thread::sleep(Duration::from_millis(plan.wire_delay_ms));
+                }
+                let Some(event) = decode_line(line)
+                    .ok()
+                    .and_then(|message| decode_outcome_event(shard, &message).ok())
+                else {
                     break;
+                };
+                if tx.send(event).is_err() {
+                    return;
                 }
             }
+            tx.send(ShardEvent::Dead { shard }).ok();
         })
         .expect("spawning a shard reader thread cannot fail")
 }
@@ -673,7 +602,7 @@ impl ShardLink {
         hello: &Value,
         digest: u64,
         tx: &mpsc::Sender<ShardEvent>,
-        wire: WireFaults,
+        chaos: Option<ChaosPlan>,
     ) -> io::Result<ShardLink> {
         let mut child = Command::new(worker_bin)
             .arg("shard-worker")
@@ -682,7 +611,8 @@ impl ShardLink {
             .stderr(Stdio::inherit())
             .spawn()?;
         let stdout = child.stdout.take().expect("stdout is piped");
-        let reader = spawn_reader(shard, digest, BufReader::new(stdout), tx.clone(), wire);
+        let frames = FrameReader::new(BufReader::new(stdout));
+        let reader = spawn_reader(shard, digest, frames, tx.clone(), chaos);
         let mut writer = BufWriter::new(child.stdin.take().expect("stdin is piped"));
         // A worker that cannot take its hello is gone already; killing it
         // closes its stdout, and its reader reports it dead.
@@ -703,31 +633,48 @@ impl ShardLink {
     }
 }
 
+/// Groups ascending indices into contiguous `(start, len)` ranges.
+fn contiguous_ranges(indices: impl IntoIterator<Item = usize>) -> Vec<(usize, usize)> {
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    for index in indices {
+        match ranges.last_mut() {
+            Some((start, len)) if *start + *len == index => *len += 1,
+            _ => ranges.push((index, 1)),
+        }
+    }
+    ranges
+}
+
+/// Returns a dead shard's not-yet-received indices to the dispatch queue
+/// as contiguous ranges, front of the queue so the lowest indices (the
+/// ones holding back admission) go back out first. Returns how many
+/// ranges were re-created, for the re-dispatch tally.
+fn requeue_outstanding(
+    queue: &mut VecDeque<(usize, usize)>,
+    outstanding: &mut VecDeque<usize>,
+) -> u64 {
+    let ranges = contiguous_ranges(outstanding.drain(..));
+    let count = ranges.len() as u64;
+    for range in ranges.into_iter().rev() {
+        queue.push_front(range);
+    }
+    count
+}
+
 /// The controller's set of worker processes for one campaign, plus the
 /// merged event stream their reader threads feed.
 pub(crate) struct ShardPool {
     links: Vec<ShardLink>,
     events: mpsc::Receiver<ShardEvent>,
     started: Instant,
-    /// Shards that completed the handshake (the `shard.workers` counter).
-    workers: usize,
+    /// The progress deadline (`--shard-timeout`).
+    timeout: Duration,
     /// Ranges handed to workers, including re-dispatches.
-    pub(crate) ranges_dispatched: u64,
+    ranges_dispatched: u64,
     /// Ranges re-dispatched after a shard death or protocol violation.
-    pub(crate) ranges_redispatched: u64,
+    ranges_redispatched: u64,
     /// Shards killed by the progress deadline (hung, or an outcome lost).
-    pub(crate) deadlines_missed: u64,
-}
-
-impl std::fmt::Debug for ShardPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPool")
-            .field("links", &self.links.len())
-            .field("workers", &self.workers)
-            .field("ranges_dispatched", &self.ranges_dispatched)
-            .field("ranges_redispatched", &self.ranges_redispatched)
-            .finish()
-    }
+    deadlines_missed: u64,
 }
 
 impl ShardPool {
@@ -739,11 +686,7 @@ impl ShardPool {
     /// zero.
     pub(crate) fn launch(config: &CampaignConfig, memoize: bool) -> io::Result<ShardPool> {
         let digest = scenario_digest(&config.scenario, config.threshold, config.baseline_reps);
-        let wire = WireFaults::from_chaos(config.chaos.as_ref());
-        let hang_after = config
-            .chaos
-            .as_ref()
-            .and_then(|plan| plan.hang_worker_after);
+        let fault = config.chaos.as_ref().and_then(WorkerFault::from_plan);
         let worker_bin = match &config.shard_worker_bin {
             Some(path) => path.clone(),
             None => env::current_exe()?,
@@ -752,11 +695,11 @@ impl ShardPool {
         let mut links = Vec::new();
         for _ in 0..config.shards {
             let shard = links.len();
-            // The hang knob targets shard 0 only, so a hang-chaos
-            // campaign still has live shards to finish on.
-            let hang = if shard == 0 { hang_after } else { None };
-            let hello = encode_hello(shard, digest, config, memoize, hang);
-            match ShardLink::spawn(&worker_bin, shard, &hello, digest, &tx, wire) {
+            // The worker fault targets shard 0 only, so a chaos campaign
+            // still has live shards to finish on.
+            let fault = if shard == 0 { fault } else { None };
+            let hello = encode_hello(digest, config, memoize, fault);
+            match ShardLink::spawn(&worker_bin, shard, &hello, digest, &tx, config.chaos) {
                 Ok(link) => links.push(link),
                 Err(err) => eprintln!("snake: failed to spawn shard worker {worker_bin:?}: {err}"),
             }
@@ -768,26 +711,25 @@ impl ShardPool {
             links,
             events,
             started: Instant::now(),
-            workers: 0,
+            timeout: config.shard_timeout,
             ranges_dispatched: 0,
             ranges_redispatched: 0,
             deadlines_missed: 0,
         };
-        pool.await_ready(config.shard_timeout);
+        pool.await_ready();
         Ok(pool)
     }
 
-    /// Collects every worker's handshake result, waiting at most
-    /// `timeout`; a worker still silent then is killed.
-    fn await_ready(&mut self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
+    /// Collects every worker's handshake result, waiting at most the
+    /// progress deadline; a worker still silent then is killed.
+    fn await_ready(&mut self) {
+        let deadline = Instant::now() + self.timeout;
         let mut pending = self.links.len();
         while pending > 0 {
             let wait = deadline.saturating_duration_since(Instant::now());
             match self.events.recv_timeout(wait) {
                 Ok(ShardEvent::Ready { shard }) => {
                     self.links[shard].handshaked = true;
-                    self.workers += 1;
                     pending -= 1;
                 }
                 Ok(ShardEvent::Dead { shard }) => {
@@ -817,30 +759,146 @@ impl ShardPool {
     }
 
     /// Whether one specific shard is still accepting work.
-    pub(crate) fn is_live(&self, shard: usize) -> bool {
-        self.links
-            .get(shard)
-            .is_some_and(|link| link.writer.is_some())
+    fn is_live(&self, shard: usize) -> bool {
+        self.links[shard].writer.is_some()
     }
 
-    /// Total link slots (dead ones included); shard indices range over this.
-    pub(crate) fn len(&self) -> usize {
-        self.links.len()
+    /// Evaluates a batch on the worker processes, offering each outcome to
+    /// `admission`, and returns the indices it could not get evaluated
+    /// (empty unless every shard died), for the in-process driver to
+    /// finish — results identical, only slower.
+    ///
+    /// Dispatch is pull-ish: the work is cut into contiguous ranges of about
+    /// a quarter of a shard's fair share, and each shard holds at most two
+    /// ranges' worth of outstanding work, so a slow shard strands little.
+    /// A shard that disconnects, breaks the framing, answers out of contract
+    /// (wrong index order, an index it was never given or already delivered,
+    /// a strategy id that does not match), or misses its progress deadline is
+    /// killed and its unfinished indices are re-dispatched.
+    pub(crate) fn run_batch(
+        &mut self,
+        admission: &Admission,
+        strategies: &[Strategy],
+    ) -> Vec<usize> {
+        let n = strategies.len();
+        let shards = self.links.len();
+        let chunk = n.div_ceil(self.live().max(1) * 4).max(1);
+        let mut delivered = vec![false; n];
+        let mut queue: VecDeque<(usize, usize)> = (0..n)
+            .step_by(chunk)
+            .map(|start| (start, chunk.min(n - start)))
+            .collect();
+        let mut remaining = n;
+        let mut outstanding: Vec<VecDeque<usize>> = vec![VecDeque::new(); shards];
+
+        // The progress deadline, the pool's one clock. EOF, a write error
+        // or a refused frame report a dead shard by themselves; what no
+        // byte can reveal — a worker hung mid-range, an outcome frame lost
+        // on the wire — shows only as a shard holding dispatched work for
+        // a whole `timeout` without delivering an outcome.
+        let window = self.timeout;
+        let mut progress: Vec<Instant> = vec![Instant::now(); shards];
+        while remaining > 0 && self.live() > 0 {
+            let mut wait = window;
+            for shard in 0..shards {
+                if !self.is_live(shard) || outstanding[shard].is_empty() {
+                    continue;
+                }
+                let held = progress[shard].elapsed();
+                if held >= window {
+                    self.deadlines_missed += 1;
+                    self.redispatch(&mut queue, &mut outstanding[shard], shard);
+                } else {
+                    wait = wait.min(window - held);
+                }
+            }
+            // Top-up: hand queued ranges to the least-loaded live shards.
+            loop {
+                let target = (0..shards)
+                    .filter(|&s| self.is_live(s) && outstanding[s].len() < 2 * chunk)
+                    .min_by_key(|&s| outstanding[s].len());
+                let Some(shard) = target else { break };
+                let Some((start, len)) = queue.pop_front() else {
+                    break;
+                };
+                if self.send_range(shard, start, &strategies[start..start + len]) {
+                    outstanding[shard].extend(start..start + len);
+                    progress[shard] = Instant::now();
+                } else {
+                    queue.push_front((start, len));
+                }
+            }
+            if self.live() == 0 {
+                break;
+            }
+            match self.events.recv_timeout(wait) {
+                // The next pass checks the deadlines.
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    // Every reader thread is gone; nothing further can
+                    // arrive.
+                    for shard in 0..shards {
+                        self.kill(shard);
+                    }
+                    break;
+                }
+                // A worker that answered after the launch deadline was
+                // killed already.
+                Ok(ShardEvent::Ready { .. }) => {}
+                Ok(ShardEvent::Dead { shard }) => {
+                    // Not gated on liveness: a failed `send_range` kills
+                    // the link without draining its outstanding indices,
+                    // and this event owns that. After any other kill the
+                    // shard holds nothing and this requeues nothing.
+                    self.redispatch(&mut queue, &mut outstanding[shard], shard);
+                }
+                Ok(ShardEvent::Outcome {
+                    shard,
+                    index,
+                    busy_nanos,
+                    entry,
+                }) => {
+                    if !self.is_live(shard) {
+                        // Late traffic from a shard already declared dead;
+                        // its indices were re-queued, so this is stale.
+                        continue;
+                    }
+                    let in_contract = outstanding[shard].front() == Some(&index)
+                        && delivered.get(index) == Some(&false)
+                        && entry.outcome.strategy.id == strategies[index].id;
+                    if !in_contract {
+                        self.redispatch(&mut queue, &mut outstanding[shard], shard);
+                        continue;
+                    }
+                    outstanding[shard].pop_front();
+                    progress[shard] = Instant::now();
+                    self.links[shard].busy_nanos += busy_nanos;
+                    delivered[index] = true;
+                    remaining -= 1;
+                    let JournalEntry { outcome, counters } = *entry;
+                    admission.offer(index, outcome, counters);
+                }
+            }
+        }
+
+        (0..n).filter(|&index| !delivered[index]).collect()
+    }
+
+    /// Kills a shard and puts its unfinished work back on the queue.
+    fn redispatch(
+        &mut self,
+        queue: &mut VecDeque<(usize, usize)>,
+        outstanding: &mut VecDeque<usize>,
+        shard: usize,
+    ) {
+        self.kill(shard);
+        self.ranges_redispatched += requeue_outstanding(queue, outstanding);
     }
 
     /// Sends one contiguous range to a shard. Returns `false` — after
     /// killing the link — when the write fails, so the caller re-queues.
-    pub(crate) fn send_range(
-        &mut self,
-        shard: usize,
-        start: usize,
-        strategies: &[Strategy],
-    ) -> bool {
-        let Some(writer) = self
-            .links
-            .get_mut(shard)
-            .and_then(|link| link.writer.as_mut())
-        else {
+    fn send_range(&mut self, shard: usize, start: usize, strategies: &[Strategy]) -> bool {
+        let Some(writer) = self.links[shard].writer.as_mut() else {
             return false;
         };
         let message = obj([
@@ -862,27 +920,10 @@ impl ShardPool {
     /// Declares a shard dead: kills the worker outright — one that missed
     /// its progress deadline may be hung inside an evaluation — and closes
     /// its stdin. Its reader thread then reads EOF and winds down.
-    pub(crate) fn kill(&mut self, shard: usize) {
-        if let Some(link) = self.links.get_mut(shard) {
-            link.child.kill().ok();
-            link.writer = None;
-        }
-    }
-
-    /// Credits one received outcome to a shard's busy-time tally.
-    pub(crate) fn record_busy(&mut self, shard: usize, busy_nanos: u64) {
-        if let Some(link) = self.links.get_mut(shard) {
-            link.busy_nanos += busy_nanos;
-        }
-    }
-
-    /// Waits up to `timeout` for the next event from any shard.
-    pub(crate) fn next_event_timeout(&self, timeout: Duration) -> PoolWait {
-        match self.events.recv_timeout(timeout) {
-            Ok(event) => PoolWait::Event(event),
-            Err(mpsc::RecvTimeoutError::Timeout) => PoolWait::Idle,
-            Err(mpsc::RecvTimeoutError::Disconnected) => PoolWait::Closed,
-        }
+    fn kill(&mut self, shard: usize) {
+        let link = &mut self.links[shard];
+        link.child.kill().ok();
+        link.writer = None;
     }
 
     /// Shuts every worker down, joins the reader threads, reaps the
@@ -894,11 +935,12 @@ impl ShardPool {
     pub(crate) fn finish(&mut self, observer: &dyn Observer) {
         let lifetime = self.started.elapsed().as_nanos() as u64;
         self.teardown();
-        observer.counter_add("shard.workers", self.workers as u64);
+        let workers: Vec<&ShardLink> = self.links.iter().filter(|link| link.handshaked).collect();
+        observer.counter_add("shard.workers", workers.len() as u64);
         observer.counter_add("shard.ranges_dispatched", self.ranges_dispatched);
         observer.counter_add("shard.ranges_redispatched", self.ranges_redispatched);
         observer.counter_add("shard.deadline.missed", self.deadlines_missed);
-        for link in self.links.iter().filter(|link| link.handshaked) {
+        for link in workers {
             observer.record("shard.busy_nanos", link.busy_nanos);
             observer.record("shard.idle_nanos", lifetime.saturating_sub(link.busy_nanos));
         }
@@ -947,11 +989,11 @@ impl Drop for ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::line_checksum;
+    use crate::framed::checksummed_line;
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut frame = payload.to_vec();
-        frame.extend(format!("\t{:016x}\n", line_checksum(payload)).bytes());
+        frame.extend(format!("\t{:016x}\n", crate::framed::line_checksum(payload)).bytes());
         frame
     }
 
@@ -964,32 +1006,31 @@ mod tests {
         let mut not_utf8 = br#"{"type":"shutdown"}"#.to_vec();
         not_utf8[3] |= 0x80;
         for payload in [too_deep.as_bytes(), &not_utf8] {
-            let err = read_message(&mut frame(payload).as_slice()).expect_err("must be refused");
+            let wire = frame(payload);
+            let err =
+                read_message(&mut FrameReader::new(wire.as_slice())).expect_err("must be refused");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
         // The same framing around a sound payload goes through, blank
         // lines before it or not.
         let mut wire = b"\n".to_vec();
         wire.extend(frame(br#"{"type":"shutdown"}"#));
-        let mut wire = wire.as_slice();
-        let message = read_message(&mut wire).unwrap().expect("one message");
+        let mut frames = FrameReader::new(wire.as_slice());
+        let message = read_message(&mut frames).unwrap().expect("one message");
         assert_eq!(message.req_str("type").unwrap(), "shutdown");
         assert!(
-            read_message(&mut wire).unwrap().is_none(),
+            read_message(&mut frames).unwrap().is_none(),
             "then end of stream"
         );
     }
-    /// Counter names are interned once, where the frame is decoded: a
-    /// name outside the worker table (a retired or invented one) is
-    /// dropped there, while a non-integer delta still refuses the frame.
-    #[test]
-    fn outcome_counters_are_interned_at_decode() {
+
+    fn outcome() -> StrategyOutcome {
         use crate::detect::Verdict;
         use crate::result::OutcomeKind;
         use crate::scenario::TestMetrics;
         use snake_proxy::{BasicAttack, Endpoint, StrategyKind};
 
-        let outcome = StrategyOutcome {
+        StrategyOutcome {
             strategy: Strategy {
                 id: 3,
                 kind: StrategyKind::OnPacket {
@@ -1007,31 +1048,62 @@ mod tests {
             outcome_kind: OutcomeKind::Ok,
             error: None,
             memo: None,
-        };
-        let message = |counters: Value| {
-            obj([
-                ("type", Value::Str("outcome".to_owned())),
-                ("index", Value::U64(3)),
-                ("busy_nanos", Value::U64(10)),
-                ("counters", counters),
-                ("outcome", outcome.to_json()),
-            ])
-        };
-        let known_and_not = counters_json([
+        }
+    }
+
+    /// The outcome frame is decoded under the journal's counters rule: a
+    /// name outside the worker table (a retired or invented one) is
+    /// dropped, while a non-integer delta refuses the frame.
+    #[test]
+    fn outcome_counters_are_interned_at_decode() {
+        let counters = [
             ("netsim.events", 5),
             ("not.a.counter", 9),
             ("campaign.escalated", 2),
-        ]);
-        let Ok(ShardEvent::Outcome { counters, .. }) =
-            decode_outcome_event(1, &message(known_and_not))
-        else {
+        ];
+        let frame = encode_outcome_frame(3, 10, &outcome(), &counters);
+        let Ok(ShardEvent::Outcome { index, entry, .. }) = decode_outcome_event(1, &frame) else {
             panic!("a sound outcome frame decodes");
         };
+        assert_eq!(index, 3);
+        assert_eq!(entry.outcome, outcome());
         assert_eq!(
-            counters,
+            entry.counters,
             vec![("netsim.events", 5), ("campaign.escalated", 2)]
         );
-        let not_integer = obj([("not.a.counter", Value::Str("9".to_owned()))]);
-        assert!(decode_outcome_event(1, &message(not_integer)).is_err());
+        let Value::Obj(mut pairs) = encode_outcome_frame(3, 10, &outcome(), &[]) else {
+            unreachable!("an outcome frame is an object")
+        };
+        let not_integer = obj([("netsim.events", Value::Str("9".to_owned()))]);
+        pairs.push(("counters".to_owned(), not_integer));
+        assert!(decode_outcome_event(1, &Value::Obj(pairs)).is_err());
+    }
+
+    /// The `wire-corrupt` flip lands on `busy_nanos` and leaves JSON that
+    /// still decodes: only the checksum can refuse the frame.
+    #[test]
+    fn a_corrupted_frame_still_decodes_but_fails_its_checksum() {
+        let frame = encode_outcome_frame(3, 10, &outcome(), &[("netsim.events", 5)]);
+        let mut line = checksummed_line(frame.to_string_compact()).into_bytes();
+        line.pop();
+        flip_payload_digit(&mut line);
+        let payload = std::str::from_utf8(&line[..line.len() - 17]).unwrap();
+        let flipped = snake_json::parse(payload).expect("still JSON");
+        assert_eq!(flipped.req_u64("busy_nanos").unwrap(), 11);
+        assert!(decode_outcome_event(1, &flipped).is_ok());
+        assert!(decode_line(&line).is_err());
+    }
+
+    #[test]
+    fn requeued_work_goes_back_out_first_as_contiguous_ranges() {
+        let mut queue: VecDeque<(usize, usize)> = VecDeque::from([(20, 4)]);
+        let mut outstanding: VecDeque<usize> = VecDeque::from([3, 4, 5, 9, 11, 12]);
+        assert_eq!(requeue_outstanding(&mut queue, &mut outstanding), 3);
+        assert!(outstanding.is_empty());
+        assert_eq!(
+            Vec::from(queue),
+            vec![(3, 3), (9, 1), (11, 2), (20, 4)],
+            "lowest indices first, ahead of what was already queued"
+        );
     }
 }

@@ -91,8 +91,7 @@ fn campaign(profile: &[&str], files: &RunFiles, extra: &[&str], kill_at: Option<
         .args(["--quick", "--shards", "2", "--cap", "10"])
         .args(files.args())
         .args(extra)
-        .env_remove("SNAKE_CONTROLLER_EXIT_AT")
-        .env_remove("SNAKE_SHARD_EXIT_AFTER");
+        .env_remove("SNAKE_CONTROLLER_EXIT_AT");
     if let Some(n) = kill_at {
         cmd.env("SNAKE_CONTROLLER_EXIT_AT", n);
     }

@@ -168,3 +168,20 @@ fn dccp_campaign_smoke() {
     assert_eq!(result.protocol, "DCCP");
     assert_eq!(result.strategies_tried(), 25);
 }
+
+/// A reader that stopped reading is not a crash: `snake list` into a pipe
+/// whose read end is already closed exits quietly and successfully, with
+/// no panic message and no 101.
+#[test]
+fn closed_stdout_ends_the_binary_quietly() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_snake"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("snake runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{:?}: {stderr}", output.status);
+    assert!(stderr.is_empty(), "nothing on stderr, got: {stderr}");
+}

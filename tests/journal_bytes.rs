@@ -7,8 +7,9 @@
 //! constant was recorded from a known-good build; a change to how
 //! observations or reports are held in memory must leave every one of
 //! them where it is. Fork, memoization and re-tests are on (the default
-//! campaign), so the memo markers, elided outcomes and the per-outcome
-//! counters are covered too.
+//! campaign), so the memo markers and elided outcomes are covered too.
+//! Only a sharded campaign journals per-outcome worker counters, so one
+//! pin runs on two worker processes.
 
 use std::path::PathBuf;
 
@@ -40,14 +41,20 @@ fn temp_journal(name: &str) -> PathBuf {
     p
 }
 
-fn assert_journal(name: &str, spec: ScenarioSpec, expected: u64) {
+/// Runs a capped campaign with `shards` worker processes (0 = in-process)
+/// and compares its journal's digest to `expected`.
+fn assert_journal(name: &str, spec: ScenarioSpec, shards: usize, expected: u64) {
     let path = temp_journal(name);
-    let config = CampaignConfig::builder(spec)
+    let mut builder = CampaignConfig::builder(spec)
         .cap(CAP)
         .parallelism(2)
-        .journal(path.clone())
-        .build()
-        .expect("valid config");
+        .journal(path.clone());
+    if shards > 0 {
+        builder = builder
+            .shards(shards)
+            .shard_worker_bin(env!("CARGO_BIN_EXE_snake"));
+    }
+    let config = builder.build().expect("valid config");
     let result = Campaign::run(config).expect("valid baseline");
     assert_eq!(result.strategies_tried(), CAP);
     let bytes = std::fs::read(&path).expect("journal written");
@@ -68,7 +75,19 @@ fn tcp_journal_bytes_are_pinned() {
         .seed(7)
         .build()
         .expect("valid scenario");
-    assert_journal("tcp", spec, 0x7c79_9fe7_0fba_3490);
+    assert_journal("tcp", spec, 0, 0x7c79_9fe7_0fba_3490);
+}
+
+/// The same TCP campaign on two worker processes: its outcome lines carry
+/// the counter deltas each worker shipped with them.
+#[test]
+fn sharded_tcp_journal_bytes_are_pinned() {
+    let spec = ScenarioSpec::builder(ProtocolKind::Tcp(Profile::linux_3_13()))
+        .quick()
+        .seed(7)
+        .build()
+        .expect("valid scenario");
+    assert_journal("tcp-shards2", spec, 2, 0xa700_1d2b_bc9a_ef75);
 }
 
 #[test]
@@ -78,7 +97,7 @@ fn dccp_journal_bytes_are_pinned() {
         .seed(7)
         .build()
         .expect("valid scenario");
-    assert_journal("dccp", spec, 0x81ff_e926_305c_88f3);
+    assert_journal("dccp", spec, 0, 0x81ff_e926_305c_88f3);
 }
 
 /// The benchmark's `star:64` flow mix, whose reports carry the most
@@ -102,5 +121,5 @@ fn star64_journal_bytes_are_pinned() {
         .seed(7)
         .build()
         .expect("valid scenario");
-    assert_journal("star64", spec, 0x1760_da69_dbf1_ee21);
+    assert_journal("star64", spec, 0, 0x1760_da69_dbf1_ee21);
 }

@@ -14,23 +14,24 @@
 //!
 //! These tests spawn real `snake shard-worker` child processes (the
 //! binary Cargo builds for this test run) and serialize on a global lock:
-//! the `SNAKE_SHARD_EXIT_AFTER` kill-switch is process-global environment,
-//! and concurrently launching pools would otherwise inherit it.
+//! each launches up to four workers, and every worker must finish its
+//! set-up and handshake inside the pool's 10 s deadline. Launches
+//! overlapping on a small machine could push one past it, and the test
+//! would see fewer workers than it configured.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use snake_core::{
-    build_run_manifest, Campaign, CampaignConfig, CampaignResult, ProtocolKind, Recorder,
-    RecorderSnapshot, ScenarioSpec,
+    build_run_manifest, Campaign, CampaignConfig, CampaignResult, ChaosPlan, FlowGroup, FlowRole,
+    ProtocolKind, Recorder, RecorderSnapshot, ScenarioSpec, TopologyKind,
 };
 use snake_dccp::DccpProfile;
 use snake_json::Value;
 use snake_netsim::Impairment;
 use snake_tcp::Profile;
 
-/// Serializes every test in this file: shard pools read the process
-/// environment at launch, so kill-switch tests cannot overlap anything.
+/// Serializes every test in this file (see the module documentation).
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// The `snake` binary Cargo built alongside this test — the worker the
@@ -71,6 +72,16 @@ fn profiles() -> Vec<(&'static str, ScenarioSpec)> {
 
 /// One observed campaign at the given shard count (0 = in-process).
 fn run(spec: ScenarioSpec, shards: usize, cap: usize) -> (CampaignResult, RecorderSnapshot) {
+    run_with(spec, shards, cap, |builder| builder)
+}
+
+/// [`run`], with `extra` applied to the builder last (chaos, a journal).
+fn run_with(
+    spec: ScenarioSpec,
+    shards: usize,
+    cap: usize,
+    extra: impl FnOnce(snake_core::CampaignConfigBuilder) -> snake_core::CampaignConfigBuilder,
+) -> (CampaignResult, RecorderSnapshot) {
     let recorder = Arc::new(Recorder::new());
     let mut builder = CampaignConfig::builder(spec)
         .cap(cap)
@@ -81,25 +92,38 @@ fn run(spec: ScenarioSpec, shards: usize, cap: usize) -> (CampaignResult, Record
     if shards > 0 {
         builder = builder.shards(shards).shard_worker_bin(worker_bin());
     }
-    let config = builder.build().expect("valid config");
+    let config = extra(builder).build().expect("valid config");
     let result = Campaign::run(config).expect("valid baseline");
     (result, recorder.snapshot())
 }
 
+/// The manifest without the top-level `sections` and the `run` section's
+/// `run_fields`, rendered for comparison.
+fn manifest_without(
+    (result, snapshot): &(CampaignResult, RecorderSnapshot),
+    sections: &[&str],
+    run_fields: &[&str],
+) -> String {
+    fn keep(pairs: Vec<(String, Value)>, drop: &[&str]) -> Vec<(String, Value)> {
+        pairs
+            .into_iter()
+            .filter(|(k, _)| !drop.contains(&k.as_str()))
+            .collect()
+    }
+    let Value::Obj(pairs) = build_run_manifest(result, snapshot, 0.0).to_json() else {
+        panic!("a manifest is an object");
+    };
+    let pairs = keep(pairs, sections).into_iter().map(|(k, v)| match v {
+        Value::Obj(run) if k == "run" => (k, Value::Obj(keep(run, run_fields))),
+        v => (k, v),
+    });
+    Value::Obj(pairs.collect()).to_string_compact()
+}
+
 /// The manifest with its nondeterministic sections (`timing`, and for
 /// sharded runs `shards`) removed — the bit-identity contract surface.
-fn stable_json(result: &CampaignResult, snapshot: &RecorderSnapshot) -> String {
-    let manifest = build_run_manifest(result, snapshot, 0.0);
-    match manifest.to_json() {
-        Value::Obj(pairs) => Value::Obj(
-            pairs
-                .into_iter()
-                .filter(|(k, _)| k != "timing" && k != "shards")
-                .collect(),
-        )
-        .to_string_compact(),
-        other => other.to_string_compact(),
-    }
+fn stable_json(run: &(CampaignResult, RecorderSnapshot)) -> String {
+    manifest_without(run, &["timing", "shards"], &[])
 }
 
 /// Asserts the sharded run really ran sharded (no silent in-process
@@ -121,8 +145,8 @@ fn assert_identical(
         "{label}: per-strategy TSV must be byte-identical"
     );
     assert_eq!(
-        stable_json(&reference.0, &reference.1),
-        stable_json(&sharded.0, &sharded.1),
+        stable_json(reference),
+        stable_json(sharded),
         "{label}: manifests must agree outside `timing`/`shards`"
     );
     assert_eq!(
@@ -152,16 +176,10 @@ fn four_shards_match_single_process_on_every_profile() {
     }
 }
 
-#[test]
-fn four_shards_match_single_process_on_a_generated_multiflow_profile() {
-    // The acceptance scenario of the topology/flow redesign: a generated
-    // 256-host star with 256 concurrent flows (200 of them attacked) must
-    // shard exactly like the dumbbell — byte-identical TSV and manifest
-    // (modulo `timing`/`shards`) between 1 and 4 worker processes, fresh
-    // and with the wire carrying the full topology + flow mix.
-    use snake_core::{FlowGroup, FlowRole, TopologyKind};
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let spec = ScenarioSpec::builder(ProtocolKind::Tcp(Profile::linux_3_13()))
+/// A generated 256-host star with 256 concurrent flows, 200 of them
+/// attacked: the acceptance scenario of the topology/flow redesign.
+fn star256() -> ScenarioSpec {
+    ScenarioSpec::builder(ProtocolKind::Tcp(Profile::linux_3_13()))
         .data_secs(2)
         .grace_secs(6)
         .topology(TopologyKind::Star, 256)
@@ -184,7 +202,17 @@ fn four_shards_match_single_process_on_a_generated_multiflow_profile() {
             },
         ])
         .build()
-        .expect("valid 256-host profile");
+        .expect("valid 256-host profile")
+}
+
+#[test]
+fn four_shards_match_single_process_on_a_generated_multiflow_profile() {
+    // The 256-host star must shard exactly like the dumbbell —
+    // byte-identical TSV and manifest (modulo `timing`/`shards`) between 1
+    // and 4 worker processes, fresh and with the wire carrying the full
+    // topology + flow mix.
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = star256();
     let reference = run(spec.clone(), 0, 6);
     let rerun = run(spec.clone(), 0, 6);
     assert_eq!(
@@ -196,27 +224,73 @@ fn four_shards_match_single_process_on_a_generated_multiflow_profile() {
     assert_identical("star-256-multiflow", &reference, &sharded, 4);
 }
 
+/// A sharded 256-host campaign whose journal is cut to half its lines
+/// and resumed gives the fresh run's TSV byte for byte, and every
+/// deterministic manifest section. `exec` and `netsim` legitimately
+/// shrink, because fewer runs execute; `run.resumed` and
+/// `run.journal_lines_skipped` are the resume tallies themselves.
+#[test]
+fn a_sharded_multiflow_journal_cut_in_half_resumes_to_the_same_output() {
+    const CAP: usize = 40;
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let journal = std::env::temp_dir().join(format!(
+        "snake-shard-determinism-{}-star256.jsonl",
+        std::process::id()
+    ));
+    std::fs::remove_file(&journal).ok();
+    let fresh = run_with(star256(), 4, CAP, |b| b.journal(journal.clone()));
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let lines: Vec<&str> = text.lines().collect();
+    std::fs::write(&journal, lines[..lines.len() / 2].join("\n") + "\n").unwrap();
+    let resumed = run_with(star256(), 4, CAP, |b| {
+        b.journal(journal.clone()).resume(true)
+    });
+    std::fs::remove_file(&journal).ok();
+
+    assert!(
+        resumed.0.resumed > 0,
+        "the resumed run must reuse the journal"
+    );
+    assert_eq!(
+        fresh.0.export_outcomes_tsv(),
+        resumed.0.export_outcomes_tsv(),
+        "resumed TSV must be byte-identical to the fresh run's"
+    );
+    let deterministic = |run| {
+        manifest_without(
+            run,
+            &["timing", "shards", "exec", "netsim"],
+            &["resumed", "journal_lines_skipped"],
+        )
+    };
+    assert_eq!(
+        deterministic(&fresh),
+        deterministic(&resumed),
+        "every deterministic manifest section must survive the resume"
+    );
+}
+
 #[test]
 fn a_shard_killed_mid_range_changes_nothing() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = ScenarioSpec::quick(ProtocolKind::Tcp(Profile::linux_3_13()));
-    // Sized so the dispatch arithmetic, not a race, leaves shard 1 holding
+    // Sized so the dispatch arithmetic, not a race, leaves shard 0 holding
     // work when it dies: cap 40 dispatches 36 strategies (4 are class
     // followers), ranges are `36.div_ceil(4 shards * 4) = 3` long and each
-    // shard is handed two up front, so shard 1's first range alone
+    // shard is handed two up front, so shard 0's first range alone
     // outlives its second outcome. (At cap 12 ranges were 1 long, and
-    // whether shard 1 still held one depended on how fast the others
+    // whether the shard still held one depended on how fast the others
     // drained the queue.)
     const CAP: usize = 40;
     let reference = run(spec.clone(), 0, CAP);
 
-    // Shard 1 exits (kill-switch in the worker binary) right after its
+    // Shard 0 exits (the chaos plan's worker exit) right after its
     // second outcome — mid-range, with work still outstanding. The
     // controller must re-dispatch its unfinished indices to the
     // survivors without re-admitting anything already merged.
-    std::env::set_var("SNAKE_SHARD_EXIT_AFTER", "1:2");
-    let sharded = run(spec, 4, CAP);
-    std::env::remove_var("SNAKE_SHARD_EXIT_AFTER");
+    let plan = ChaosPlan::preset("worker-exit").expect("built-in preset");
+    assert_eq!(plan.worker_exit_after, Some(2));
+    let sharded = run_with(spec, 4, CAP, |builder| builder.chaos(plan));
 
     assert_identical("kill-mid-range", &reference, &sharded, 4);
     assert!(
@@ -233,9 +307,11 @@ fn a_shard_dead_before_its_first_outcome_changes_nothing() {
 
     // Shard 0 exits immediately after the handshake, before evaluating
     // anything: the degenerate "died before journaling" case.
-    std::env::set_var("SNAKE_SHARD_EXIT_AFTER", "0:0");
-    let sharded = run(spec, 2, 10);
-    std::env::remove_var("SNAKE_SHARD_EXIT_AFTER");
+    let plan = ChaosPlan {
+        worker_exit_after: Some(0),
+        ..ChaosPlan::default()
+    };
+    let sharded = run_with(spec, 2, 10, |builder| builder.chaos(plan));
 
     assert_identical("dead-at-start", &reference, &sharded, 2);
 }

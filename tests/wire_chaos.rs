@@ -6,22 +6,26 @@
 //! a strategy (re-dispatch to a survivor, in-process fallback), never what
 //! was admitted.
 //!
-//! The faults land on the controller's read path by outcome-frame
-//! ordinal, so the same preset perturbs the same frames every run:
+//! The frame faults land on the controller's read path, on the raw bytes,
+//! by frame ordinal, so the same preset perturbs the same frames every
+//! run; the worker faults hit shard 0:
 //!
-//! * `wire-truncate` / `wire-corrupt` — a checksum-failing frame is a
-//!   protocol death: the shard is killed, its outstanding work re-queued.
+//! * `wire-corrupt` — one payload byte flipped before the checksum is
+//!   checked. The frame still parses, so only the checksum can catch it;
+//!   a caught frame is a protocol death: the shard is killed, its
+//!   outstanding work re-queued.
 //! * `wire-drop` — the frame silently never happened. Either the next
 //!   frame from that shard trips the in-contract check, or — if it was
 //!   the shard's *last* frame — the progress deadline fires.
 //! * `wire-delay` — a slow-but-alive worker; nothing may die.
 //! * `wire-hang` — shard 0 goes silent with its pipes open; the progress
 //!   deadline must declare it dead and its work re-dispatch.
+//! * `worker-exit` — shard 0 exits mid-range; the EOF kills the shard.
 //!
 //! Like `shard_determinism`, these tests spawn real `snake shard-worker`
-//! child processes and serialize on a global lock. The last two drive a
-//! bare worker through its stdin: whatever arrives there, a refused
-//! input ends the worker with a protocol error, never a panic.
+//! child processes. The last few drive a bare worker through its stdin:
+//! whatever arrives there, a refused input ends the worker with a
+//! protocol error, never a panic.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -36,8 +40,10 @@ use snake_core::{
 use snake_json::Value;
 use snake_tcp::Profile;
 
-/// Serializes every test in this file: shard pools read the process
-/// environment at launch, so runs cannot overlap kill-switch state.
+/// Serializes the campaigns in this file: they run on a 1 s progress
+/// deadline, and a worker starved of CPU by a campaign running beside it
+/// could miss it — a death no preset scheduled, which would break the
+/// assertions on what each fault kills.
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// The `snake` binary Cargo built alongside this test — the worker the
@@ -130,7 +136,7 @@ fn assert_absorbed(
 fn every_wire_fault_preset_is_absorbed_without_changing_output() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let reference = run(0, None);
-    for preset in ["wire-drop", "wire-truncate", "wire-corrupt", "wire-delay"] {
+    for preset in ["wire-drop", "wire-corrupt", "wire-delay", "worker-exit"] {
         let plan = ChaosPlan::preset(preset).expect("built-in preset");
         let chaotic = run(2, Some(plan));
         assert_absorbed(preset, &reference, &chaotic);
@@ -139,6 +145,12 @@ fn every_wire_fault_preset_is_absorbed_without_changing_output() {
             2,
             "{preset}: both workers must have handshaked before the chaos"
         );
+        if preset != "wire-delay" {
+            assert!(
+                chaotic.1.counter("shard.ranges_redispatched") >= 1,
+                "{preset}: the fault must kill a shard holding work"
+            );
+        }
     }
 }
 
@@ -180,10 +192,10 @@ fn a_delayed_wire_kills_nothing() {
 fn wire_faults_without_a_wire_are_rejected_at_build_time() {
     for preset in [
         "wire-drop",
-        "wire-truncate",
         "wire-corrupt",
         "wire-delay",
         "wire-hang",
+        "worker-exit",
     ] {
         let plan = ChaosPlan::preset(preset).expect("built-in preset");
         assert!(plan.has_wire_faults(), "{preset} is a wire-fault plan");
@@ -235,7 +247,7 @@ fn hello(digest: u64) -> String {
         link(100_000_000, 1_000_000, 128, "drop_tail"),
     );
     format!(
-        r#"{{"type":"hello","version":6,"shard":0,"digest":{digest},"scenario":{scenario},"threshold":0.5,"baseline_reps":1,"retest":false,"snapshot_fork":true,"memoize":true,"hang_after":null}}"#
+        r#"{{"type":"hello","version":7,"digest":{digest},"scenario":{scenario},"threshold":0.5,"baseline_reps":1,"retest":false,"snapshot_fork":true,"memoize":true,"worker_fault":null}}"#
     )
 }
 
